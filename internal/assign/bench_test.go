@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"slices"
 	"testing"
 
 	"oassis/internal/assign"
@@ -83,6 +84,50 @@ func BenchmarkClassifierStatus(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = cls.Status(valid[i%len(valid)])
+	}
+}
+
+// BenchmarkClassifierStatusUnknown measures the cursor scan: Status on
+// nodes a fresh classifier has never seen, against a long mark log that
+// classifies none of them, so every call compares the node with every mark
+// once. BenchmarkClassifierStatus, by contrast, measures cached verdicts.
+func BenchmarkClassifierStatusUnknown(b *testing.B) {
+	d := benchDAG(b)
+	// Insignificant marks on the leaves (nothing specializes them) and
+	// significant marks on the roots (nothing generalizes them): neither
+	// classifies the inner valid assignments or the frontier nodes.
+	roots := d.Space.Roots()
+	var insig, queries []*assign.Assignment
+	for _, a := range d.Space.Valid() {
+		switch {
+		case len(d.Space.Successors(a)) == 0:
+			insig = append(insig, a)
+		case !slices.Contains(roots, a):
+			queries = append(queries, a)
+		}
+	}
+	queries = append(queries, benchFrontier(d)...)
+	fresh := func() *assign.Classifier {
+		cls := assign.NewClassifier(d.Space)
+		for _, a := range insig {
+			cls.MarkInsignificant(a)
+		}
+		for _, a := range roots {
+			cls.MarkSignificant(a)
+		}
+		return cls
+	}
+	cls := fresh()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%len(queries) == 0 {
+			b.StopTimer()
+			cls = fresh()
+			b.StartTimer()
+		}
+		if cls.Status(queries[i%len(queries)]) != assign.Unknown {
+			b.Fatal("benchmark query node is classified")
+		}
 	}
 }
 

@@ -37,8 +37,17 @@ func (s Status) String() string {
 // Because classifications are final (borders only ever grow), Status
 // memoizes per NodeID in a dense slice: a classified verdict is cached
 // forever and an Unknown verdict only re-examines marks added since the
-// last check. Border comparisons additionally go through a per-pair Leq
-// memo, since border rescans keep re-deriving the same order relations.
+// last check, through a per-node cursor into each mark log. Every (node,
+// mark) pair therefore reaches Space.Leq at most once from Status, so there
+// is no per-pair order memo: one could hit only on the Mark* border
+// rescans. Measured on the perfbench mining workloads before it was
+// removed, such a memo hit about one lookup in seven (0.69M of 4.96M on
+// mine, 1.12M of 8.67M on single), and a hash probe cost several times the
+// comparison it saved.
+//
+// Each entry also records the canonical node it belongs to, so a node the
+// classifier has already seen is recognized by one pointer comparison
+// instead of a Space.Canon call under the space's lock.
 //
 // A Classifier is not safe for concurrent use; each engine run owns one
 // (the underlying Space, by contrast, is shared).
@@ -56,10 +65,9 @@ type Classifier struct {
 	sigLog   []*Assignment
 	insigLog []*Assignment
 	// entries is indexed by NodeID; the zero entry (Unknown, log cursors
-	// at 0) is the correct initial state for a fresh node.
+	// at 0, no node recorded yet) is the correct initial state for a
+	// fresh node.
 	entries []statusEntry
-	// leqMemo caches space.Leq per ordered node pair (a.id<<32 | b.id).
-	leqMemo map[uint64]bool
 	// sigSize tracks len(sig) incrementally so the per-round border gauge
 	// (core.Engine.drive) reads a plain counter instead of touching the
 	// border slice at all.
@@ -67,6 +75,11 @@ type Classifier struct {
 }
 
 type statusEntry struct {
+	// node is the canonical assignment this entry belongs to (nil until
+	// the classifier first sees it). A caller holding exactly this pointer
+	// skips Space.Canon; any other pointer with the same NodeID — built
+	// outside the space, or interned by another space — does not.
+	node     *Assignment
 	status   Status
 	sigIdx   int32 // next sigLog index to examine
 	insigIdx int32 // next insigLog index to examine
@@ -74,27 +87,23 @@ type statusEntry struct {
 
 // NewClassifier returns an empty classifier over the space.
 func NewClassifier(s *Space) *Classifier {
-	return &Classifier{space: s, leqMemo: make(map[uint64]bool)}
+	return &Classifier{space: s}
 }
 
-// entry returns the status entry for an interned node, growing the dense
-// table as the lazily generated lattice expands.
-func (c *Classifier) entry(id NodeID) *statusEntry {
-	for int(id) >= len(c.entries) {
+// entry returns a's canonical twin and its status entry, growing the dense
+// table as the lazily generated lattice expands. A node whose entry already
+// records it is canonical by construction and takes no lock.
+func (c *Classifier) entry(a *Assignment) (*Assignment, *statusEntry) {
+	if id := a.id; int(id) < len(c.entries) && c.entries[id].node == a {
+		return a, &c.entries[id]
+	}
+	a = c.space.Canon(a)
+	for int(a.id) >= len(c.entries) {
 		c.entries = append(c.entries, statusEntry{})
 	}
-	return &c.entries[id]
-}
-
-// leq memoizes c.space.Leq per ordered pair of interned nodes.
-func (c *Classifier) leq(a, b *Assignment) bool {
-	k := uint64(a.id)<<32 | uint64(b.id)
-	if v, ok := c.leqMemo[k]; ok {
-		return v
-	}
-	v := c.space.Leq(a, b)
-	c.leqMemo[k] = v
-	return v
+	e := &c.entries[a.id]
+	e.node = a
+	return a, e
 }
 
 // Status classifies the assignment against everything marked so far. When
@@ -102,19 +111,18 @@ func (c *Classifier) leq(a, b *Assignment) bool {
 // whichever mark is examined first wins; with monotone answers the two can
 // never overlap.
 func (c *Classifier) Status(a *Assignment) Status {
-	a = c.space.Canon(a)
-	e := c.entry(a.id)
+	a, e := c.entry(a)
 	if e.status != Unknown {
 		return e.status
 	}
 	for ; int(e.insigIdx) < len(c.insigLog); e.insigIdx++ {
-		if c.leq(c.insigLog[e.insigIdx], a) {
+		if c.space.Leq(c.insigLog[e.insigIdx], a) {
 			e.status = Insignificant
 			return e.status
 		}
 	}
 	for ; int(e.sigIdx) < len(c.sigLog); e.sigIdx++ {
-		if c.leq(a, c.sigLog[e.sigIdx]) {
+		if c.space.Leq(a, c.sigLog[e.sigIdx]) {
 			e.status = Significant
 			return e.status
 		}
@@ -125,17 +133,17 @@ func (c *Classifier) Status(a *Assignment) Status {
 // MarkSignificant records that a's support meets the threshold; all
 // predecessors of a become significant (Observation 4.4).
 func (c *Classifier) MarkSignificant(a *Assignment) {
-	a = c.space.Canon(a)
+	a, e := c.entry(a)
 	// Drop border members dominated by a; skip insertion if dominated.
 	// Each direction of the order is evaluated once per border member.
 	out := c.sig[:0]
 	covered := false
 	for _, b := range c.sig {
-		ab := c.leq(a, b)
+		ab := c.space.Leq(a, b)
 		if ab {
 			covered = true
 		}
-		if !c.leq(b, a) || ab {
+		if ab || !c.space.Leq(b, a) {
 			out = append(out, b)
 		}
 	}
@@ -146,22 +154,22 @@ func (c *Classifier) MarkSignificant(a *Assignment) {
 	}
 	c.sig = append(c.sig, a)
 	c.sigLog = append(c.sigLog, a)
-	c.entry(a.id).status = Significant
+	e.status = Significant
 	c.sigSize = len(c.sig)
 }
 
 // MarkInsignificant records that a's support is below the threshold; all
 // successors of a become insignificant.
 func (c *Classifier) MarkInsignificant(a *Assignment) {
-	a = c.space.Canon(a)
+	a, e := c.entry(a)
 	out := c.insig[:0]
 	covered := false
 	for _, b := range c.insig {
-		ba := c.leq(b, a)
+		ba := c.space.Leq(b, a)
 		if ba {
 			covered = true
 		}
-		if !c.leq(a, b) || ba {
+		if ba || !c.space.Leq(a, b) {
 			out = append(out, b)
 		}
 	}
@@ -171,7 +179,7 @@ func (c *Classifier) MarkInsignificant(a *Assignment) {
 	}
 	c.insig = append(c.insig, a)
 	c.insigLog = append(c.insigLog, a)
-	c.entry(a.id).status = Insignificant
+	e.status = Insignificant
 }
 
 // MarkCounts returns the lengths of the significant and insignificant mark
@@ -183,55 +191,36 @@ func (c *Classifier) MarkCounts() (sig, insig int) {
 }
 
 // StatusRO classifies the assignment like Status but never mutates the
-// classifier: the dense memo table, the log cursors and the shared Leq memo
-// are read, not written. That makes it safe for any number of concurrent
-// callers while no Mark* call is executing — the contract under which the
-// mining kernel's selection workers read a frozen round-start classifier.
-//
-// Order relations the shared memo has not seen are recomputed; memo, when
-// non-nil, is a caller-owned scratch cache for those misses (each worker
-// passes its own, so repeated traversals stay cheap without any write to
-// shared state). A cached-Unknown node still resumes from its stored log
-// cursors, so StatusRO costs no more than Status on the same node.
-func (c *Classifier) StatusRO(a *Assignment, memo map[uint64]bool) Status {
-	a = c.space.Canon(a)
+// classifier: the dense table and its log cursors are read, not written.
+// That makes it safe for any number of concurrent callers while no Status
+// or Mark* call is executing — the contract under which the mining
+// kernel's selection workers read a frozen round-start classifier. A
+// cached-Unknown node still resumes from its stored log cursors, so
+// StatusRO costs no more than Status on the same node.
+func (c *Classifier) StatusRO(a *Assignment) Status {
 	var e statusEntry
-	if int(a.id) < len(c.entries) {
-		e = c.entries[a.id]
+	if id := a.id; int(id) < len(c.entries) && c.entries[id].node == a {
+		e = c.entries[id]
+	} else {
+		a = c.space.Canon(a)
+		if int(a.id) < len(c.entries) {
+			e = c.entries[a.id]
+		}
 	}
 	if e.status != Unknown {
 		return e.status
 	}
 	for i := int(e.insigIdx); i < len(c.insigLog); i++ {
-		if c.leqRO(c.insigLog[i], a, memo) {
+		if c.space.Leq(c.insigLog[i], a) {
 			return Insignificant
 		}
 	}
 	for i := int(e.sigIdx); i < len(c.sigLog); i++ {
-		if c.leqRO(a, c.sigLog[i], memo) {
+		if c.space.Leq(a, c.sigLog[i]) {
 			return Significant
 		}
 	}
 	return Unknown
-}
-
-// leqRO is leq without the shared-memo write: misses land in the caller's
-// scratch memo (when given) instead.
-func (c *Classifier) leqRO(a, b *Assignment, memo map[uint64]bool) bool {
-	k := uint64(a.id)<<32 | uint64(b.id)
-	if v, ok := c.leqMemo[k]; ok {
-		return v
-	}
-	if memo != nil {
-		if v, ok := memo[k]; ok {
-			return v
-		}
-	}
-	v := c.space.Leq(a, b)
-	if memo != nil {
-		memo[k] = v
-	}
-	return v
 }
 
 // SignificantBorder returns the current antichain of maximal significant

@@ -18,3 +18,18 @@ func (s *Space) UncachedPredecessors(a *Assignment) []*Assignment {
 	defer s.in.mu.Unlock()
 	return s.computePredecessorsLocked(s.canonLocked(a))
 }
+
+// AddValidRow interns a and appends it to the space's valid assignments,
+// so tests can pin closure and validity checks on rows no WHERE clause
+// produces (for instance ones binding several values to one variable). It
+// must run before the first closure or validity check.
+func (s *Space) AddValidRow(a *Assignment) *Assignment {
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
+	if s.validCols != nil {
+		panic("assign: AddValidRow after the column index was built")
+	}
+	a = s.canonLocked(a)
+	s.valid = append(s.valid, a)
+	return a
+}

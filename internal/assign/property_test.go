@@ -27,10 +27,15 @@ func randomSpace(t *testing.T, seed int64) *synth.DAG {
 
 // randomWalk picks a random assignment by walking down from a root.
 func randomWalk(d *synth.DAG, rng *rand.Rand, steps int) *assign.Assignment {
-	roots := d.Space.Roots()
+	return walkSpace(d.Space, rng, steps)
+}
+
+// walkSpace picks a random assignment by walking down from a root of sp.
+func walkSpace(sp *assign.Space, rng *rand.Rand, steps int) *assign.Assignment {
+	roots := sp.Roots()
 	cur := roots[rng.Intn(len(roots))]
 	for i := 0; i < steps; i++ {
-		succs := d.Space.Successors(cur)
+		succs := sp.Successors(cur)
 		if len(succs) == 0 {
 			break
 		}

@@ -1,11 +1,10 @@
 package assign
 
 import (
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"oassis/internal/oassisql"
@@ -60,10 +59,13 @@ type Space struct {
 	// immutable query-derived fields above are read lock-free.
 	in *interner
 
-	// coverCache memoizes productCovered: singleton products repeat
-	// heavily across closure checks of related assignments. Guarded by
-	// in.mu.
+	// coverCache memoizes validMatch: singleton products repeat heavily
+	// across closure checks of related assignments. keyBuf is the reused
+	// buffer its keys are built in, and validCols the lazily built column
+	// table validMatch scans (see validColumns). All guarded by in.mu.
 	coverCache map[string]bool
+	keyBuf     []byte
+	validCols  [][]vocab.TermID
 }
 
 // NewSpace builds the assignment space for a query from the WHERE clause's
@@ -628,27 +630,13 @@ func (s *Space) inClosureLocked(a *Assignment) bool {
 }
 
 func (s *Space) computeInClosureLocked(a *Assignment) bool {
-	var bound []VarSpec
-	for _, vs := range s.vars {
+	var bound []int
+	for j, vs := range s.vars {
 		if vs.Bound && len(a.Values(vs.Name)) > 0 {
-			bound = append(bound, vs)
+			bound = append(bound, j)
 		}
 	}
-	pick := make([]vocab.TermID, len(bound))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(bound) {
-			return s.productCovered(bound, pick)
-		}
-		for _, v := range a.Values(bound[i].Name) {
-			pick[i] = v
-			if !rec(i + 1) {
-				return false
-			}
-		}
-		return true
-	}
-	if !rec(0) {
+	if !s.everyProduct(a, bound, false) {
 		return false
 	}
 	for _, f := range a.More() {
@@ -666,70 +654,42 @@ func (s *Space) computeInClosureLocked(a *Assignment) bool {
 	return true
 }
 
-// productCovered reports whether the singleton product (bound[i] → pick[i])
-// generalizes some valid assignment. Results are memoized: related
-// assignments share most of their products. Caller holds in.mu.
-func (s *Space) productCovered(bound []VarSpec, pick []vocab.TermID) bool {
-	var kb strings.Builder
-	for i, vs := range bound {
-		kb.WriteString(vs.Name)
-		kb.WriteByte(':')
-		kb.WriteString(strconv.Itoa(int(pick[i])))
-		kb.WriteByte(';')
-	}
-	key := kb.String()
-	if v, ok := s.coverCache[key]; ok {
-		return v
-	}
-	covered := false
-	for _, psi := range s.valid {
-		ok := true
-		for i, vs := range bound {
-			pv := psi.Values(vs.Name)
-			if len(pv) != 1 || !s.v.Leq(vs.Kind, pick[i], pv[0]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			covered = true
-			break
-		}
-	}
-	s.coverCache[key] = covered
-	return covered
-}
-
 // IsValid reports strict validity w.r.t. the query (the `M ∩ 𝒜valid` filter
 // of Algorithm 1, line 9): multiplicities are within bounds and every
 // singleton-product over the bound variables is itself a valid assignment.
-// MORE facts never affect validity.
+// Variables a product omits (legally empty under multiplicity 0) may take
+// any value there: dropping a multiplicity-0 variable deletes its
+// meta-facts, not the assignment's validity (Section 3). MORE facts never
+// affect validity.
 func (s *Space) IsValid(a *Assignment) bool {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
-	return s.isValidLocked(a)
-}
-
-func (s *Space) isValidLocked(a *Assignment) bool {
-	var bound []VarSpec
-	for _, vs := range s.vars {
+	var bound []int
+	for j, vs := range s.vars {
 		n := len(a.Values(vs.Name))
 		if !vs.Mult.Allows(n) {
 			return false
 		}
 		if vs.Bound && n > 0 {
-			bound = append(bound, vs)
+			bound = append(bound, j)
 		} else if vs.Bound && vs.Mult.Min > 0 {
 			return false
 		}
 	}
+	return s.everyProduct(a, bound, true)
+}
+
+// everyProduct reports whether every singleton product of a's value sets
+// over the variables s.vars[bound[i]] matches some valid assignment (see
+// validMatch). Caller holds in.mu.
+func (s *Space) everyProduct(a *Assignment, bound []int, exact bool) bool {
 	pick := make([]vocab.TermID, len(bound))
 	var rec func(i int) bool
 	rec = func(i int) bool {
 		if i == len(bound) {
-			return s.validAgrees(bound, pick)
+			return s.validMatch(bound, pick, exact)
 		}
-		for _, v := range a.Values(bound[i].Name) {
+		for _, v := range a.Values(s.vars[bound[i]].Name) {
 			pick[i] = v
 			if !rec(i + 1) {
 				return false
@@ -740,41 +700,71 @@ func (s *Space) isValidLocked(a *Assignment) bool {
 	return rec(0)
 }
 
-// validAgrees reports whether some valid assignment binds exactly the given
-// values on the product's variables. Variables the product omits (legally
-// empty under multiplicity 0) may take any value there: dropping a
-// multiplicity-0 variable deletes its meta-facts, not the assignment's
-// validity (Section 3). Caller holds in.mu.
-func (s *Space) validAgrees(bound []VarSpec, pick []vocab.TermID) bool {
-	var kb strings.Builder
-	kb.WriteByte('=')
-	for i, vs := range bound {
-		kb.WriteString(vs.Name)
-		kb.WriteByte(':')
-		kb.WriteString(strconv.Itoa(int(pick[i])))
-		kb.WriteByte(';')
+// validMatch reports whether some valid assignment binds, for every i, one
+// value w to variable s.vars[cols[i]] with pick[i] ≤ w — or pick[i] == w
+// when exact is set. The first form is the closure test (the product
+// generalizes a valid assignment), the second the validity test. Results
+// are memoized in coverCache: related assignments share most of their
+// products. Caller holds in.mu.
+func (s *Space) validMatch(cols []int, pick []vocab.TermID, exact bool) bool {
+	key := s.keyBuf[:0]
+	if exact {
+		key = append(key, '=')
+	} else {
+		key = append(key, '<')
 	}
-	key := kb.String()
-	if v, ok := s.coverCache[key]; ok {
+	for i, j := range cols {
+		key = binary.LittleEndian.AppendUint32(key, uint32(j))
+		key = binary.LittleEndian.AppendUint32(key, uint32(pick[i]))
+	}
+	s.keyBuf = key
+	if v, ok := s.coverCache[string(key)]; ok {
 		return v
 	}
-	agrees := false
-	for _, psi := range s.valid {
-		ok := true
-		for i, vs := range bound {
-			pv := psi.Values(vs.Name)
-			if len(pv) != 1 || pv[0] != pick[i] {
-				ok = false
-				break
+	tab := s.validColumns()
+	found := false
+rows:
+	for r := range s.valid {
+		for i, j := range cols {
+			w := tab[j][r]
+			if w == vocab.NoTerm {
+				continue rows
+			}
+			if exact && w != pick[i] || !exact && !s.v.Leq(s.vars[j].Kind, pick[i], w) {
+				continue rows
 			}
 		}
-		if ok {
-			agrees = true
-			break
-		}
+		found = true
+		break
 	}
-	s.coverCache[key] = agrees
-	return agrees
+	s.coverCache[string(key)] = found
+	return found
+}
+
+// validColumns returns the valid-assignment table by column: entry [j][r]
+// is the single value s.Valid()[r] binds to s.vars[j], or vocab.NoTerm when
+// it binds none or several (unbound variables get no column). It is built
+// on the first closure or validity check rather than during construction,
+// so spaces that are never mined do not pay for it. Caller holds in.mu.
+func (s *Space) validColumns() [][]vocab.TermID {
+	if s.validCols != nil {
+		return s.validCols
+	}
+	s.validCols = make([][]vocab.TermID, len(s.vars))
+	for j, vs := range s.vars {
+		if !vs.Bound {
+			continue
+		}
+		col := make([]vocab.TermID, len(s.valid))
+		for r, psi := range s.valid {
+			col[r] = vocab.NoTerm
+			if pv := psi.Values(vs.Name); len(pv) == 1 {
+				col[r] = pv[0]
+			}
+		}
+		s.validCols[j] = col
+	}
+	return s.validCols
 }
 
 // Instantiate applies the assignment to the SATISFYING meta-fact-set

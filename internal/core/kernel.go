@@ -403,10 +403,11 @@ func (k *kernel) selectMining(u *userState) *crowd.Ask {
 			continue
 		}
 
-		if k.globalStatus(a) == assign.Insignificant {
+		st := k.globalStatus(a)
+		if st == assign.Insignificant {
 			continue // pruned globally (modification 4)
 		}
-		if k.globalStatus(a) == assign.Significant {
+		if st == assign.Significant {
 			// Globally settled significant: descend regardless of
 			// this member's own view (the outer loop must still
 			// collect their answers for deeper, undecided nodes —

@@ -24,8 +24,7 @@ import (
 // its members against round-start state:
 //
 //   - classifier statuses via assign.(*Classifier).StatusRO (never
-//     mutates; per-worker Leq scratch memo), every read recorded with its
-//     observed value;
+//     mutates), every read recorded with its observed value;
 //   - the member's own answer/prune logs (only the apply barrier mutates
 //     them, so they are frozen all selection long);
 //   - an overlay of the member's own not-yet-committed auto-answers
@@ -206,7 +205,6 @@ type specWorker struct {
 	visited []uint32
 	epoch   uint32
 	queue   []*assign.Assignment
-	leqMemo map[uint64]bool
 	// ovVal/ovEp overlay the current member's own speculative auto-answers
 	// (see answered); epoch-stamped per member, so "clearing" the overlay
 	// between members is one counter bump.
@@ -254,7 +252,7 @@ func (w *specWorker) status(a *assign.Assignment) assign.Status {
 	if w.stEp[id] == w.wave {
 		return w.stVal[id]
 	}
-	st := w.k.global.StatusRO(a, w.leqMemo)
+	st := w.k.global.StatusRO(a)
 	w.stEp[id], w.stVal[id] = w.wave, st
 	return st
 }
@@ -280,7 +278,6 @@ func (k *kernel) initSelector() {
 		sel.workers = append(sel.workers, &specWorker{
 			k:       k,
 			visited: make([]uint32, k.space.NumNodes()),
-			leqMemo: make(map[uint64]bool),
 			ovVal:   make([]float64, k.space.NumNodes()),
 			ovEp:    make([]uint32, k.space.NumNodes()),
 			stVal:   make([]assign.Status, k.space.NumNodes()),
@@ -359,14 +356,6 @@ func (k *kernel) beginRoundParallel() []*crowd.Ask {
 				defer wg.Done()
 				w := k.sel.workers[wi]
 				w.wave++
-				if start == 0 {
-					// The post-commit memo warming moves everything a
-					// round derives into the classifier's shared memo;
-					// the scratch only ever holds this round's novelty.
-					// Dropping it each round keeps it small instead of
-					// rehash-growing forever.
-					clear(w.leqMemo)
-				}
 				for i := start + wi; i < len(users); i += g {
 					props[i] = w.selectFor(users[i], slots[i])
 				}
@@ -426,7 +415,7 @@ func (k *kernel) beginRoundParallel() []*crowd.Ask {
 			if ask != nil {
 				asks = append(asks, ask)
 			}
-			// Warm the classifier's mutable memo over everything the
+			// Warm the classifier's status table over everything the
 			// twin read: Status advances the node's dense entry and log
 			// cursors exactly as serial traversal would, so later waves'
 			// StatusRO calls resume from current cursors instead of
