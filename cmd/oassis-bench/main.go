@@ -42,6 +42,15 @@ type config struct {
 	seed      int64
 }
 
+// newConfig returns the figure harness configuration: full scale, or the
+// scaled-down -quick one.
+func newConfig(quick bool, seed int64) config {
+	if quick {
+		return config{members: 40, dagWidth: 100, dagDepth: 5, trials: 3, lazyWidth: 80, seed: seed}
+	}
+	return config{members: 248, dagWidth: 500, dagDepth: 7, trials: 6, lazyWidth: 150, seed: seed}
+}
+
 func main() {
 	var (
 		fig      = flag.String("fig", "all", "figure id: 4a 4b 4c 4d 4e 4f 5a 5b 5c text63 text64 growth ablation chaos all none (9/10/11 alias 5a/5b/5c)")
@@ -63,10 +72,7 @@ func main() {
 		fleetOut     = flag.String("fleet-out", "", "write the fleet benchmark report as JSON to this `file`")
 	)
 	flag.Parse()
-	cfg := config{members: 248, dagWidth: 500, dagDepth: 7, trials: 6, lazyWidth: 150, seed: *seed}
-	if *quick {
-		cfg = config{members: 40, dagWidth: 100, dagDepth: 5, trials: 3, lazyWidth: 80, seed: *seed}
-	}
+	cfg := newConfig(*quick, *seed)
 	if *members > 0 {
 		cfg.members = *members
 	}

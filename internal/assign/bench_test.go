@@ -209,3 +209,71 @@ func BenchmarkSpaceConstruction(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkValidScan measures the classified-valid count behind the
+// pace-of-collection curves over one long mark sequence on a width-500 DAG:
+// every node of the first five lattice levels, in breadth-first order,
+// marked significant when it generalizes a planted MSP and insignificant
+// otherwise — the shape of a mining run's marks. One op is the whole
+// sequence on a fresh scan. "scan" is ValidScan; "leq" is the incremental
+// Space.Leq pass over the unclassified rows it replaced.
+func BenchmarkValidScan(b *testing.B) {
+	d, err := synth.NewDAG(synth.DAGConfig{Width: 500, Depth: 6, MSPPercent: 0.02, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp := d.Space
+	type mark struct {
+		a   *assign.Assignment
+		sig bool
+	}
+	var marks []mark
+	seen := map[*assign.Assignment]bool{}
+	level := sp.Roots()
+	for depth := 0; depth < 5; depth++ {
+		var next []*assign.Assignment
+		for _, a := range level {
+			if seen[a] {
+				continue
+			}
+			seen[a] = true
+			sig := slices.ContainsFunc(d.Planted, func(p *assign.Assignment) bool { return sp.Leq(a, p) })
+			marks = append(marks, mark{a, sig})
+			next = append(next, sp.Successors(a)...)
+		}
+		level = next
+	}
+	want := -1
+	b.Run("scan", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			scan := sp.NewValidScan()
+			for _, m := range marks {
+				scan.Mark(m.a, m.sig)
+			}
+			if want < 0 {
+				want = scan.Classified()
+			} else if scan.Classified() != want {
+				b.Fatalf("classified %d, want %d", scan.Classified(), want)
+			}
+		}
+		b.ReportMetric(float64(len(marks)), "marks/op")
+	})
+	b.Run("leq", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			rest := append([]*assign.Assignment{}, sp.Valid()...)
+			for _, m := range marks {
+				kept := rest[:0]
+				for _, psi := range rest {
+					if m.sig && !sp.Leq(psi, m.a) || !m.sig && !sp.Leq(m.a, psi) {
+						kept = append(kept, psi)
+					}
+				}
+				rest = kept
+			}
+			if n := len(sp.Valid()) - len(rest); want >= 0 && n != want {
+				b.Fatalf("classified %d, want %d", n, want)
+			}
+		}
+		b.ReportMetric(float64(len(marks)), "marks/op")
+	})
+}

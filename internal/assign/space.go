@@ -62,10 +62,11 @@ type Space struct {
 	// coverCache memoizes validMatch: singleton products repeat heavily
 	// across closure checks of related assignments. keyBuf is the reused
 	// buffer its keys are built in, and validCols the lazily built column
-	// table validMatch scans (see validColumns). All guarded by in.mu.
+	// table validMatch and ValidScan read (see validColumns). All guarded
+	// by in.mu.
 	coverCache map[string]bool
 	keyBuf     []byte
-	validCols  [][]vocab.TermID
+	validCols  *validTable
 }
 
 // NewSpace builds the assignment space for a query from the WHERE clause's
@@ -726,9 +727,9 @@ func (s *Space) validMatch(cols []int, pick []vocab.TermID, exact bool) bool {
 rows:
 	for r := range s.valid {
 		for i, j := range cols {
-			w := tab[j][r]
-			if w == vocab.NoTerm {
-				continue rows
+			w := tab.cols[j][r]
+			if w < 0 {
+				continue rows // binds none or several
 			}
 			if exact && w != pick[i] || !exact && !s.v.Leq(s.vars[j].Kind, pick[i], w) {
 				continue rows
@@ -741,30 +742,274 @@ rows:
 	return found
 }
 
-// validColumns returns the valid-assignment table by column: entry [j][r]
-// is the single value s.Valid()[r] binds to s.vars[j], or vocab.NoTerm when
-// it binds none or several (unbound variables get no column). It is built
-// on the first closure or validity check rather than during construction,
-// so spaces that are never mined do not pay for it. Caller holds in.mu.
-func (s *Space) validColumns() [][]vocab.TermID {
+// Column-table markers: the row binds no value, or several values, to the
+// column's variable. Both sort below every real TermID.
+const (
+	noValue    = vocab.NoTerm
+	manyValues = vocab.NoTerm - 1
+)
+
+// validTable is 𝒜valid by column. It is built on the first closure,
+// validity or scan request rather than during construction, so spaces that
+// are never mined do not pay for it, and it is immutable once built (rows
+// are only ever added before that, by the test hook AddValidRow).
+type validTable struct {
+	// cols[j][r] is the single value s.Valid()[r] binds to s.vars[j], or
+	// noValue / manyValues when it binds none / several. Unbound variables
+	// get no column.
+	cols [][]vocab.TermID
+	// vals[j] lists the distinct single values of column j, and slot[j][r]
+	// is the position of cols[j][r] in it (-1 for noValue and manyValues),
+	// so per-value state can live in dense slices.
+	vals [][]vocab.TermID
+	slot [][]int32
+	// regular[r] reports that row r is described by its columns alone: it
+	// binds at most one value per variable, only variables that have a
+	// column (with the column's kind), and no MORE facts. Production rows
+	// always are; ValidScan tests the others with Leq.
+	regular []bool
+}
+
+// validColumns returns the valid-assignment column table, building it on
+// first use. Caller holds in.mu.
+func (s *Space) validColumns() *validTable {
 	if s.validCols != nil {
 		return s.validCols
 	}
-	s.validCols = make([][]vocab.TermID, len(s.vars))
+	t := &validTable{
+		cols:    make([][]vocab.TermID, len(s.vars)),
+		vals:    make([][]vocab.TermID, len(s.vars)),
+		slot:    make([][]int32, len(s.vars)),
+		regular: make([]bool, len(s.valid)),
+	}
+	for r, psi := range s.valid {
+		t.regular[r] = len(psi.more) == 0
+	}
 	for j, vs := range s.vars {
 		if !vs.Bound {
 			continue
 		}
 		col := make([]vocab.TermID, len(s.valid))
+		slot := make([]int32, len(s.valid))
+		pos := map[vocab.TermID]int32{}
 		for r, psi := range s.valid {
-			col[r] = vocab.NoTerm
-			if pv := psi.Values(vs.Name); len(pv) == 1 {
-				col[r] = pv[0]
+			col[r], slot[r] = noValue, -1
+			switch pv := psi.Values(vs.Name); len(pv) {
+			case 0:
+			case 1:
+				i, ok := pos[pv[0]]
+				if !ok {
+					i = int32(len(t.vals[j]))
+					pos[pv[0]] = i
+					t.vals[j] = append(t.vals[j], pv[0])
+				}
+				col[r], slot[r] = pv[0], i
+			default:
+				col[r] = manyValues
+				t.regular[r] = false
 			}
 		}
-		s.validCols[j] = col
+		t.cols[j], t.slot[j] = col, slot
 	}
-	return s.validCols
+	// A row binding a variable that has no column, or binding it under
+	// another kind, is not described by the columns either.
+	for r, psi := range s.valid {
+		for i, name := range psi.names {
+			if len(psi.vals[i]) == 0 {
+				continue
+			}
+			j := s.varIndex(name)
+			if j < 0 || t.cols[j] == nil || s.vars[j].Kind != psi.kinds[i] {
+				t.regular[r] = false
+			}
+		}
+	}
+	s.validCols = t
+	return t
+}
+
+// varIndex returns the position of a mining variable in s.vars, or -1.
+func (s *Space) varIndex(name string) int {
+	for j, vs := range s.vars {
+		if vs.Name == name {
+			return j
+		}
+	}
+	return -1
+}
+
+// ValidScan counts the valid assignments classified by a growing sequence
+// of marks: a significant mark m classifies every ψ ∈ 𝒜valid with ψ ≤ m,
+// an insignificant one every ψ with m ≤ ψ (Observation 4.4). The count is
+// the "classified valid" series of the pace-of-collection curves (Figures
+// 4d–4e).
+//
+// A regular row (see validTable) binds at most one value t per variable,
+// so the order test splits into one test per variable: ∃q ∈ m(x): t ≤ q
+// for a significant mark, ∀q ∈ m(x): q ≤ t for an insignificant one. Each
+// mark therefore computes one verdict per distinct column value, cached
+// under an epoch stamp, and an unclassified row costs a few slice loads
+// instead of a Leq walk. Irregular rows are tested with Space.Leq.
+//
+// The scan takes the space's lock once, on its first mark, to fetch the
+// column table; after that it reads only immutable data. A ValidScan is not
+// safe for concurrent use; each engine run owns one.
+type ValidScan struct {
+	s   *Space
+	tab *validTable
+	// rows are the regular rows not yet classified; slow the irregular
+	// ones, as assignments.
+	rows []int32
+	slow []*Assignment
+	n    int
+	// memo[j][i] caches the current mark's verdict on vals[j][i] as
+	// epoch<<1 | verdict; an entry with an older epoch is stale. epoch
+	// counts marks, and no run comes near the 2^31 that would wrap it.
+	memo  [][]uint32
+	epoch uint32
+	// Per-mark scratch: the mark's values and kind per column, and the
+	// columns a regular row is tested on.
+	mvals  [][]vocab.TermID
+	mkinds []vocab.Kind
+	active []int
+}
+
+// NewValidScan returns a scan over the space's valid assignments with
+// nothing classified yet.
+func (s *Space) NewValidScan() *ValidScan { return &ValidScan{s: s} }
+
+// Classified returns the number of valid assignments classified so far.
+func (vs *ValidScan) Classified() int { return vs.n }
+
+func (vs *ValidScan) init() {
+	s := vs.s
+	s.in.mu.Lock()
+	vs.tab = s.validColumns()
+	s.in.mu.Unlock()
+	for r, psi := range s.valid {
+		if vs.tab.regular[r] {
+			vs.rows = append(vs.rows, int32(r))
+		} else {
+			vs.slow = append(vs.slow, psi)
+		}
+	}
+	n := len(s.vars)
+	vs.memo = make([][]uint32, n)
+	for j, vals := range vs.tab.vals {
+		vs.memo[j] = make([]uint32, len(vals))
+	}
+	vs.mvals = make([][]vocab.TermID, n)
+	vs.mkinds = make([]vocab.Kind, n)
+}
+
+// Mark records that m was marked significant (sig) or insignificant and
+// counts the valid assignments it newly classifies.
+func (vs *ValidScan) Mark(m *Assignment, sig bool) {
+	if vs.tab == nil {
+		vs.init()
+	}
+	vs.epoch++
+	if vs.prepare(m, sig) {
+		vs.scanRows(sig)
+	}
+	rest := vs.slow[:0]
+	for _, psi := range vs.slow {
+		if sig && vs.s.Leq(psi, m) || !sig && vs.s.Leq(m, psi) {
+			vs.n++
+		} else {
+			rest = append(rest, psi)
+		}
+	}
+	vs.slow = rest
+}
+
+// prepare loads the mark's values per column and picks the columns a
+// regular row is tested on. It reports false when the mark classifies no
+// regular row at all: an insignificant mark with MORE facts, or binding a
+// variable no column describes, is above no regular row.
+func (vs *ValidScan) prepare(m *Assignment, sig bool) bool {
+	s := vs.s
+	clear(vs.mvals)
+	for i, name := range m.names {
+		if len(m.vals[i]) == 0 {
+			continue
+		}
+		j := s.varIndex(name)
+		if j < 0 || vs.tab.cols[j] == nil {
+			if !sig {
+				return false
+			}
+			continue
+		}
+		vs.mvals[j], vs.mkinds[j] = m.vals[i], m.kinds[i]
+	}
+	if !sig && len(m.more) > 0 {
+		return false
+	}
+	vs.active = vs.active[:0]
+	for j, col := range vs.tab.cols {
+		switch {
+		case col == nil:
+		case sig:
+			// ψ ≤ m is tested under ψ's kinds, which for a regular row
+			// are the columns'.
+			vs.mkinds[j] = s.vars[j].Kind
+			vs.active = append(vs.active, j)
+		case len(vs.mvals[j]) > 0:
+			vs.active = append(vs.active, j)
+		}
+	}
+	return true
+}
+
+// scanRows classifies the unclassified regular rows against the prepared
+// mark. A row binding no value to an active column is never below an
+// insignificant mark's non-empty value set, and places no constraint on a
+// significant mark.
+func (vs *ValidScan) scanRows(sig bool) {
+	rest := vs.rows[:0]
+rows:
+	for _, r := range vs.rows {
+		for _, j := range vs.active {
+			i := vs.tab.slot[j][r]
+			if i < 0 {
+				if sig {
+					continue
+				}
+				rest = append(rest, r)
+				continue rows
+			}
+			c := vs.memo[j][i]
+			if c>>1 != vs.epoch {
+				c = vs.epoch << 1
+				if vs.holds(j, vs.tab.vals[j][i], sig) {
+					c |= 1
+				}
+				vs.memo[j][i] = c
+			}
+			if c&1 == 0 {
+				rest = append(rest, r)
+				continue rows
+			}
+		}
+		vs.n++
+	}
+	vs.rows = rest
+}
+
+// holds is the per-value verdict: ∃q ∈ m(x_j): t ≤ q for a significant
+// mark, ∀q ∈ m(x_j): q ≤ t for an insignificant one.
+func (vs *ValidScan) holds(j int, t vocab.TermID, sig bool) bool {
+	v, k := vs.s.v, vs.mkinds[j]
+	for _, q := range vs.mvals[j] {
+		if sig && v.Leq(k, t, q) {
+			return true
+		}
+		if !sig && !v.Leq(k, q, t) {
+			return false
+		}
+	}
+	return !sig
 }
 
 // Instantiate applies the assignment to the SATISFYING meta-fact-set

@@ -43,6 +43,13 @@ type kernel struct {
 	tracked []*assign.Assignment
 	gen     idSet
 
+	// succ is the per-run successor table, indexed by NodeID: an entry is
+	// filled from Space.Successors on the node's first request, which is
+	// also when its successors are tracked. Later requests read the slice
+	// without the space's lock. Like the classifier's status entries, an
+	// entry records its canonical node, so any other pointer misses.
+	succ []succEntry
+
 	// decided freezes the first aggregator verdict per assignment.
 	decided map[assign.NodeID]crowd.Decision
 
@@ -119,20 +126,25 @@ type kernel struct {
 }
 
 // userState tracks one member's session. answers records the member's
-// support value per assignment key; it gates the member's own descent
-// (modification 4 of Section 4.2). Note the Section 4.2 preamble:
-// multi-user inferences are drawn from the GLOBALLY collected knowledge —
-// a member's personal no blocks their own inner-loop dive, but they may
-// still be asked below it when the outer loop reaches there through
-// globally classified assignments ("this may lead to some redundant
-// questions", which the paper accepts for better pruning).
+// support value per assignment; it gates the member's own descent
+// (modification 4 of Section 4.2). Selection asks only whether a node was
+// answered, and whether at or above Θ: answered and yes hold those two
+// facts as NodeID bitsets, and only cold paths (explain, the scoreboard)
+// read the float map. Note the Section 4.2 preamble: multi-user
+// inferences are drawn from the GLOBALLY collected knowledge — a member's
+// personal no blocks their own inner-loop dive, but they may still be
+// asked below it when the outer loop reaches there through globally
+// classified assignments ("this may lead to some redundant questions",
+// which the paper accepts for better pruning).
 type userState struct {
-	id      string
-	index   int
-	answers map[assign.NodeID]float64
-	pruned  map[vocab.TermID]bool
-	asked   int
-	banned  bool
+	id       string
+	index    int
+	answers  map[assign.NodeID]float64
+	answered idSet
+	yes      idSet
+	pruned   map[vocab.TermID]bool
+	asked    int
+	banned   bool
 	// departed marks a member who left mid-run (a Departed reply or
 	// too many deadline overruns); the kernel stops asking them and the
 	// run degrades gracefully to the surviving crowd.
@@ -161,33 +173,59 @@ type pendingAsk struct {
 	probe  bool                 // calibration probe
 }
 
-// answeredYes reports whether the member answered the assignment with
-// support at or above the threshold.
-func (u *userState) answeredYes(id assign.NodeID, theta float64) bool {
-	s, ok := u.answers[id]
-	return ok && s >= theta
+// setAnswer records the member's support for a node; a later answer for
+// the same node replaces the earlier one.
+func (u *userState) setAnswer(id assign.NodeID, support, theta float64) {
+	u.answers[id] = support
+	u.answered.add(id)
+	if support >= theta {
+		u.yes.add(id)
+	} else {
+		u.yes.remove(id)
+	}
 }
 
-// idSet is a growable membership set over dense NodeIDs.
-type idSet struct{ bits []bool }
+// succEntry is one slot of the kernel's per-run successor table.
+type succEntry struct {
+	node *assign.Assignment
+	list []*assign.Assignment
+}
+
+// idSet is a growable bitset over dense NodeIDs.
+type idSet struct{ words []uint64 }
+
+// has reports whether id is in the set.
+func (s *idSet) has(id assign.NodeID) bool {
+	w := int(id >> 6)
+	return w < len(s.words) && s.words[w]&(1<<(id&63)) != 0
+}
 
 // add inserts id, growing the set in one step when needed; it reports
 // whether id was absent.
 func (s *idSet) add(id assign.NodeID) bool {
-	if int(id) >= len(s.bits) {
-		s.bits = append(s.bits, make([]bool, int(id)+1-len(s.bits))...)
+	w := int(id >> 6)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
 	}
-	if s.bits[id] {
+	bit := uint64(1) << (id & 63)
+	if s.words[w]&bit != 0 {
 		return false
 	}
-	s.bits[id] = true
+	s.words[w] |= bit
 	return true
+}
+
+// remove deletes id from the set.
+func (s *idSet) remove(id assign.NodeID) {
+	if w := int(id >> 6); w < len(s.words) {
+		s.words[w] &^= 1 << (id & 63)
+	}
 }
 
 // grow presizes the set for ids below n.
 func (s *idSet) grow(n int) {
-	if n > len(s.bits) {
-		s.bits = append(s.bits, make([]bool, n-len(s.bits))...)
+	if w := (n + 63) / 64; w > len(s.words) {
+		s.words = append(s.words, make([]uint64, w-len(s.words))...)
 	}
 }
 
@@ -216,6 +254,7 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 	// without grow checks firing.
 	n := sp.NumNodes()
 	k.gen.grow(n)
+	k.succ = make([]succEntry, n)
 	k.visited = make([]uint32, n)
 	k.inFlight = make([]int32, n)
 	k.confirmWit = make([]int32, n)
@@ -229,12 +268,15 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 		k.quota = qc.Quota()
 	}
 	for i, id := range ids {
-		k.users = append(k.users, &userState{
+		u := &userState{
 			id:      id,
 			index:   i,
 			answers: make(map[assign.NodeID]float64),
 			pruned:  make(map[vocab.TermID]bool),
-		})
+		}
+		u.answered.grow(n)
+		u.yes.grow(n)
+		k.users = append(k.users, u)
 	}
 	k.initSelector()
 	return k
@@ -354,7 +396,7 @@ func (k *kernel) selectProbe(u *userState) *crowd.Ask {
 	}
 	for u.probeIdx < len(k.probes) {
 		p := k.probes[u.probeIdx]
-		if _, answered := u.answers[p.ID()]; answered {
+		if u.answered.has(p.ID()) {
 			u.probeIdx++
 			continue
 		}
@@ -412,7 +454,7 @@ func (k *kernel) selectMining(u *userState) *crowd.Ask {
 			// this member's own view (the outer loop must still
 			// collect their answers for deeper, undecided nodes —
 			// the Section 4.2 refinement), without re-asking.
-			if u.answeredYes(a.ID(), k.cfg.Theta) {
+			if u.yes.has(a.ID()) {
 				if ask := k.maybeSpecialize(u, a); ask != nil {
 					return ask
 				}
@@ -421,7 +463,7 @@ func (k *kernel) selectMining(u *userState) *crowd.Ask {
 			continue
 		}
 		// Globally undecided: collect this member's answer if missing.
-		if _, answered := u.answers[a.ID()]; !answered {
+		if !u.answered.has(a.ID()) {
 			if k.assignmentPruned(u, a) {
 				// Auto-answer 0 from an earlier pruning click.
 				k.recordAnswer(u, a, 0, true)
@@ -437,7 +479,7 @@ func (k *kernel) selectMining(u *userState) *crowd.Ask {
 		}
 		// Answered: the member dives below only after a personal yes
 		// (modification 4); a personal no leaves the region to others.
-		if u.answeredYes(a.ID(), k.cfg.Theta) {
+		if u.yes.has(a.ID()) {
 			if ask := k.maybeSpecialize(u, a); ask != nil {
 				return ask
 			}
@@ -474,7 +516,7 @@ func (k *kernel) maybeSpecialize(u *userState, base *assign.Assignment) *crowd.A
 		if k.globalStatus(succ) != assign.Unknown {
 			continue
 		}
-		if _, answered := u.answers[succ.ID()]; answered {
+		if u.answered.has(succ.ID()) {
 			continue
 		}
 		if k.assignmentPruned(u, succ) {
@@ -702,7 +744,7 @@ func (k *kernel) reviewBan(u *userState) {
 // verdict — the global classifier. auto marks answers obtained without a
 // question (pruning inference, none-of-these fan-out).
 func (k *kernel) recordAnswer(u *userState, a *assign.Assignment, support float64, auto bool) {
-	u.answers[a.ID()] = support
+	u.setAnswer(a.ID(), support, k.cfg.Theta)
 	if auto {
 		k.stats.AutoAnswers++
 		k.km.Inferred.Inc()
@@ -846,14 +888,24 @@ func (k *kernel) track(a *assign.Assignment) {
 	}
 }
 
-// successors returns the node's successor list from the space's shared edge
-// cache (computed at most once per node across all runs). The slice is
-// shared and read-only.
+// successors returns the node's successor list through the per-run table,
+// filling the entry from the space's shared edge cache (computed at most
+// once per node across all runs) and tracking the successors on the
+// node's first request. The slice is shared and read-only.
 func (k *kernel) successors(a *assign.Assignment) []*assign.Assignment {
+	if id := a.ID(); int(id) < len(k.succ) && k.succ[id].node == a {
+		return k.succ[id].list
+	}
+	a = k.space.Canon(a)
+	id := a.ID()
+	if int(id) >= len(k.succ) {
+		k.succ = append(k.succ, make([]succEntry, int(id)+1-len(k.succ))...)
+	}
 	out := k.space.Successors(a)
 	for _, x := range out {
 		k.track(x)
 	}
+	k.succ[id] = succEntry{node: a, list: out}
 	return out
 }
 

@@ -218,27 +218,18 @@ type specWorker struct {
 	stVal []assign.Status
 	stEp  []uint32
 	wave  uint32
-	// succs caches the space's memoized successor lists per node. The
-	// lists are immutable once computed, so the cache never invalidates;
-	// it exists to skip the space's read lock and hit counter on a path
-	// the twins hammer.
-	succs  [][]*assign.Assignment
-	succOk []bool
 }
 
-// successors is the worker's lock-free view of Space.Successors.
+// successors reads the kernel's per-run successor table. Speculation waves
+// and the serial commit strictly alternate, so no worker runs while the
+// table is written; a miss goes to Space.Successors and leaves the table
+// (and node tracking) to the commit's effect replay.
 func (w *specWorker) successors(a *assign.Assignment) []*assign.Assignment {
-	id := a.ID()
-	if int(id) >= len(w.succOk) {
-		w.succs = append(w.succs, make([][]*assign.Assignment, int(id)+1-len(w.succs))...)
-		w.succOk = append(w.succOk, make([]bool, int(id)+1-len(w.succOk))...)
+	k := w.k
+	if id := a.ID(); int(id) < len(k.succ) && k.succ[id].node == a {
+		return k.succ[id].list
 	}
-	if w.succOk[id] {
-		return w.succs[id]
-	}
-	out := w.k.space.Successors(a)
-	w.succs[id], w.succOk[id] = out, true
-	return out
+	return k.space.Successors(a)
 }
 
 // status is StatusRO behind the wave-scoped cache: each node's status is
@@ -282,8 +273,6 @@ func (k *kernel) initSelector() {
 			ovEp:    make([]uint32, k.space.NumNodes()),
 			stVal:   make([]assign.Status, k.space.NumNodes()),
 			stEp:    make([]uint32, k.space.NumNodes()),
-			succs:   make([][]*assign.Assignment, k.space.NumNodes()),
-			succOk:  make([]bool, k.space.NumNodes()),
 		})
 	}
 	k.sel = sel
@@ -621,16 +610,16 @@ func (w *specWorker) selectFor(u *userState, slots int) *proposal {
 // those mid-traversal and sees them downstream; the overlay recreates
 // that without writing u.answers).
 func (w *specWorker) answered(u *userState, id assign.NodeID) bool {
-	if _, ok := u.answers[id]; ok {
+	if u.answered.has(id) {
 		return true
 	}
 	return int(id) < len(w.ovEp) && w.ovEp[id] == w.memberEp
 }
 
-// answeredYes mirrors userState.answeredYes over log plus overlay.
+// answeredYes mirrors the member's yes set over log plus overlay.
 func (w *specWorker) answeredYes(u *userState, id assign.NodeID) bool {
-	if s, ok := u.answers[id]; ok {
-		return s >= w.k.cfg.Theta
+	if u.answered.has(id) {
+		return u.yes.has(id)
 	}
 	if int(id) < len(w.ovEp) && w.ovEp[id] == w.memberEp {
 		return w.ovVal[id] >= w.k.cfg.Theta
@@ -1048,7 +1037,7 @@ func (k *kernel) applyMemberLocal(replies []crowd.Reply, slots []replySlot, idxs
 		// The member-local half of recordAnswer; the aggregator half
 		// runs in phase B.
 		for _, ar := range s.answers {
-			u.answers[ar.node.ID()] = ar.support
+			u.setAnswer(ar.node.ID(), ar.support, k.cfg.Theta)
 			if k.checker != nil && !ar.auto {
 				k.checker.Record(u.id, k.space.Instantiate(ar.node), ar.support)
 			}

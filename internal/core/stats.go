@@ -126,41 +126,25 @@ func (r *Result) SupportOf(a *assign.Assignment) (float64, bool) {
 // progressTracker incrementally maintains the counters behind
 // Stats.Progress.
 type progressTracker struct {
-	space           *assign.Space
-	unclassifiedVal []*assign.Assignment
-	classifiedValid int
-	mspSeen         map[assign.NodeID]bool
-	validMSPSeen    map[assign.NodeID]bool
+	space        *assign.Space
+	valid        *assign.ValidScan
+	mspSeen      map[assign.NodeID]bool
+	validMSPSeen map[assign.NodeID]bool
 }
 
 func newProgressTracker(sp *assign.Space) *progressTracker {
-	t := &progressTracker{
+	return &progressTracker{
 		space:        sp,
+		valid:        sp.NewValidScan(),
 		mspSeen:      make(map[assign.NodeID]bool),
 		validMSPSeen: make(map[assign.NodeID]bool),
 	}
-	t.unclassifiedVal = append(t.unclassifiedVal, sp.Valid()...)
-	return t
 }
 
 // onMark updates the classified-valid counter after a border change. sig
 // says which border grew; a is the newly marked assignment.
 func (t *progressTracker) onMark(a *assign.Assignment, sig bool) {
-	rest := t.unclassifiedVal[:0]
-	for _, psi := range t.unclassifiedVal {
-		var classified bool
-		if sig {
-			classified = t.space.Leq(psi, a)
-		} else {
-			classified = t.space.Leq(a, psi)
-		}
-		if classified {
-			t.classifiedValid++
-		} else {
-			rest = append(rest, psi)
-		}
-	}
-	t.unclassifiedVal = rest
+	t.valid.Mark(a, sig)
 }
 
 // onMSP records a confirmed MSP (idempotent).
@@ -179,7 +163,7 @@ func (t *progressTracker) onMSP(a *assign.Assignment) {
 func (t *progressTracker) sample(s *Stats) {
 	s.Progress = append(s.Progress, ProgressPoint{
 		Questions:       s.Questions,
-		ClassifiedValid: t.classifiedValid,
+		ClassifiedValid: t.valid.Classified(),
 		MSPs:            len(t.mspSeen),
 		ValidMSPs:       len(t.validMSPSeen),
 	})

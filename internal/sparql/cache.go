@@ -154,7 +154,7 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 	key, names := shapeKey(bgp, e.Semantic)
 	if v, ok := c.entries.Load(key); ok {
 		c.hits.Add(1)
-		e.LastCompileCacheHit = true
+		e.lastHit.Store(true)
 		e.Metrics.CacheHit()
 		pl := v.(*Plan).rebind(names)
 		if e.Metrics != nil {
@@ -163,7 +163,7 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 		return pl, nil
 	}
 	c.misses.Add(1)
-	e.LastCompileCacheHit = false
+	e.lastHit.Store(false)
 	e.Metrics.CacheMiss()
 	pl, err := e.compileTimed(bgp)
 	if err != nil {

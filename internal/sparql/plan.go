@@ -126,7 +126,7 @@ func (e *Evaluator) Compile(bgp BGP) (*Plan, error) {
 	if e.Cache != nil {
 		return e.Cache.lookup(e, bgp)
 	}
-	e.LastCompileCacheHit = false
+	e.lastHit.Store(false)
 	return e.compileTimed(bgp)
 }
 

@@ -384,7 +384,7 @@ func RunFleet(store *ontology.Store, fleet []FleetQuery, cfg FleetConfig) (*Flee
 					questions.Add(int64(res.Stats.Questions))
 				}
 				jr.QueryExec(runID, fmt.Sprintf("q%04d", schedule[i]),
-					time.Since(execStart).Nanoseconds(), ev.LastCompileCacheHit, int64(streamed))
+					time.Since(execStart).Nanoseconds(), ev.LastCompileCacheHit(), int64(streamed))
 			}
 		}()
 	}
