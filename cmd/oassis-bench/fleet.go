@@ -20,22 +20,22 @@ import (
 // vocabulary/store, and the query-fleet results over the parallel-loaded
 // store.
 type fleetReport struct {
-	Scale        string             `json:"scale"`
-	CPUs         int                `json:"cpus"`
-	Triples      int                `json:"triples"`
-	Bytes        int                `json:"bytes"`
-	GenSecs      float64            `json:"generate_secs"`
-	SerialSecs   float64            `json:"serial_load_secs"`
-	ParallelSecs float64            `json:"parallel_load_secs"`
-	SerialTPS    float64            `json:"serial_triples_per_sec"`
-	ParallelTPS  float64            `json:"parallel_triples_per_sec"`
-	Speedup      float64            `json:"parallel_speedup"`
-	Identical    bool               `json:"serial_parallel_identical"`
+	Scale        string                  `json:"scale"`
+	CPUs         int                     `json:"cpus"`
+	Triples      int                     `json:"triples"`
+	Bytes        int                     `json:"bytes"`
+	GenSecs      float64                 `json:"generate_secs"`
+	SerialSecs   float64                 `json:"serial_load_secs"`
+	ParallelSecs float64                 `json:"parallel_load_secs"`
+	SerialTPS    float64                 `json:"serial_triples_per_sec"`
+	ParallelTPS  float64                 `json:"parallel_triples_per_sec"`
+	Speedup      float64                 `json:"parallel_speedup"`
+	Identical    bool                    `json:"serial_parallel_identical"`
 	Stats        *ontology.NTriplesStats `json:"ingest_stats"`
-	Elements     int                `json:"vocab_elements"`
-	Relations    int                `json:"vocab_relations"`
-	Facts        int                `json:"store_facts"`
-	Fleet        *synth.FleetReport `json:"fleet"`
+	Elements     int                     `json:"vocab_elements"`
+	Relations    int                     `json:"vocab_relations"`
+	Facts        int                     `json:"store_facts"`
+	Fleet        *synth.FleetReport      `json:"fleet"`
 }
 
 // runFleetBench generates the scale ontology, times both ingestion paths,

@@ -6,15 +6,11 @@ import (
 	"io"
 	"os"
 	"testing"
-
-	"oassis/internal/exp"
 )
 
 // TestQuickAllGolden pins every figure and text experiment of the -quick
 // harness byte for byte: the output of `oassis-bench -quick -fig all` must
-// match testdata/quick_all.golden, both with the serial kernel and with
-// round selection sharded across four workers. Regenerate the golden file
-// with
+// match testdata/quick_all.golden. Regenerate the golden file with
 //
 //	go run ./cmd/oassis-bench -quick -fig all > cmd/oassis-bench/testdata/quick_all.golden
 //
@@ -24,14 +20,9 @@ func TestQuickAllGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer exp.SetSelectionWorkers(0)
-	for _, workers := range []int{0, 4} {
-		exp.SetSelectionWorkers(workers)
-		got := captureStdout(t, func() error { return run("all", newConfig(true, 1), nil, false) })
-		if !bytes.Equal(got, want) {
-			t.Errorf("selection workers %d: -quick -fig all output differs from testdata/quick_all.golden\n%s",
-				workers, firstDiff(got, want))
-		}
+	got := captureStdout(t, func() error { return run("all", newConfig(true, 1), nil, false) })
+	if !bytes.Equal(got, want) {
+		t.Errorf("-quick -fig all output differs from testdata/quick_all.golden\n%s", firstDiff(got, want))
 	}
 }
 

@@ -53,11 +53,10 @@ func newConfig(quick bool, seed int64) config {
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "figure id: 4a 4b 4c 4d 4e 4f 5a 5b 5c text63 text64 growth ablation chaos all none (9/10/11 alias 5a/5b/5c)")
-		quick    = flag.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
-		members  = flag.Int("members", 0, "override the synthetic crowd size (0 = figure default: 248, or 40 with -quick)")
-		selWork  = flag.Int("selection-workers", 0, "shard per-round question selection across this many goroutines (0/1 = serial kernel; figures are byte-identical either way)")
-		seed     = flag.Int64("seed", 1, "random seed")
+		fig        = flag.String("fig", "all", "figure id: 4a 4b 4c 4d 4e 4f 5a 5b 5c text63 text64 growth ablation chaos all none (9/10/11 alias 5a/5b/5c)")
+		quick      = flag.Bool("quick", false, "scaled-down configuration (seconds instead of minutes)")
+		members    = flag.Int("members", 0, "override the synthetic crowd size (0 = figure default: 248, or 40 with -quick)")
+		seed       = flag.Int64("seed", 1, "random seed")
 		metrics    = flag.Bool("metrics", false, "print a Prometheus-text metrics dump after the run")
 		traceOut   = flag.String("trace", "", "write per-phase trace spans to this JSONL `file`")
 		journalOut = flag.String("journal", "", "record the kernel flight-recorder event stream as JSONL to this `file` (implies an observer)")
@@ -76,7 +75,6 @@ func main() {
 	if *members > 0 {
 		cfg.members = *members
 	}
-	exp.SetSelectionWorkers(*selWork)
 	var o *obs.Observer
 	if *metrics || *traceOut != "" || *explain || *journalOut != "" {
 		// -journal implies the observer like -metrics/-trace do, so the

@@ -42,7 +42,6 @@ func main() {
 		seed         = flag.Int64("seed", 1, "random seed")
 		metrics      = flag.Bool("metrics", false, "serve Prometheus metrics on GET /metrics")
 		pprofFlag    = flag.Bool("pprof", false, "serve runtime profiles on /debug/pprof (off by default: profiles expose heap contents)")
-		selWorkers   = flag.Int("selection-workers", 0, "shard per-round question selection across this many goroutines (0/1 = serial kernel; results are byte-identical either way)")
 		sharedStore  = flag.Bool("shared-store", false, "share a cross-query answer store: repeated questions are served from cached crowd answers instead of re-asked, across every run this process serves")
 		storeTTL     = flag.Duration("store-ttl", 0, "shared-store answer freshness window; stale answers are re-asked (0 = answers never expire)")
 		storeMax     = flag.Int("store-max", 0, "shared-store size bound with LRU eviction (0 = unbounded)")
@@ -56,7 +55,7 @@ func main() {
 	}
 	cfg := serveConfig{
 		minMembers: *minMembers, k: *k, timeout: *timeout, seed: *seed,
-		metrics: *metrics, pprof: *pprofFlag, selWorkers: *selWorkers,
+		metrics: *metrics, pprof: *pprofFlag,
 		sharedStore: *sharedStore, storeTTL: *storeTTL, storeMax: *storeMax,
 		journal: *journalPath, scorecards: *scorecards,
 	}
@@ -66,6 +65,15 @@ func main() {
 	}
 }
 
+// Connection timeouts: a client that trickles its headers or body, or
+// parks an idle keep-alive connection, cannot hold a connection open
+// indefinitely. Handlers answer from memory, so no write timeout is set.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // serveConfig carries the flag-derived server parameters.
 type serveConfig struct {
 	minMembers  int
@@ -74,7 +82,6 @@ type serveConfig struct {
 	seed        int64
 	metrics     bool
 	pprof       bool
-	selWorkers  int
 	sharedStore bool
 	storeTTL    time.Duration
 	storeMax    int
@@ -149,9 +156,6 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		opts := []oassis.Option{
 			oassis.WithSeed(cfg.seed),
 		}
-		if cfg.selWorkers > 1 {
-			opts = append(opts, oassis.WithSelectionWorkers(cfg.selWorkers))
-		}
 		if o != nil {
 			opts = append(opts, oassis.WithObserver(o))
 		}
@@ -203,7 +207,14 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 	if cfg.pprof {
 		fmt.Printf("oassis-serve: profiling on %s/debug/pprof/\n", addr)
 	}
-	return http.ListenAndServe(addr, srv.Handler())
+	hs := &http.Server{
+		Addr:              addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	return hs.ListenAndServe()
 }
 
 // fleetNames derives a unique fleet name per query file: the file's base

@@ -182,47 +182,6 @@ func (c *Classifier) MarkInsignificant(a *Assignment) {
 	e.status = Insignificant
 }
 
-// MarkCounts returns the lengths of the significant and insignificant mark
-// logs. Marks are append-only, so two equal snapshots bracket a window in
-// which no assignment's status can have changed — the kernel's speculative
-// selection uses this to skip per-read revalidation on quiet rounds.
-func (c *Classifier) MarkCounts() (sig, insig int) {
-	return len(c.sigLog), len(c.insigLog)
-}
-
-// StatusRO classifies the assignment like Status but never mutates the
-// classifier: the dense table and its log cursors are read, not written.
-// That makes it safe for any number of concurrent callers while no Status
-// or Mark* call is executing — the contract under which the mining
-// kernel's selection workers read a frozen round-start classifier. A
-// cached-Unknown node still resumes from its stored log cursors, so
-// StatusRO costs no more than Status on the same node.
-func (c *Classifier) StatusRO(a *Assignment) Status {
-	var e statusEntry
-	if id := a.id; int(id) < len(c.entries) && c.entries[id].node == a {
-		e = c.entries[id]
-	} else {
-		a = c.space.Canon(a)
-		if int(a.id) < len(c.entries) {
-			e = c.entries[a.id]
-		}
-	}
-	if e.status != Unknown {
-		return e.status
-	}
-	for i := int(e.insigIdx); i < len(c.insigLog); i++ {
-		if c.space.Leq(c.insigLog[i], a) {
-			return Insignificant
-		}
-	}
-	for i := int(e.sigIdx); i < len(c.sigLog); i++ {
-		if c.space.Leq(a, c.sigLog[i]) {
-			return Significant
-		}
-	}
-	return Unknown
-}
-
 // SignificantBorder returns the current antichain of maximal significant
 // assignments (shared slice; do not modify). When the traversal has
 // classified the whole space these are exactly the MSPs among the explored

@@ -20,8 +20,8 @@ func rebuild(d *synth.DAG, a *assign.Assignment) *assign.Assignment {
 
 // TestClassifierAgreesWithBruteForce feeds the classifier random marks
 // drawn from a random monotone ground truth, interleaved with queries, and
-// checks every Status and StatusRO verdict against a brute-force scan of
-// every mark so far with Space.Leq. Besides the space's own nodes, the
+// checks every Status verdict against a brute-force scan of every mark so
+// far with Space.Leq. Besides the space's own nodes, the
 // queries include assignments that must not take the classifier's
 // lock-free path: copies built outside the space (no NodeID), and nodes of
 // a second space over the same query whose NodeID is also used in the
@@ -109,9 +109,6 @@ func TestClassifierAgreesWithBruteForce(t *testing.T) {
 				continue
 			}
 			w := want(a)
-			if got := cls.StatusRO(a); got != w {
-				t.Fatalf("seed %d step %d: StatusRO(%s) = %v, brute force says %v", seed, step, a.Key(), got, w)
-			}
 			if got := cls.Status(a); got != w {
 				t.Fatalf("seed %d step %d: Status(%s) = %v, brute force says %v", seed, step, a.Key(), got, w)
 			}

@@ -9,6 +9,14 @@ import (
 	"oassis/internal/synth"
 )
 
+// namedOracle gives clones of a DAG's ground-truth oracle distinct IDs.
+type namedOracle struct {
+	crowd.Member
+	id string
+}
+
+func (o namedOracle) ID() string { return o.id }
+
 // BenchmarkWideBorderConfirmations regression-guards the witness-based
 // MSP-confirmation tracking. The old settle path rescanned the entire
 // significant border after every insignificant mark — O(border ×
@@ -31,7 +39,7 @@ func BenchmarkWideBorderConfirmations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pool := make([]crowd.Member, 3)
 		for j := range pool {
-			pool[j] = selOracle{Member: d.Oracle(0, int64(j+1)), id: fmt.Sprintf("m%d", j)}
+			pool[j] = namedOracle{Member: d.Oracle(0, int64(j+1)), id: fmt.Sprintf("m%d", j)}
 		}
 		res := core.NewEngine(d.Space, pool, core.EngineConfig{
 			Theta:      theta,

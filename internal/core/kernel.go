@@ -100,23 +100,6 @@ type kernel struct {
 
 	nextAskID int64
 
-	// sel holds the parallel round-selection machinery (kernel_parallel.go);
-	// nil means the kernel runs fully serially.
-	sel *selector
-
-	// rngReplay feeds recorded values back to drawFloat ahead of the live
-	// rng. Only the parallel commit queues values here: when a speculative
-	// draw succeeds, the serial re-selection must consume the exact prefix
-	// the commit already drew (see kernel_parallel.go). drawBuf is commit
-	// scratch for those draws.
-	rngReplay []float64
-	drawBuf   []float64
-
-	// commitTouched, non-nil only during a parallel commit, records every
-	// assignment the aggregator received an answer for during the commit;
-	// speculative auto-answers are validated against it.
-	commitTouched map[assign.NodeID]bool
-
 	// confirmWit is the per-border-node confirmation witness, indexed by
 	// NodeID: successors(b)[0..confirmWit[b]) are all known insignificant.
 	// Statuses are final, so a witness only ever advances — re-checking a
@@ -157,9 +140,7 @@ type userState struct {
 	pending *pendingAsk
 	// transcript records, in order, every usable answer this member gave —
 	// the driver-independent interview log the differential tests compare
-	// across execution modes. Only written when cfg.RecordTranscript; kept
-	// per member (not in a shared map) so the parallel reply fold can
-	// append from per-member workers.
+	// across execution modes. Only written when cfg.RecordTranscript.
 	transcript []string
 }
 
@@ -260,9 +241,6 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 	k.confirmWit = make([]int32, n)
 	if cfg.Consistency {
 		k.checker = crowd.NewConsistencyChecker(sp.Vocabulary())
-		for _, id := range ids {
-			k.checker.Register(id)
-		}
 	}
 	if qc, ok := agg.(crowd.QuotaCarrier); ok {
 		k.quota = qc.Quota()
@@ -278,7 +256,6 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 		u.yes.grow(n)
 		k.users = append(k.users, u)
 	}
-	k.initSelector()
 	return k
 }
 
@@ -296,16 +273,12 @@ func (k *kernel) beginRound() []*crowd.Ask {
 	}
 	k.inFlightTouched = k.inFlightTouched[:0]
 	var asks []*crowd.Ask
-	if k.sel != nil {
-		asks = k.beginRoundParallel()
-	} else {
-		for _, u := range k.users {
-			if k.stopped {
-				break
-			}
-			if a := k.selectAsk(u); a != nil {
-				asks = append(asks, a)
-			}
+	for _, u := range k.users {
+		if k.stopped {
+			break
+		}
+		if a := k.selectAsk(u); a != nil {
+			asks = append(asks, a)
 		}
 	}
 	if len(asks) > 0 {
@@ -322,9 +295,6 @@ func (k *kernel) beginRound() []*crowd.Ask {
 }
 
 // journalAsks emits one ask event per question of the round just begun.
-// The emission runs over beginRound's return value — the single funnel
-// both the serial and the parallel selector share — so the recorded
-// stream is identical across selection modes.
 func (k *kernel) journalAsks(asks []*crowd.Ask) {
 	round := k.stats.Rounds
 	for _, a := range asks {
@@ -359,9 +329,6 @@ func prunedInts(p []vocab.TermID) []int32 {
 }
 
 // eligible reports whether the member can be asked anything this round.
-// Every input is only mutated at the apply barrier, so the verdict is
-// stable for the whole selection phase — which is what lets the parallel
-// selector evaluate it speculatively.
 func (k *kernel) eligible(u *userState) bool {
 	if u.banned || u.departed || u.pending != nil {
 		return false
@@ -508,7 +475,7 @@ func (k *kernel) alreadyVisited(id assign.NodeID) bool {
 // significant assignment and, when specialization is drawn and useful,
 // emits it.
 func (k *kernel) maybeSpecialize(u *userState, base *assign.Assignment) *crowd.Ask {
-	if k.cfg.SpecializationRatio <= 0 || k.drawFloat() >= k.cfg.SpecializationRatio {
+	if k.cfg.SpecializationRatio <= 0 || k.rng.Float64() >= k.cfg.SpecializationRatio {
 		return nil
 	}
 	var open []*assign.Assignment
@@ -545,18 +512,6 @@ func (k *kernel) maybeSpecialize(u *userState, base *assign.Assignment) *crowd.A
 	return ask
 }
 
-// drawFloat returns the next specialization draw: replayed values first
-// (only ever queued by the parallel commit), then the live rng. The serial
-// kernel always reads the live stream.
-func (k *kernel) drawFloat() float64 {
-	if len(k.rngReplay) > 0 {
-		v := k.rngReplay[0]
-		k.rngReplay = k.rngReplay[1:]
-		return v
-	}
-	return k.rng.Float64()
-}
-
 // coveredInFlight reports whether this round already scheduled enough
 // asks for the assignment to satisfy the aggregator's remaining quota.
 // Calibration probes bypass this: every member is probed by design.
@@ -574,21 +529,13 @@ func (k *kernel) coveredInFlight(a *assign.Assignment) bool {
 
 // emitConcrete builds the Ask event for one concrete question.
 func (k *kernel) emitConcrete(u *userState, a *assign.Assignment, probe bool) *crowd.Ask {
-	return k.emitConcreteInst(u, a, probe, k.space.Instantiate(a))
-}
-
-// emitConcreteInst is emitConcrete with a pre-instantiated fact-set (the
-// parallel commit reuses the instantiation its selection worker already
-// built; Instantiate is a pure function of the assignment, so the result
-// is identical).
-func (k *kernel) emitConcreteInst(u *userState, a *assign.Assignment, probe bool, fs ontology.FactSet) *crowd.Ask {
 	k.nextAskID++
 	ask := &crowd.Ask{
 		ID:     k.nextAskID,
 		Member: u.id,
 		Index:  u.index,
 		Kind:   crowd.ConcreteAsk,
-		Target: fs,
+		Target: k.space.Instantiate(a),
 	}
 	u.pending = &pendingAsk{ask: ask, target: a, probe: probe}
 	id := a.ID()
@@ -758,12 +705,6 @@ func (k *kernel) recordAnswer(u *userState, a *assign.Assignment, support float6
 	k.agg.Add(a.ID(), u.id, support)
 	if k.jr != nil && k.agg.Answers(a.ID()) == 1 {
 		k.jr.NoteNewAnswer(k.jrRun)
-	}
-	if k.commitTouched != nil {
-		// Parallel commit in progress: later members' speculative
-		// auto-answers must re-validate against any node the aggregator
-		// was fed during the commit.
-		k.commitTouched[a.ID()] = true
 	}
 	if d := k.agg.Decide(a.ID()); d != crowd.Undecided {
 		k.settle(a, d)

@@ -14,12 +14,7 @@ import (
 // violations of this monotonicity, allowing small tolerance for the noise
 // of a cooperative member.
 //
-// State is held per member in independent logs. After every member has been
-// Registered, Record is safe to call concurrently for *distinct* members
-// (the shared map is then only read); this is what lets the kernel's
-// parallel reply fold record answers from its per-member workers. Calls for
-// the same member, and all other methods, still require external
-// serialization.
+// Calls require external serialization.
 type ConsistencyChecker struct {
 	v *vocab.Vocabulary
 	// Tolerance is the slack allowed before a pair counts as a
@@ -57,17 +52,7 @@ func NewConsistencyChecker(v *vocab.Vocabulary) *ConsistencyChecker {
 	}
 }
 
-// Register pre-creates the member's log. Once all members of a crowd are
-// registered, Record calls for distinct members never mutate the shared
-// map and may run concurrently.
-func (c *ConsistencyChecker) Register(memberID string) {
-	if _, ok := c.members[memberID]; !ok {
-		c.members[memberID] = &memberLog{}
-	}
-}
-
-// log returns the member's log, creating it for unregistered members
-// (serial callers only).
+// log returns the member's log, creating it on first use.
 func (c *ConsistencyChecker) log(memberID string) *memberLog {
 	ml, ok := c.members[memberID]
 	if !ok {

@@ -35,11 +35,10 @@ func AggregatorAblation(cfg synth.DomainConfig, spammers int, seed int64) ([]Abl
 
 	// Reference: honest crowd, paper aggregator.
 	ref := core.NewEngine(d.Space, d.Members, core.EngineConfig{
-		Theta:            theta,
-		Aggregator:       crowd.NewMeanAggregator(aggK, theta),
-		Seed:             seed,
-		SelectionWorkers: selWorkers,
-		Obs:              obsv,
+		Theta:      theta,
+		Aggregator: crowd.NewMeanAggregator(aggK, theta),
+		Seed:       seed,
+		Obs:        obsv,
 	}).Run()
 	refClass := classifyValid(d, ref)
 	rows := []AblationRow{{
@@ -70,7 +69,6 @@ func AggregatorAblation(cfg synth.DomainConfig, spammers int, seed int64) ([]Abl
 			Consistency:          vr.consistency,
 			CalibrationQuestions: vr.calibration,
 			Seed:                 seed,
-			SelectionWorkers:     selWorkers,
 			Obs:                  obsv,
 		})
 		res := eng.Run()

@@ -15,17 +15,10 @@ type KernelMetrics struct {
 	Departures *Counter
 	Timeouts   *Counter
 	MSPs       *Counter
-	// SpecHits/SpecRetries instrument parallel round selection: a hit is a
-	// speculative per-member proposal committed as-is, a retry is one that
-	// failed commit-time validation and was re-selected serially. They live
-	// here (not in core.Stats) so serial and parallel runs keep byte-equal
-	// Stats.
-	SpecHits    *Counter
-	SpecRetries *Counter
-	InFlight    *Gauge
-	Border      *Gauge
-	RoundDur    *Histogram
-	RoundAsks   *Histogram
+	InFlight   *Gauge
+	Border     *Gauge
+	RoundDur   *Histogram
+	RoundAsks  *Histogram
 }
 
 // NewKernelMetrics registers the kernel metric family in r.
@@ -40,12 +33,8 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 		Departures: r.Counter("oassis_kernel_departures_total", "Member departures observed."),
 		Timeouts:   r.Counter("oassis_kernel_timeouts_total", "Answer deadline timeouts observed."),
 		MSPs:       r.Counter("oassis_kernel_msps_total", "Maximal significant patterns confirmed."),
-		SpecHits: r.Counter("oassis_kernel_selection_spec_hits_total",
-			"Speculative selection proposals committed without re-running."),
-		SpecRetries: r.Counter("oassis_kernel_selection_spec_retries_total",
-			"Speculative selection proposals invalidated and re-run serially."),
-		InFlight: r.Gauge("oassis_kernel_in_flight", "Questions currently awaiting answers."),
-		Border:   r.Gauge("oassis_kernel_border_size", "Current significant-border antichain size."),
+		InFlight:   r.Gauge("oassis_kernel_in_flight", "Questions currently awaiting answers."),
+		Border:     r.Gauge("oassis_kernel_border_size", "Current significant-border antichain size."),
 		RoundDur: r.Histogram("oassis_kernel_round_duration_seconds",
 			"Wall-clock (or virtual-clock) duration of each engine round.", DefaultLatencyBuckets),
 		RoundAsks: r.Histogram("oassis_kernel_round_asks",

@@ -241,11 +241,11 @@ func TestParallelNTriplesDifferential(t *testing.T) {
 // same message — wherever the bad line falls relative to chunk boundaries.
 func TestParallelNTriplesErrorPositions(t *testing.T) {
 	bad := []string{
-		`<http://x/a> <http://x/p> <http://x/b>`,                            // missing dot
-		`<http://x/a <http://x/p> <http://x/b> .`,                           // unterminated IRI
-		`<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "oops .`, // unterminated literal
-		`<http://x/a> <http://x/p> garbage .`,                               // junk object
-		`<> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .`,  // empty subject name
+		`<http://x/a> <http://x/p> <http://x/b>`,                                        // missing dot
+		`<http://x/a <http://x/p> <http://x/b> .`,                                       // unterminated IRI
+		`<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "oops .`,             // unterminated literal
+		`<http://x/a> <http://x/p> garbage .`,                                           // junk object
+		`<> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/C> .`,           // empty subject name
 		`<http://x/A> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://x/A> .`, // self-loop
 	}
 	for seed := int64(0); seed < 40; seed++ {
@@ -266,17 +266,17 @@ func TestParallelNTriplesErrorPositions(t *testing.T) {
 func TestParallelNTriplesEdgeCases(t *testing.T) {
 	long := strings.Repeat("x", 5000)
 	cases := map[string]string{
-		"empty":           "",
-		"comments only":   "# one\n# two\n",
-		"blank lines":     "\n\n\r\n\n",
-		"no trailing nl":  `<http://x/a> <http://x/p> <http://x/b> .`,
-		"long literal":    `<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "` + long + `" .` + "\n",
-		"long iri":        `<http://x/` + long + `> <http://x/p> <http://x/b> .` + "\n",
-		"crlf":            "<http://x/a> <http://x/p> <http://x/b> .\r\n<http://x/b> <http://x/p> <http://x/c> .\r\n",
-		"unicode escapes": `<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "A\U00000042 \uZZZZ" .` + "\n",
-		"dup facts":       strings.Repeat(`<http://x/a> <http://x/p> <http://x/b> .`+"\n", 50),
-		"hasLabel collision": `<http://x/a> <http://other/hasLabel> <http://x/b> .` + "\n",
-		"subClassOf collision": `<http://other/A> <http://other/subClassOf> <http://other/B> .` + "\n",
+		"empty":                 "",
+		"comments only":         "# one\n# two\n",
+		"blank lines":           "\n\n\r\n\n",
+		"no trailing nl":        `<http://x/a> <http://x/p> <http://x/b> .`,
+		"long literal":          `<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "` + long + `" .` + "\n",
+		"long iri":              `<http://x/` + long + `> <http://x/p> <http://x/b> .` + "\n",
+		"crlf":                  "<http://x/a> <http://x/p> <http://x/b> .\r\n<http://x/b> <http://x/p> <http://x/c> .\r\n",
+		"unicode escapes":       `<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "A\U00000042 \uZZZZ" .` + "\n",
+		"dup facts":             strings.Repeat(`<http://x/a> <http://x/p> <http://x/b> .`+"\n", 50),
+		"hasLabel collision":    `<http://x/a> <http://other/hasLabel> <http://x/b> .` + "\n",
+		"subClassOf collision":  `<http://other/A> <http://other/subClassOf> <http://other/B> .` + "\n",
 		"label with iri object": `<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> <http://x/b> .` + "\n",
 	}
 	for name, nt := range cases {

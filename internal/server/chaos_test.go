@@ -67,6 +67,9 @@ func TestServerErrorPathsTable(t *testing.T) {
 			want: http.StatusNotFound},
 		{name: "answer with malformed json", method: "POST", path: "/answer",
 			raw: "not json", want: http.StatusBadRequest},
+		{name: "answer body over the size cap", method: "POST", path: "/answer",
+			raw:  `{"member":"` + strings.Repeat("u", 64<<10) + `","question":1,"support":0.5}`,
+			want: http.StatusRequestEntityTooLarge},
 		{name: "answer with out-of-range support", method: "POST", path: "/answer",
 			body: map[string]any{"member": "u1", "question": 1, "support": 2.0},
 			want: http.StatusBadRequest},

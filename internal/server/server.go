@@ -21,6 +21,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/pprof"
@@ -540,9 +541,19 @@ type answerBody struct {
 	Choice int `json:"choice"`
 }
 
+// maxAnswerBody caps a POST /answer body. A well-formed answer is well
+// under 200 bytes; the cap keeps a hostile client from making the decoder
+// buffer an unbounded value.
+const maxAnswerBody = 64 << 10
+
 func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	var body answerBody
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxAnswerBody)).Decode(&body); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, "answer body too large", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "bad json: "+err.Error(), http.StatusBadRequest)
 		return
 	}

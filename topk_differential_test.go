@@ -20,18 +20,16 @@ import (
 // path: when MaxMSPs halts the run with replies still in flight, the
 // discarded-reply accounting and the confirmed-only MSP border must be
 // identical across the sequential driver, the concurrent RunParallel
-// driver and the HTTP platform — with and without sharded selection. The
-// stop flips kernel state mid-barrier, which is exactly where a sharded
-// fold could diverge from the serial one, so this scenario gets its own
-// differential suite on top of the full-run one.
+// driver and the HTTP platform. The stop flips kernel state mid-barrier,
+// so later replies' outcomes depend on earlier ones; this scenario gets
+// its own differential suite on top of the full-run one.
 func TestParallelSelectionTopKDifferential(t *testing.T) {
 	d := diffDAG(t)
 	const topK = 2
 
-	topCfg := func(workers int) core.EngineConfig {
+	topCfg := func() core.EngineConfig {
 		cfg := diffEngineConfig(d)
 		cfg.MaxMSPs = topK
-		cfg.SelectionWorkers = workers
 		return cfg
 	}
 	// The session driver truncates to LIMIT in confirm order; apply the
@@ -51,23 +49,14 @@ func TestParallelSelectionTopKDifferential(t *testing.T) {
 		run  func(t *testing.T) *oassis.Result
 	}
 	legs := []leg{
-		{"run-serial", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg(0)).Run())
+		{"run", func(t *testing.T) *oassis.Result {
+			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg()).Run())
 		}},
-		{"run-sel2", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg(2)).Run())
+		{"runparallel4", func(t *testing.T) *oassis.Result {
+			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg()).RunParallel(4))
 		}},
-		{"run-sel8", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg(8)).Run())
-		}},
-		{"runparallel4-serial", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg(0)).RunParallel(4))
-		}},
-		{"runparallel4-sel8", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg(8)).RunParallel(4))
-		}},
-		{"http-sel8", func(t *testing.T) *oassis.Result {
-			return runServerTopKLeg(t, d, topK, 8)
+		{"http", func(t *testing.T) *oassis.Result {
+			return runServerTopKLeg(t, d, topK)
 		}},
 	}
 
@@ -108,9 +97,9 @@ func TestParallelSelectionTopKDifferential(t *testing.T) {
 }
 
 // runServerTopKLeg drives the top-k scenario through the HTTP platform: the
-// DAG's query with a LIMIT clause, sharded selection on the session, and
-// the same scripted oracle clients as the full-run differential test.
-func runServerTopKLeg(t *testing.T, d *synth.DAG, topK, workers int) *oassis.Result {
+// DAG's query with a LIMIT clause on a serial session, and the same
+// scripted oracle clients as the full-run differential test.
+func runServerTopKLeg(t *testing.T, d *synth.DAG, topK int) *oassis.Result {
 	t.Helper()
 	theta := d.Query.Satisfying.Support
 	q, err := oassis.ParseQuery(strings.Replace(d.Query.String(),
@@ -124,7 +113,6 @@ func runServerTopKLeg(t *testing.T, d *synth.DAG, topK, workers int) *oassis.Res
 		oassis.WithAggregator(oassis.NewMeanAggregator(diffQuorum, theta)),
 		oassis.WithSpecializationRatio(diffSpecRatio),
 		oassis.WithTranscript(),
-		oassis.WithSelectionWorkers(workers),
 	)
 	if err != nil {
 		t.Fatal(err)
