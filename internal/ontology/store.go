@@ -32,7 +32,8 @@ type Store struct {
 	// Frozen-store memos. predList and labelIdx are built once at Freeze;
 	// the per-predicate closure indexes and stats are built lazily, on
 	// first use, under closeMu (see closure.go) so concurrent evaluators
-	// share one computation.
+	// share one computation, and so are the semantic candidate cones
+	// below.
 	predList []vocab.TermID
 	labelIdx map[string][]vocab.TermID
 
@@ -44,6 +45,14 @@ type Store struct {
 	// cold counts index builds, warm counts lookups served memoized.
 	closureCold atomic.Int64
 	closureWarm atomic.Int64
+
+	// cones memoizes semantic candidate cones by coneKey (see cone.go),
+	// filled lazily under coneMu; coneCold and coneFacts move only on a
+	// fill, so a memo hit touches no shared counter.
+	coneMu    sync.RWMutex
+	cones     map[uint64][]Fact
+	coneCold  atomic.Int64
+	coneFacts atomic.Int64
 
 	// planMemo is an opaque memo slot for frozen-store consumers: the
 	// sparql plan cache hangs its per-store compiled-plan table here, so
@@ -81,6 +90,7 @@ func NewStore(v *vocab.Vocabulary) *Store {
 		labels:    make(map[vocab.TermID]map[string]bool),
 		closures:  make(map[vocab.TermID]*pathClosure),
 		predStats: make(map[vocab.TermID]predStat),
+		cones:     make(map[uint64][]Fact),
 	}
 }
 

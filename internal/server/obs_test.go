@@ -134,6 +134,8 @@ func TestServerMetricsEndToEnd(t *testing.T) {
 		"oassis_sparql_compiles_total 1",
 		"oassis_space_nodes",
 		"oassis_ontology_closure_cold",
+		"oassis_ontology_cone_cold",
+		"oassis_ontology_cone_facts",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)

@@ -971,76 +971,86 @@ func (pl *Plan) runSemDispatch(ex *exec, o *op, i int) {
 // always takes the linear scan: index probing cannot beat a scan this short.
 const semScanFloor = 64
 
+// semSide names the pattern side a candidate list is exact for.
+type semSide uint8
+
+const (
+	semNone    semSide = iota // a superset: both bound sides still need ≤
+	semSubject                // every candidate passes the subject's ≤
+	semObject                 // every candidate passes the object's ≤
+)
+
 // semCandidates returns the facts runSemTriple must consider for a pattern
 // with the given bound sides, in byP order (Fact.Less, i.e. (S, O) within
-// one predicate). When a side is bound and its descendant cone is small
-// relative to the predicate's fact list, the candidates are collected
-// through the bySP/byPO point indexes and re-sorted into byP order —
-// exactly the subsequence of the full scan that survives that side's ≤
-// filter, at a fraction of the cost. Otherwise it returns the shared byP
-// slice and the caller's per-fact filters do the work as before.
-func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK bool, obj vocab.TermID, oOK bool) []ontology.Fact {
-	st, v := pl.store, pl.v
+// one predicate), and the side those candidates are exact for. sVar says
+// the bound subject is a variable bound by an earlier operator: trySet then
+// requires the stored subject to equal it, which is stricter than ≤, so the
+// candidates are just the predicate's run of facts with that subject. When
+// a constant side's descendant cone is small relative to the predicate's
+// fact list, the candidates are the store's memoized cone for that side
+// (ontology.Store.SemCone) — exactly the subsequence of the full scan that
+// survives that side's ≤ filter. Either way the caller skips the exact
+// side's filter. Otherwise it returns the shared byP slice and the caller's
+// per-fact filters do the work.
+func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK, sVar bool, obj vocab.TermID, oOK bool) ([]ontology.Fact, semSide) {
+	st := pl.store
 	all := st.FactsWithPredicate(pred)
+	if sVar {
+		return subjectRun(all, s), semSubject
+	}
 	if len(all) <= semScanFloor || (!sOK && !oOK) {
-		return all
+		return all, semNone
 	}
 	if sOK {
-		// f ≤ g needs s ≤ g.S: stored subjects range over s's descendants.
-		if desc := v.ElementDescendants(s); len(desc)*8 <= len(all) {
-			var out []ontology.Fact
-			for _, d := range desc {
-				for _, ob := range st.Objects(d, pred) {
-					out = append(out, ontology.Fact{S: d, P: pred, O: ob})
-				}
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-			return out
+		if cone, ok := st.SemCone(pred, s, false); ok {
+			return cone, semSubject
 		}
 	}
 	if oOK {
-		if desc := v.ElementDescendants(obj); len(desc)*8 <= len(all) {
-			var out []ontology.Fact
-			for _, d := range desc {
-				for _, sb := range st.Subjects(pred, d) {
-					out = append(out, ontology.Fact{S: sb, P: pred, O: d})
-				}
-			}
-			sort.Slice(out, func(a, b int) bool { return out[a].Less(out[b]) })
-			return out
+		if cone, ok := st.SemCone(pred, obj, true); ok {
+			return cone, semObject
 		}
 	}
-	return all
+	return all, semNone
+}
+
+// subjectRun returns the contiguous run of facts with subject s in a
+// predicate's byP slice, which is sorted by (S, O).
+func subjectRun(all []ontology.Fact, s vocab.TermID) []ontology.Fact {
+	lo := sort.Search(len(all), func(i int) bool { return all[i].S >= s })
+	hi := sort.Search(len(all), func(i int) bool { return all[i].S > s })
+	return all[lo:hi]
 }
 
 // runSemTriple matches the pattern against facts stored under one concrete
 // predicate with Definition 2.5 semantics: a stored fact g witnesses the
 // pattern fact f when f ≤ g, and free variables additionally range over
-// generalizations of the stored values.
+// generalizations of the stored values (the vocabulary's shared
+// ancestors-and-self lists, iterated in place).
 func (pl *Plan) runSemTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 	v := pl.v
 	s, sOK := ex.resolve(o.s)
 	obj, oOK := ex.resolve(o.o)
-	for _, g := range pl.semCandidates(pred, s, sOK, obj, oOK) {
+	cands, exact := pl.semCandidates(pred, s, sOK, sOK && !o.s.isConst, obj, oOK)
+	checkS, checkO := sOK && exact != semSubject, oOK && exact != semObject
+	freeS, freeO := !sOK && o.s.slot >= 0, !oOK && o.o.slot >= 0
+	for _, g := range cands {
 		if ex.stop {
 			return
 		}
-		if sOK && !v.LeqE(s, g.S) {
+		if checkS && !v.LeqE(s, g.S) {
 			continue
 		}
-		if oOK && !v.LeqE(obj, g.O) {
+		if checkO && !v.LeqE(obj, g.O) {
 			continue
 		}
-		var sArr, oArr [1]vocab.TermID
-		subjects := sArr[:]
-		sArr[0] = g.S
-		if !sOK && o.s.slot >= 0 {
-			subjects = append(v.ElementAncestors(g.S), g.S)
+		subjects := []vocab.TermID{g.S}
+		if freeS {
+			subjects = v.ElementAncestorsAndSelf(g.S)
 		}
-		objects := oArr[:]
-		oArr[0] = g.O
-		if !oOK && o.o.slot >= 0 {
-			objects = append(v.ElementAncestors(g.O), g.O)
+		objects := []vocab.TermID{g.O}
+		if freeO {
+			objects = v.ElementAncestorsAndSelf(g.O)
 		}
 		for _, sv := range subjects {
 			ok1, fr1 := ex.trySet(o.s, sv)

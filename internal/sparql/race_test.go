@@ -5,6 +5,7 @@ package sparql_test
 // deterministically ordered results. Run with -race.
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -80,4 +81,64 @@ func TestConcurrentEvalSemantic(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentEvalSemanticLargeStore fills the store's candidate-cone
+// memo from parallel semantic evaluations: the stores are sized past the
+// semantic scan floor, so bound-side patterns go through
+// ontology.Store.SemCone. Each seed builds the same store twice; the serial
+// answers come from the first, and the goroutines start on the second while
+// its memo is cold. Both stores must end with the same memo contents.
+func TestConcurrentEvalSemanticLargeStore(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		serial, elems, rels := largeSemStore(rand.New(rand.NewSource(4000 + seed)))
+		cold, _, _ := largeSemStore(rand.New(rand.NewSource(4000 + seed)))
+		rng := rand.New(rand.NewSource(seed))
+		constE := func() sparql.Term { return sparql.ConstTerm(elems[rng.Intn(len(elems))]) }
+		var bgps []sparql.BGP
+		for i := 0; i < 8; i++ {
+			bgps = append(bgps,
+				sparql.BGP{{S: constE(), P: sparql.ConstTerm(rels[0]), O: sparql.VarTerm("x")}},
+				sparql.BGP{{S: sparql.VarTerm("x"), P: sparql.ConstTerm(rels[1]), O: constE()}},
+				sparql.BGP{
+					{S: sparql.VarTerm("x"), P: sparql.ConstTerm(rels[0]), O: constE()},
+					{S: sparql.VarTerm("x"), P: sparql.ConstTerm(rels[1]), O: sparql.VarTerm("y")},
+				})
+		}
+		want := make([][]sparql.Binding, len(bgps))
+		es := sparql.NewEvaluator(serial)
+		es.Semantic = true
+		for i, bgp := range bgps {
+			var err error
+			if want[i], err = es.Eval(bgp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ec := sparql.NewEvaluator(cold)
+		ec.Semantic = true
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := range bgps {
+					i := (k + g) % len(bgps)
+					got, err := ec.Eval(bgps[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bindingsEqual(got, want[i]) {
+						t.Errorf("seed %d query %d: concurrent semantic Eval diverged", seed, i)
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if st := serial.ConeStats(); st.Cold == 0 {
+			t.Fatalf("seed %d: no candidate cone was built; the store is too small to test the memo", seed)
+		} else if cold.ConeStats() != st {
+			t.Fatalf("seed %d: concurrent memo fill %+v, serial %+v", seed, cold.ConeStats(), st)
+		}
+	}
 }

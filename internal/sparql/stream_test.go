@@ -268,3 +268,32 @@ func TestPlanCacheNearMisses(t *testing.T) {
 		t.Fatal("identical shape did not hit the cache")
 	}
 }
+
+// TestSemanticStreamAllocsFlat guards the allocation-free semantic path: a
+// warm semantic Stream allocates the same fixed per-run scratch whether
+// its anchor yields a few rows or ten times as many — no per-fact
+// ancestor-list copy, no per-call cone rebuild or sort.
+func TestSemanticStreamAllocsFlat(t *testing.T) {
+	s, el := semStarStore()
+	e := sparql.NewEvaluator(s)
+	e.Semantic = true
+	measure := func(anchor string) (rows int, allocs float64) {
+		pl, err := e.Compile(semStarBGP(s, el(anchor)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		yield := func([]vocab.TermID) bool { return true }
+		rows = pl.Stream(yield) // warm the store's cone memo
+		return rows, testing.AllocsPerRun(5, func() { pl.Stream(yield) })
+	}
+	smallRows, smallAllocs := measure("city3_4")
+	bigRows, bigAllocs := measure("region3")
+	if smallRows == 0 || bigRows < 8*smallRows {
+		t.Fatalf("anchors stream %d and %d rows; want about 10× apart", smallRows, bigRows)
+	}
+	if bigAllocs > smallAllocs {
+		t.Fatalf("warm semantic Stream allocates %.0f for %d rows but %.0f for %d rows",
+			smallAllocs, smallRows, bigAllocs, bigRows)
+	}
+	t.Logf("rows %d → %d, allocs/run %.0f → %.0f", smallRows, bigRows, smallAllocs, bigAllocs)
+}

@@ -1,7 +1,5 @@
 package vocab
 
-import "math/bits"
-
 // bitset is a fixed-capacity bit vector used for ancestor closures.
 type bitset []uint64
 
@@ -22,13 +20,4 @@ func (b bitset) or(other bitset) {
 	for i, w := range other {
 		b[i] |= w
 	}
-}
-
-// count returns the number of set bits.
-func (b bitset) count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }

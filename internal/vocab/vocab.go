@@ -11,8 +11,9 @@ package vocab
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync/atomic"
+	"sync"
 )
 
 // TermID identifies an interned element or relation name. Element IDs and
@@ -71,16 +72,15 @@ type namespace struct {
 	topo []TermID
 	// depth[id] is the length of the longest chain from a root to id.
 	depth []int
-	// ancList[id] memoizes the ancestor list ElementAncestors derives from
-	// the ancestors bitset. Materializing a list costs a full topo scan, and
-	// semantic-mode pattern matching asks for the same elements' ancestors
-	// once per stored fact — without the memo that scan turns quadratic in
-	// vocabulary size. Filled lazily, published atomically; lists are stored
-	// with no spare capacity so callers appending to one reallocate instead
-	// of clobbering the shared backing array. descList is the same memo for
-	// Descendants.
-	ancList  []atomic.Pointer[[]TermID]
-	descList []atomic.Pointer[[]TermID]
+	// up.of(id) lists id's strict generalizations in topological
+	// (general-first) order followed by id itself; down.of(id) lists id
+	// followed by its strict specializations in topological order. Both are
+	// built for every term in one pass (buildLists) on the first list
+	// request after Freeze — read them through upOf and downOf — so a
+	// vocabulary that only answers Leq never pays for them.
+	listsOnce sync.Once
+	up        termLists
+	down      termLists
 }
 
 func newNamespace() *namespace {
@@ -176,30 +176,98 @@ func (n *namespace) freeze() error {
 		sortIDs(n.parents[id])
 		sortIDs(n.children[id])
 	}
-	n.ancList = make([]atomic.Pointer[[]TermID], size)
-	n.descList = make([]atomic.Pointer[[]TermID], size)
 	n.frozen = true
 	return nil
 }
 
-// ancestorList returns id's ancestors in topological general-first order,
-// memoized. The returned slice is shared and capacity-capped: callers may
-// read or append (append reallocates) but must not write elements in place.
-func (n *namespace) ancestorList(id TermID) []TermID {
-	if p := n.ancList[id].Load(); p != nil {
-		return *p
+// termLists packs one list per term into a single array: term id's list is
+// ids[off[id]:off[id+1]].
+type termLists struct {
+	ids []TermID
+	off []int
+}
+
+// of returns id's list, capacity-capped so that a caller appending to it
+// reallocates instead of clobbering the next term's list.
+func (l termLists) of(id TermID) []TermID {
+	lo, hi := l.off[id], l.off[id+1]
+	return l.ids[lo:hi:hi]
+}
+
+// upOf returns id's up list, building every term's lists on first use.
+func (n *namespace) upOf(id TermID) []TermID {
+	n.listsOnce.Do(n.buildLists)
+	return n.up.of(id)
+}
+
+// downOf returns id's down list, building every term's lists on first use.
+func (n *namespace) downOf(id TermID) []TermID {
+	n.listsOnce.Do(n.buildLists)
+	return n.down.of(id)
+}
+
+// buildLists fills up and down. It first builds every up list in
+// topological order, each from its parents' lists — a copy for a single
+// parent, a stamped union sorted by topological position for several —
+// followed by the term itself, then packs them by ID. down is the
+// transpose, filled by walking terms in topological order so each list
+// comes out general-first with its term in front.
+func (n *namespace) buildLists() {
+	size := len(n.names)
+	pos := make([]int32, size)
+	// A term's up list has at least depth+1 entries, exactly that many in
+	// a forest, so buf only grows for multi-parent terms.
+	estimate := 0
+	for i, id := range n.topo {
+		pos[id] = int32(i)
+		estimate += n.depth[id] + 1
 	}
-	out := []TermID{}
-	for _, t := range n.topo {
-		if t != id && n.ancestors[id].has(int(t)) {
-			out = append(out, t)
+	byPos := func(a, b TermID) int { return int(pos[a] - pos[b]) }
+	buf := make([]TermID, 0, estimate)
+	start, end := make([]int, size), make([]int, size)
+	stamp := make([]int32, size)
+	for i, id := range n.topo {
+		start[id] = len(buf)
+		switch ps := n.parents[id]; len(ps) {
+		case 0:
+		case 1:
+			buf = append(buf, buf[start[ps[0]]:end[ps[0]]]...)
+		default:
+			for _, p := range ps {
+				for _, a := range buf[start[p]:end[p]] {
+					if stamp[a] != int32(i+1) {
+						stamp[a] = int32(i + 1)
+						buf = append(buf, a)
+					}
+				}
+			}
+			slices.SortFunc(buf[start[id]:], byPos)
+		}
+		buf = append(buf, id)
+		end[id] = len(buf)
+	}
+	n.up = termLists{ids: make([]TermID, 0, len(buf)), off: make([]int, size+1)}
+	downOff := make([]int, size+1)
+	for id := 0; id < size; id++ {
+		l := buf[start[id]:end[id]]
+		n.up.ids = append(n.up.ids, l...)
+		n.up.off[id+1] = len(n.up.ids)
+		for _, a := range l {
+			downOff[a+1]++
 		}
 	}
-	out = out[:len(out):len(out)]
-	// Concurrent computations produce identical lists, so a lost race just
-	// publishes an equal slice.
-	n.ancList[id].Store(&out)
-	return out
+	for id := 0; id < size; id++ {
+		downOff[id+1] += downOff[id]
+	}
+	n.down = termLists{ids: make([]TermID, len(buf)), off: downOff}
+	next := start // no longer needed: reuse it as each down list's fill cursor
+	copy(next, downOff)
+	for _, t := range n.topo {
+		for _, a := range n.up.of(t) {
+			n.down.ids[next[a]] = t
+			next[a]++
+		}
+	}
 }
 
 func sortIDs(ids []TermID) {
@@ -363,14 +431,16 @@ func (v *Vocabulary) ElementsTopo() []TermID { return v.elems.topo }
 func (v *Vocabulary) RelationsTopo() []TermID { return v.rels.topo }
 
 // ElementDescendants returns id and every element e with id ≤ℰ e, in
-// topological (general-first) order. The result is memoized and shared;
-// callers must not modify it in place.
+// topological (general-first) order, id first. The list is built once, with
+// every other term's, on the first list request after Freeze, and shared:
+// callers may read it or append to it (it is capacity-capped, so append
+// reallocates) but must not write its elements in place.
 func (v *Vocabulary) ElementDescendants(id TermID) []TermID {
 	return descendants(v.elems, id)
 }
 
-// RelationDescendants returns id and every relation r with id ≤ℛ r. The
-// result is memoized and shared; callers must not modify it in place.
+// RelationDescendants returns id and every relation r with id ≤ℛ r, with
+// the same order and sharing rules as ElementDescendants.
 func (v *Vocabulary) RelationDescendants(id TermID) []TermID {
 	return descendants(v.rels, id)
 }
@@ -382,25 +452,25 @@ func descendants(n *namespace, id TermID) []TermID {
 	if !n.frozen {
 		panic("vocab: Descendants before Freeze")
 	}
-	if p := n.descList[id].Load(); p != nil {
-		return *p
-	}
-	out := []TermID{}
-	for _, t := range n.topo {
-		if t == id || n.ancestors[t].has(int(id)) {
-			out = append(out, t)
-		}
-	}
-	out = out[:len(out):len(out)]
-	n.descList[id].Store(&out)
-	return out
+	return n.downOf(id)
 }
 
 // ElementAncestors returns every strict generalization of id in topological
-// general-first order. The result is memoized and shared: callers may read
-// it or append to it (Go reallocates — the list is stored capacity-capped)
-// but must not write its elements in place.
+// general-first order. The list is built and shared as ElementDescendants'
+// is: callers may read it or append to it (it is capacity-capped, so append
+// reallocates) but must not write its elements in place.
 func (v *Vocabulary) ElementAncestors(id TermID) []TermID {
+	up := v.ElementAncestorsAndSelf(id)
+	if len(up) == 0 {
+		return nil
+	}
+	return up[: len(up)-1 : len(up)-1]
+}
+
+// ElementAncestorsAndSelf returns ElementAncestors(id) followed by id itself:
+// every e with e ≤ℰ id, general-first, id last. It is the shared list itself,
+// handed out without copying; the sharing rules of ElementAncestors apply.
+func (v *Vocabulary) ElementAncestorsAndSelf(id TermID) []TermID {
 	n := v.elems
 	if !n.valid(id) {
 		return nil
@@ -408,7 +478,7 @@ func (v *Vocabulary) ElementAncestors(id TermID) []TermID {
 	if !n.frozen {
 		panic("vocab: Ancestors before Freeze")
 	}
-	return n.ancestorList(id)
+	return n.upOf(id)
 }
 
 // ElementRoots returns the most general elements (those with no parents).

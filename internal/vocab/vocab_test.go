@@ -1,6 +1,7 @@
 package vocab
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -349,6 +350,15 @@ func TestBitset(t *testing.T) {
 	if c.count() != 4 {
 		t.Error("or failed")
 	}
+}
+
+// count returns the number of set bits.
+func (b bitset) count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 func TestRelationDepth(t *testing.T) {

@@ -567,6 +567,10 @@ func (s *Session) registerGauges() {
 		func() float64 { return float64(st.ClosureStats().Cold) })
 	r.GaugeFunc("oassis_ontology_closure_warm", "Closure lookups served from a built index.",
 		func() float64 { return float64(st.ClosureStats().Warm) })
+	r.GaugeFunc("oassis_ontology_cone_cold", "Semantic candidate cones built and kept in the store's memo.",
+		func() float64 { return float64(st.ConeStats().Cold) })
+	r.GaugeFunc("oassis_ontology_cone_facts", "Facts held across the memoized semantic candidate cones.",
+		func() float64 { return float64(st.ConeStats().Facts) })
 }
 
 // SpaceStats snapshots the assignment space: node and valid-assignment

@@ -78,6 +78,8 @@ func TestSessionObserver(t *testing.T) {
 		"oassis_space_nodes",
 		"oassis_space_edge_cache_hits",
 		"oassis_ontology_closure_cold",
+		"oassis_ontology_cone_cold",
+		"oassis_ontology_cone_facts",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %q", want)
