@@ -145,9 +145,12 @@ func BenchmarkInstantiate(b *testing.B) {
 // flow from plan operators straight into candidate building, allocations
 // bounded by the number of distinct candidates) against the materialized
 // path (Eval buffers every intermediate row before projection). The query
-// carries a fan-out variable ($q) that the projection drops, so the
-// intermediate row count exceeds the distinct-candidate count by two
-// orders of magnitude — exactly the shape where buffering hurts.
+// carries a fan-out variable ($q) that the projection drops, so the full
+// row count exceeds the distinct-candidate count by two orders of
+// magnitude — exactly the shape where buffering hurts. The planner runs
+// $q's pattern last, so the streaming constructor's projection turns it
+// into an existence probe: the benchmark fails unless exactly one row per
+// valid assignment streams, which catches a lost cut.
 func BenchmarkSpaceStreaming(b *testing.B) {
 	d, err := synth.NewDAG(synth.DAGConfig{Width: 40, Depth: 3, MSPPercent: 0.05, Seed: 1})
 	if err != nil {
@@ -169,6 +172,9 @@ func BenchmarkSpaceStreaming(b *testing.B) {
 	}
 	want := len(ref.Valid())
 	b.Logf("streamed %d rows into %d nodes (%d valid)", streamed, ref.NumNodes(), want)
+	if streamed != want {
+		b.Fatalf("streamed %d rows for %d valid assignments: the projection cut did not engage", streamed, want)
+	}
 	b.Run("streaming", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -92,14 +92,15 @@ func (in *interner) canonical(a *Assignment) bool {
 
 // grow extends the per-node side tables to cover every interned ID.
 func (in *interner) grow() {
-	n := len(in.nodes)
-	for len(in.succs) < n {
-		in.succs = append(in.succs, nil)
-		in.succDone = append(in.succDone, false)
-		in.preds = append(in.preds, nil)
-		in.predDone = append(in.predDone, false)
-		in.closure = append(in.closure, 0)
+	d := len(in.nodes) - len(in.succs)
+	if d <= 0 {
+		return
 	}
+	in.succs = append(in.succs, make([][]*Assignment, d)...)
+	in.succDone = append(in.succDone, make([]bool, d)...)
+	in.preds = append(in.preds, make([][]*Assignment, d)...)
+	in.predDone = append(in.predDone, make([]bool, d)...)
+	in.closure = append(in.closure, make([]uint8, d)...)
 }
 
 // hash is a structural FNV-1a over the canonical content: variable names,

@@ -1,0 +1,136 @@
+package assign_test
+
+// Oracle test for the NodeID order of the projected valid assignments.
+// Every constructor interns 𝒜valid in ascending projected-tuple order:
+// TermIDs compared numerically, SATISFYING variables in name order. The
+// expected order is computed here independently, from Plan.Eval's rows and
+// the query's own variable names, and each constructor's Valid() must
+// carry exactly those tuples with NodeID = rank.
+
+import (
+	"slices"
+	"sort"
+	"testing"
+
+	"oassis/internal/assign"
+	"oassis/internal/oassisql"
+	"oassis/internal/ontology"
+	"oassis/internal/paperdata"
+	"oassis/internal/sparql"
+	"oassis/internal/synth"
+	"oassis/internal/vocab"
+)
+
+// projectedOrder returns the distinct projections of the plan's Eval rows
+// onto the query's WHERE-bound SATISFYING variables (sorted by name), in
+// ascending order, plus those variable names.
+func projectedOrder(q *oassisql.Query, res *sparql.Results) ([][]vocab.TermID, []string) {
+	col := map[string]int{}
+	for i, pv := range res.Vars() {
+		col[pv.Name] = i
+	}
+	var names []string
+	for _, sv := range q.SatVars() {
+		if _, ok := col[sv.Name]; ok {
+			names = append(names, sv.Name)
+		}
+	}
+	sort.Strings(names)
+	var tuples [][]vocab.TermID
+	for _, row := range res.Rows() {
+		t := make([]vocab.TermID, len(names))
+		for i, n := range names {
+			t[i] = row[col[n]]
+		}
+		tuples = append(tuples, t)
+	}
+	slices.SortFunc(tuples, slices.Compare)
+	return slices.CompactFunc(tuples, slices.Equal), names
+}
+
+// requireTupleOrder checks that the valid node with NodeID k carries the
+// k-th projected tuple, for every k.
+func requireTupleOrder(t *testing.T, tag string, sp *assign.Space, want [][]vocab.TermID, names []string) {
+	t.Helper()
+	valid := sp.Valid()
+	if len(valid) != len(want) {
+		t.Fatalf("%s: %d valid assignments, want %d", tag, len(valid), len(want))
+	}
+	for _, a := range valid {
+		id := int(a.ID())
+		if id >= len(want) {
+			t.Fatalf("%s: valid %s has NodeID %d outside [0, %d)", tag, a.Key(), id, len(want))
+		}
+		for i, n := range names {
+			if vals := a.Values(n); len(vals) != 1 || vals[0] != want[id][i] {
+				t.Fatalf("%s: NodeID %d binds $%s to %v, want tuple %v", tag, id, n, vals, want[id])
+			}
+		}
+	}
+}
+
+// requireAllConstructors builds the query's space with each constructor
+// and pins its NodeID order against the oracle.
+func requireAllConstructors(t *testing.T, tag string, q *oassisql.Query, store *ontology.Store, semantic bool) {
+	t.Helper()
+	e := sparql.NewEvaluator(store)
+	e.Semantic = semantic
+	plan, err := e.Compile(q.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := plan.Eval()
+	want, names := projectedOrder(q, res)
+	bindings, err := e.Eval(q.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBindings, err := assign.NewSpace(q, bindings, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTupleOrder(t, tag+" NewSpace", fromBindings, want, names)
+	fromRows, err := assign.NewSpaceFromRows(q, res, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTupleOrder(t, tag+" NewSpaceFromRows", fromRows, want, names)
+	streamed, _, err := assign.NewSpaceFromPlan(q, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireTupleOrder(t, tag+" NewSpaceFromPlan", streamed, want, names)
+}
+
+// TestStreamingSpaceNodeOrder covers 100 randomized DAGs with the fan-out
+// query on every fourth, and the paper's Figure 2 queries in both modes.
+func TestStreamingSpaceNodeOrder(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		d, err := synth.NewDAG(synth.DAGConfig{
+			Width:      int(8 + seed%17),
+			Depth:      int(2 + seed%3),
+			MSPPercent: 0.05,
+			Seed:       seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllConstructors(t, "dag", d.Query, d.Store, false)
+		if seed%4 == 0 {
+			q, err := oassisql.Parse(fanOutQuery, d.Vocab)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireAllConstructors(t, "fan-out", q, d.Store, false)
+		}
+	}
+	v, store := paperdata.Build()
+	for _, text := range []string{paperdata.QueryText, paperdata.SimpleQueryText, multQuery} {
+		q, err := oassisql.Parse(text, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireAllConstructors(t, "paperdata exact", q, store, false)
+		requireAllConstructors(t, "paperdata semantic", q, store, true)
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"oassis/internal/oassisql"
@@ -43,9 +45,6 @@ type Space struct {
 	kinds map[string]vocab.Kind
 
 	valid []*Assignment
-	// validVals holds the distinct values each bound variable takes
-	// across 𝒜valid; extension (multiplicity) candidates come from here.
-	validVals map[string][]vocab.TermID
 
 	// ub is the upper-bound antichain per variable: the most specific
 	// WHERE-derived constraints. Generalization stays within
@@ -73,46 +72,50 @@ type Space struct {
 // bindings. morePool is the candidate pool for MORE facts (ignored when the
 // query has no MORE keyword); in the paper these come from crowd suggestions,
 // here they are supplied by the caller (e.g. mined from simulated personal
-// histories).
+// histories). Every binding must bind every SATISFYING variable the WHERE
+// clause mentions, as sparql.Evaluator.Eval's bindings do.
 func NewSpace(q *oassisql.Query, bindings []sparql.Binding, morePool ontology.FactSet) (*Space, error) {
-	v := q.Vocabulary()
-	s := &Space{
-		v:          v,
-		query:      q,
-		kinds:      make(map[string]vocab.Kind),
-		validVals:  make(map[string][]vocab.TermID),
-		ub:         make(map[string][]vocab.TermID),
-		in:         newInterner(),
-		coverCache: make(map[string]bool),
-	}
-	whereKinds, err := sparql.VarKinds(q.Where)
+	s, err := newSpaceShell(q, morePool)
 	if err != nil {
 		return nil, err
 	}
-	for _, sv := range q.SatVars() {
-		_, bound := whereKinds[sv.Name]
-		s.vars = append(s.vars, VarSpec{Name: sv.Name, Kind: sv.Kind, Mult: sv.Mult, Bound: bound})
-		s.kinds[sv.Name] = sv.Kind
+	var whereVars []sparql.PlanVar
+	for _, vs := range s.vars {
+		if vs.Bound {
+			whereVars = append(whereVars, sparql.PlanVar{Name: vs.Name, Kind: vs.Kind})
+		}
 	}
-	if q.Satisfying.More {
-		s.morePool = canonicalMore(v, morePool)
+	sch := s.schemaFor(whereVars)
+	slab := make([]vocab.TermID, 0, len(bindings)*len(sch.names))
+	for _, b := range bindings {
+		for _, n := range sch.names {
+			id, ok := b[n]
+			if !ok {
+				return nil, fmt.Errorf("assign: a binding leaves WHERE variable $%s unbound", n)
+			}
+			slab = append(slab, id)
+		}
 	}
-	s.computeUpperBounds()
-	s.project(bindings)
+	s.internTuples(sch, slab, len(bindings))
 	return s, nil
 }
 
 // NewSpaceFromRows builds the assignment space directly from a compiled
 // plan's row-oriented results (sparql.Plan.Eval), skipping the map-based
-// Binding form entirely. Candidate assignments are built on parallel workers
-// and then interned serially in row order, so NodeID assignment and Valid()
-// ordering are byte-identical to the serial NewSpace path.
+// Binding form entirely.
 func NewSpaceFromRows(q *oassisql.Query, res *sparql.Results, morePool ontology.FactSet) (*Space, error) {
 	s, err := newSpaceShell(q, morePool)
 	if err != nil {
 		return nil, err
 	}
-	s.projectRows(res)
+	sch := s.schemaFor(res.Vars())
+	slab := make([]vocab.TermID, 0, res.Len()*len(sch.colIdx))
+	for _, row := range res.Rows() {
+		for _, c := range sch.colIdx {
+			slab = append(slab, row[c])
+		}
+	}
+	s.internTuples(sch, slab, res.Len())
 	return s, nil
 }
 
@@ -125,7 +128,6 @@ func newSpaceShell(q *oassisql.Query, morePool ontology.FactSet) (*Space, error)
 		v:          v,
 		query:      q,
 		kinds:      make(map[string]vocab.Kind),
-		validVals:  make(map[string][]vocab.TermID),
 		ub:         make(map[string][]vocab.TermID),
 		in:         newInterner(),
 		coverCache: make(map[string]bool),
@@ -146,7 +148,7 @@ func newSpaceShell(q *oassisql.Query, morePool ontology.FactSet) (*Space, error)
 	return s, nil
 }
 
-// projectParallelThreshold is the row count below which sharding the
+// projectParallelThreshold is the candidate count below which sharding the
 // candidate build across workers costs more than it saves.
 const projectParallelThreshold = 256
 
@@ -190,94 +192,72 @@ func (s *Space) schemaFor(planVars []sparql.PlanVar) projSchema {
 	return sch
 }
 
-// buildCandidates expands result rows into candidate assignments under the
-// schema, sharded across ≤8 workers when the row count warrants it. The
-// candidates come back in row order with warmed key caches.
-func buildCandidates(sch projSchema, rows [][]vocab.TermID) []*Assignment {
-	candidates := make([]*Assignment, len(rows))
+// internTuples is the NodeID order every constructor shares. slab packs n
+// projected tuples, one value per schema column (variables in name order).
+// The distinct tuples are interned in ascending tuple order, TermIDs
+// compared numerically, so a valid node's NodeID is the rank of its
+// projected tuple whichever constructor built the slab. Valid() is then
+// settled in canonical key order.
+func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
+	w := len(sch.names)
+	tuple := func(i int32) []vocab.TermID { return slab[int(i)*w : int(i+1)*w] }
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(tuple(a), tuple(b)) })
+	order = slices.CompactFunc(order, func(a, b int32) bool { return slices.Equal(tuple(a), tuple(b)) })
+	vals := make([]vocab.TermID, 0, len(order)*w)
+	for _, i := range order {
+		vals = append(vals, tuple(i)...)
+	}
+	candidates := buildCandidates(sch, vals, len(order))
+
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
+	s.valid = make([]*Assignment, len(candidates))
+	for i, cand := range candidates {
+		s.valid[i], _ = s.in.intern(cand)
+	}
+	s.in.grow()
+	slices.SortFunc(s.valid, func(a, b *Assignment) int { return strings.Compare(a.Key(), b.Key()) })
+}
+
+// buildCandidates turns n distinct tuples packed in vals into candidate
+// assignments under the schema, sharded across ≤8 workers when n warrants
+// it. Singleton value sets are trivially canonical and the name/kind slices
+// are immutable, so the candidates share them and slice their values out of
+// vals. The candidates come back in tuple order with warmed key caches.
+func buildCandidates(sch projSchema, vals []vocab.TermID, n int) []*Assignment {
+	w := len(sch.names)
+	candidates := make([]*Assignment, n)
+	sets := make([][]vocab.TermID, n*w)
 	build := func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			// Singleton value sets are trivially canonical, and the
-			// name/kind slices are immutable, so candidates can share
-			// them — one small backing array per row is the only
-			// allocation that scales with the result set.
-			a := &Assignment{names: sch.names, kinds: sch.kinds, id: noID}
-			backing := make([]vocab.TermID, len(sch.colIdx))
-			a.vals = make([][]vocab.TermID, len(sch.colIdx))
-			for i, c := range sch.colIdx {
-				backing[i] = rows[r][c]
-				a.vals[i] = backing[i : i+1 : i+1]
+			for i := r * w; i < (r+1)*w; i++ {
+				sets[i] = vals[i : i+1 : i+1]
 			}
+			a := &Assignment{names: sch.names, kinds: sch.kinds, vals: sets[r*w : (r+1)*w : (r+1)*w], id: noID}
 			a.Key() // warm the key cache while we are on a worker
 			candidates[r] = a
 		}
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		workers = 8
-	}
-	if len(rows) < projectParallelThreshold || workers < 2 {
-		build(0, len(rows))
+	workers := min(runtime.GOMAXPROCS(0), 8)
+	if n < projectParallelThreshold || workers < 2 {
+		build(0, n)
 		return candidates
 	}
 	var wg sync.WaitGroup
-	chunk := (len(rows) + workers - 1) / workers
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
+	chunk := (n + workers - 1) / workers
+	for lo := 0; lo < n; lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
 			build(lo, hi)
-		}(lo, hi)
+		}(lo, min(lo+chunk, n))
 	}
 	wg.Wait()
 	return candidates
-}
-
-// internCandidates is the deterministic serial merge shared by the
-// materialized and streaming constructors: intern in candidate order,
-// exactly as project does, then settle the canonical Valid()/validVals
-// orders.
-func (s *Space) internCandidates(sch projSchema, candidates []*Assignment) {
-	s.in.mu.Lock()
-	defer s.in.mu.Unlock()
-	seenVals := make(map[string]map[vocab.TermID]bool, len(sch.names))
-	for _, n := range sch.names {
-		seenVals[n] = map[vocab.TermID]bool{}
-	}
-	for _, cand := range candidates {
-		a, fresh := s.in.intern(cand)
-		s.in.grow()
-		if !fresh {
-			continue
-		}
-		s.valid = append(s.valid, a)
-		for i, n := range sch.names {
-			id := a.vals[i][0]
-			if !seenVals[n][id] {
-				seenVals[n][id] = true
-				s.validVals[n] = append(s.validVals[n], id)
-			}
-		}
-	}
-	sort.Slice(s.valid, func(i, j int) bool { return s.valid[i].Key() < s.valid[j].Key() })
-	for name := range s.validVals {
-		ids := s.validVals[name]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	}
-}
-
-// projectRows is the row-oriented twin of project: it projects the plan's
-// result rows onto the bound mining variables. The expansion into candidate
-// assignments (hash keys included) is sharded across workers; the interning
-// merge then runs serially in row order, which keeps NodeIDs and the final
-// Valid() order identical to the serial path.
-func (s *Space) projectRows(res *sparql.Results) {
-	sch := s.schemaFor(res.Vars())
-	s.internCandidates(sch, buildCandidates(sch, res.Rows()))
 }
 
 // Vocabulary returns the space's vocabulary.
@@ -380,50 +360,6 @@ func (s *Space) Stats() SpaceStats {
 		InternMisses: s.in.internMisses.Load(),
 		EdgeHits:     s.in.edgeHits.Load(),
 		EdgeMisses:   s.in.edgeMisses.Load(),
-	}
-}
-
-// project dedupes the WHERE bindings projected onto the mining variables.
-// Runs during construction, before the space is shared; it still takes the
-// interner lock for uniformity.
-func (s *Space) project(bindings []sparql.Binding) {
-	s.in.mu.Lock()
-	defer s.in.mu.Unlock()
-	seenVals := map[string]map[vocab.TermID]bool{}
-	for _, vs := range s.vars {
-		seenVals[vs.Name] = map[vocab.TermID]bool{}
-	}
-	for _, b := range bindings {
-		vals := make(map[string][]vocab.TermID)
-		for _, vs := range s.vars {
-			if !vs.Bound {
-				continue
-			}
-			id, ok := b[vs.Name]
-			if !ok {
-				continue
-			}
-			vals[vs.Name] = []vocab.TermID{id}
-		}
-		a, fresh := s.in.intern(New(s.v, s.kinds, vals, nil))
-		s.in.grow()
-		if !fresh {
-			continue
-		}
-		s.valid = append(s.valid, a)
-		for name, set := range vals {
-			for _, id := range set {
-				if !seenVals[name][id] {
-					seenVals[name][id] = true
-					s.validVals[name] = append(s.validVals[name], id)
-				}
-			}
-		}
-	}
-	sort.Slice(s.valid, func(i, j int) bool { return s.valid[i].Key() < s.valid[j].Key() })
-	for name := range s.validVals {
-		ids := s.validVals[name]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	}
 }
 

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
@@ -12,33 +11,28 @@ import (
 
 // This file implements the streaming space constructor: rows flow from the
 // compiled plan's push-based executor (sparql.Plan.Stream) straight into
-// space construction, with no intermediate result arena. The materialized
-// path (Eval + NewSpaceFromRows) sorts and dedups the full row set before
-// interning, so its NodeID assignment order is: distinct projected
-// candidates, ordered by the *minimal* result row (sparql.CompareRows) that
-// produces each of them. The streaming path reproduces that order exactly
-// while holding only O(distinct candidates) state:
+// space construction, with no intermediate result arena. 𝒜valid is the
+// WHERE solutions projected onto the SATISFYING variables (Section 3), so
+// the constructor asks Stream for exactly the schema's slots. Once those
+// are bound, the rest of the plan only has to show that one completion
+// exists, and the stream yields about one row per distinct candidate
+// instead of one per full solution.
 //
-//   - each streamed row is projected onto the schema columns and deduped
-//     through a byte-key map — a map hit costs no allocation, so total
-//     allocations are bounded by the output (distinct candidates), not by
-//     the intermediate row count;
-//   - per distinct candidate the minimal full source row is tracked (a
-//     later, smaller row overwrites the retained copy in place);
-//   - at end of stream the retained rows are sorted by CompareRows and fed
-//     through the same ≤8-worker candidate builders and serial intern merge
-//     the materialized path uses.
-//
-// NodeIDs, Valid() order and validVals therefore come out byte-identical to
-// NewSpaceFromRows — pinned by the differential suite in
-// space_stream_test.go.
+// Each yielded row is projected onto the schema columns and deduplicated
+// through a byte-key map; a map hit costs no allocation, and the distinct
+// tuples are packed into one flat slab. The slab then goes through
+// internTuples, the helper every constructor ends in: NodeIDs follow the
+// projected tuples in ascending order, TermIDs compared numerically,
+// variables in name order. NodeIDs and Valid() therefore come out identical
+// to NewSpaceFromRows and NewSpace over the same query, which the
+// differential suites in stream_test.go and space_race_test.go pin.
 
 // NewSpaceFromPlan builds the assignment space by streaming rows out of a
 // compiled plan, never materializing the plan's result set. It returns the
-// space and the number of rows streamed (pre-dedup, the analogue of the
-// materialized path's intermediate size). The plan must have been compiled
-// for the query's WHERE clause; like Plan.Stream, concurrent calls on one
-// plan are safe.
+// space and the number of rows Stream yielded: rows after the projection's
+// cut (see sparql.Plan.Stream), before deduplication. The plan must have
+// been compiled for the query's WHERE clause; like Plan.Stream, concurrent
+// calls on one plan are safe.
 func NewSpaceFromPlan(q *oassisql.Query, pl *sparql.Plan, morePool ontology.FactSet) (*Space, int, error) {
 	s, err := newSpaceShell(q, morePool)
 	if err != nil {
@@ -46,32 +40,27 @@ func NewSpaceFromPlan(q *oassisql.Query, pl *sparql.Plan, morePool ontology.Fact
 	}
 	sch := s.schemaFor(pl.Vars())
 
-	// Dedup state: seen maps the projected byte key of a candidate to its
-	// index in minRows, which retains the minimal full source row per
-	// distinct candidate. The key buffer is reused across rows; Go's
-	// map[string] lookup on string(keyBuf) does not allocate, so only
-	// fresh candidates cost anything.
-	seen := make(map[string]int)
-	var minRows [][]vocab.TermID
-	keyBuf := make([]byte, 8*len(sch.colIdx))
-	streamed := pl.Stream(func(row []vocab.TermID) bool {
+	// seen holds the byte key of every distinct tuple in slab. The key
+	// buffer is reused across rows; Go's map[string] lookup on
+	// string(keyBuf) does not allocate, so only fresh tuples cost anything.
+	seen := make(map[string]struct{})
+	var slab []vocab.TermID
+	n := 0
+	keyBuf := make([]byte, 4*len(sch.colIdx))
+	streamed := pl.Stream(sch.colIdx, func(row []vocab.TermID) bool {
 		for i, c := range sch.colIdx {
-			binary.LittleEndian.PutUint64(keyBuf[8*i:], uint64(row[c]))
+			binary.LittleEndian.PutUint32(keyBuf[4*i:], uint32(row[c]))
 		}
-		if idx, ok := seen[string(keyBuf)]; ok {
-			if sparql.CompareRows(row, minRows[idx]) < 0 {
-				copy(minRows[idx], row)
-			}
+		if _, ok := seen[string(keyBuf)]; ok {
 			return true
 		}
-		seen[string(keyBuf)] = len(minRows)
-		minRows = append(minRows, append([]vocab.TermID(nil), row...))
+		seen[string(keyBuf)] = struct{}{}
+		for _, c := range sch.colIdx {
+			slab = append(slab, row[c])
+		}
+		n++
 		return true
 	})
-
-	sort.Slice(minRows, func(i, j int) bool {
-		return sparql.CompareRows(minRows[i], minRows[j]) < 0
-	})
-	s.internCandidates(sch, buildCandidates(sch, minRows))
+	s.internTuples(sch, slab, n)
 	return s, streamed, nil
 }

@@ -174,14 +174,14 @@ func BenchmarkSemanticWhere(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rows := pl.Stream(func([]vocab.TermID) bool { return true })
+	rows := pl.Stream(nil, func([]vocab.TermID) bool { return true })
 	if rows == 0 {
 		b.Fatal("no rows")
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pl.Stream(func([]vocab.TermID) bool { return true })
+		pl.Stream(nil, func([]vocab.TermID) bool { return true })
 	}
 	b.ReportMetric(float64(rows), "rows/op")
 }

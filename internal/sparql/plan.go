@@ -97,7 +97,8 @@ type Plan struct {
 
 	// Observation state (nil/empty when Observe was never called).
 	// actual[i] counts partial rows entering operator i across every Eval;
-	// actual[len(ops)] counts emitted rows (pre-dedup). Per-Eval counting
+	// actual[len(ops)] counts emitted rows (pre-dedup), which for a
+	// projected Stream is the rows yielded after the cut. Per-Eval counting
 	// happens in a plain slice on the exec scratch and is merged here once
 	// per Eval, so the inner matching loops never touch an atomic.
 	metrics *obs.PlanMetrics
@@ -523,6 +524,9 @@ type OpExplain struct {
 	Path    string // store index / access path the operator reads
 	Est     int    // planner's selectivity estimate (candidate-set size)
 	// Actuals, populated only when the plan runs with Observe enabled.
+	// Past a projected Stream's cut (see Stream) the operators run as an
+	// existence probe, so there RowsIn and RowsOut count probe steps, and
+	// the last operator's RowsOut counts rows yielded, not solutions.
 	Evals   int64 // plan evaluations accounted so far
 	RowsIn  int64 // partial rows entering this operator, across all evals
 	RowsOut int64 // partial rows surviving it
@@ -585,13 +589,16 @@ func (pl *Plan) Explain() string {
 // emitted rows. yield receives the scratch row each time the pipeline
 // completes a solution (the slice is reused — consumers retaining a row must
 // copy it); returning false stops the run. Eval installs its arena collector
-// as the yield, so collection and streaming share one execution path.
-// counts, when non-nil, tallies step entries per operator for this run
-// (merged into the plan's atomics once at the end).
+// as the yield, so collection and streaming share one execution path. cut is
+// the operator from which the run is an existence probe (len(ops) when every
+// operator runs in full; see Stream). counts, when non-nil, tallies step
+// entries per operator for this run (merged into the plan's atomics once at
+// the end).
 type exec struct {
 	pl      *Plan
 	row     []vocab.TermID
 	yield   func(row []vocab.TermID) bool
+	cut     int
 	stop    bool
 	emitted int
 	arena   []vocab.TermID
@@ -599,8 +606,8 @@ type exec struct {
 	counts  []int64
 }
 
-func (pl *Plan) newExec() *exec {
-	ex := &exec{pl: pl, row: make([]vocab.TermID, len(pl.vars))}
+func (pl *Plan) newExec(cut int, yield func(row []vocab.TermID) bool) *exec {
+	ex := &exec{pl: pl, row: make([]vocab.TermID, len(pl.vars)), cut: cut, yield: yield}
 	for i := range ex.row {
 		ex.row[i] = freeVal
 	}
@@ -631,16 +638,30 @@ func (pl *Plan) run(ex *exec) time.Duration {
 	return time.Since(start)
 }
 
-// Stream runs the plan push-based: yield is called once per solution with a
-// row of the plan's variable slots, in production order — not the sorted,
-// deduplicated order Eval returns, and the same logical row may be produced
-// more than once. The row slice is the run's scratch row, valid only for the
+// Stream runs the plan push-based and calls yield with a row of the plan's
+// variable slots, in production order — not the sorted, deduplicated order
+// Eval returns. The row slice is the run's scratch row, valid only for the
 // duration of the call; copy it to retain it. Returning false from yield
-// stops the run early. Stream returns the number of rows yielded and, like
-// Eval, counts as one evaluation on the plan's metrics.
-func (pl *Plan) Stream(yield func(row []vocab.TermID) bool) int {
-	ex := pl.newExec()
-	ex.yield = yield
+// stops the whole run.
+//
+// proj lists the slots the consumer reads; nil means every slot, and then
+// yield sees every solution, the same logical row possibly more than once.
+// Otherwise the plan finds its cut, the first operator after which every
+// projected slot is bound (operator 0 for an empty proj). The operators
+// before the cut run in full; from the cut on, the pipeline is an existence
+// probe that stops at its first completion, and the row is yielded once per
+// prefix that has one. Only the projected slots of such a row are
+// meaningful: slots first bound past the cut read as unbound. The distinct
+// projected tuples are exactly those of the full stream, and the same tuple
+// can still arrive more than once when prefixes differ outside proj.
+//
+// The cut is chosen per call, so one cached plan serves consumers that
+// project different variables. Stream returns the number of rows yielded —
+// after the cut, so with a projection it counts probe successes, not
+// solutions — and, like Eval, counts as one evaluation on the plan's
+// metrics.
+func (pl *Plan) Stream(proj []int, yield func(row []vocab.TermID) bool) int {
+	ex := pl.newExec(pl.cutFor(proj), yield)
 	dur := pl.run(ex)
 	if pl.actual != nil {
 		pl.metrics.EvalDone(ex.emitted, dur)
@@ -648,12 +669,34 @@ func (pl *Plan) Stream(yield func(row []vocab.TermID) bool) int {
 	return ex.emitted
 }
 
+// cutFor returns the index of the first operator after which every slot in
+// proj is bound, or len(ops) for a nil proj.
+func (pl *Plan) cutFor(proj []int) int {
+	if proj == nil {
+		return len(pl.ops)
+	}
+	cut := 0
+	for _, slot := range proj {
+		i := 0
+		for i < len(pl.ops) && !pl.ops[i].binds(slot) {
+			i++
+		}
+		cut = max(cut, i+1)
+	}
+	return min(cut, len(pl.ops))
+}
+
+// binds reports whether the operator binds the slot when it is still free.
+func (o *op) binds(slot int) bool {
+	return int(o.s.slot) == slot || int(o.p.slot) == slot || int(o.o.slot) == slot
+}
+
 // Eval runs the plan and returns every solution as a row of the plan's
 // variable slots, deterministically ordered and deduplicated (the same
 // order Evaluator.Eval has always produced). It is a collector over the
 // same push-based machinery Stream exposes.
 func (pl *Plan) Eval() *Results {
-	ex := pl.newExec()
+	ex := pl.newExec(len(pl.ops), nil)
 	ex.yield = ex.collect
 	dur := pl.run(ex)
 	rows := ex.rows
@@ -737,8 +780,10 @@ func (ex *exec) trySet(t planTerm, v vocab.TermID) (ok, fresh bool) {
 func (ex *exec) unset(t planTerm) { ex.row[t.slot] = freeVal }
 
 // step executes operator i and recurses into the rest of the pipeline. A
-// stopped exec (yield returned false) unwinds without entering any further
-// operator.
+// stopped exec (yield returned false, or a probe found its witness) unwinds
+// without entering any further operator. At the cut, the rest of the
+// pipeline runs as a probe: its first completion sets stop, which the cut
+// clears before yielding the row once.
 func (pl *Plan) step(ex *exec, i int) {
 	if ex.stop {
 		return
@@ -746,10 +791,25 @@ func (pl *Plan) step(ex *exec, i int) {
 	if ex.counts != nil {
 		ex.counts[i]++
 	}
-	if i == len(pl.ops) {
+	switch {
+	case i == len(pl.ops) && ex.cut < i:
+		ex.stop = true // the probe's witness
+	case i == len(pl.ops):
 		ex.emit()
-		return
+	case i == ex.cut:
+		pl.runOp(ex, i)
+		if ex.stop { // only a witness stops a probe
+			ex.stop = false
+			ex.emit()
+		}
+	default:
+		pl.runOp(ex, i)
 	}
+}
+
+// runOp executes operator i, calling step(i+1) for each partial row it
+// produces.
+func (pl *Plan) runOp(ex *exec, i int) {
 	o := &pl.ops[i]
 	switch o.kind {
 	case opLabel:
@@ -1103,12 +1163,6 @@ func (r *Results) Bindings() []Binding {
 	}
 	return out
 }
-
-// CompareRows orders two result rows in the evaluator's canonical
-// deterministic order — the order Eval's sorted, deduplicated Results use.
-// Streaming consumers (assign.NewSpaceFromPlan) use it to reproduce the
-// materialized path's row order without materializing.
-func CompareRows(a, b []vocab.TermID) int { return cmpRows(a, b) }
 
 // cmpRows orders rows exactly as the interpreted evaluator's string keys
 // did: per variable in name (= slot) order, values compare as their decimal

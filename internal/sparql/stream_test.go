@@ -48,7 +48,7 @@ func TestStreamMatchesEval(t *testing.T) {
 			}
 			want := pl.Eval()
 			var streamed [][]vocab.TermID
-			n := pl.Stream(func(row []vocab.TermID) bool {
+			n := pl.Stream(nil, func(row []vocab.TermID) bool {
 				if len(row) != len(want.Vars()) {
 					t.Fatalf("seed %d: streamed row width %d, want %d", seed, len(row), len(want.Vars()))
 				}
@@ -82,13 +82,13 @@ func TestStreamEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := pl.Stream(func([]vocab.TermID) bool { return true })
+	total := pl.Stream(nil, func([]vocab.TermID) bool { return true })
 	if total < 2 {
 		t.Fatalf("fixture streams %d rows; need >= 2 for an early stop to mean anything", total)
 	}
 	for stopAfter := 1; stopAfter < 4; stopAfter++ {
 		calls := 0
-		n := pl.Stream(func([]vocab.TermID) bool {
+		n := pl.Stream(nil, func([]vocab.TermID) bool {
 			calls++
 			return calls < stopAfter
 		})
@@ -283,8 +283,8 @@ func TestSemanticStreamAllocsFlat(t *testing.T) {
 			t.Fatal(err)
 		}
 		yield := func([]vocab.TermID) bool { return true }
-		rows = pl.Stream(yield) // warm the store's cone memo
-		return rows, testing.AllocsPerRun(5, func() { pl.Stream(yield) })
+		rows = pl.Stream(nil, yield) // warm the store's cone memo
+		return rows, testing.AllocsPerRun(5, func() { pl.Stream(nil, yield) })
 	}
 	smallRows, smallAllocs := measure("city3_4")
 	bigRows, bigAllocs := measure("region3")

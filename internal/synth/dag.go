@@ -175,6 +175,7 @@ func NewDAG(cfg DAGConfig) (*DAG, error) {
 	if err != nil {
 		return nil, err
 	}
+	// rows counts rows yielded after the projection's cut (Plan.Stream).
 	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
 	tr.End("space_build", evalStart, obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d := &DAG{

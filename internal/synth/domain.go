@@ -336,6 +336,7 @@ func (d *Domain) buildQuery(cfg DomainConfig) error {
 	if err != nil {
 		return err
 	}
+	// rows counts rows yielded after the projection's cut (Plan.Stream).
 	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
 	tr.End("space_build", evalStart, obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d.Query = q

@@ -254,9 +254,11 @@ type FleetReport struct {
 	PlanCacheMisses int64   `json:"plan_cache_misses"`
 	PlanCacheSize   int64   `json:"plan_cache_entries"`
 	CacheHitRate    float64 `json:"cache_hit_rate"`
-	RowsStreamed    int64   `json:"rows_streamed"`
-	ValidNodes      int64   `json:"valid_nodes"`
-	SemanticQueries int     `json:"semantic_queries"`
+	// RowsStreamed counts the rows the WHERE streams yielded after their
+	// projection's cut (sparql.Plan.Stream), summed over executions.
+	RowsStreamed    int64 `json:"rows_streamed"`
+	ValidNodes      int64 `json:"valid_nodes"`
+	SemanticQueries int   `json:"semantic_queries"`
 	// Questions is the total crowd question spend of the mining passes
 	// (0 unless FleetConfig.MineMembers is set).
 	Questions int64 `json:"questions,omitempty"`

@@ -529,7 +529,8 @@ func NewSession(store *Ontology, q *Query, opts ...Option) (*Session, error) {
 	}
 	// The eval and build phases are fused on the streaming path; both spans
 	// cover the fused interval so existing trace consumers keep their
-	// phase names.
+	// phase names. The rows attribute counts rows yielded after the
+	// projection's cut (sparql.Plan.Stream), not full WHERE solutions.
 	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
 	s.space = space
 	tr.End("space_build", evalStart,
