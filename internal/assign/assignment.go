@@ -7,6 +7,7 @@
 package assign
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -70,7 +71,7 @@ func canonicalSet(v *vocab.Vocabulary, k vocab.Kind, set []vocab.TermID) []vocab
 	}
 	s := make([]vocab.TermID, len(set))
 	copy(s, set)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	slices.Sort(s)
 	// dedupe
 	uniq := s[:0]
 	for i, x := range s {

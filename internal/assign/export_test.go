@@ -1,7 +1,15 @@
 package assign
 
 // Test-only hooks that bypass the shared edge cache, so tests (and
-// benchmarks) can pin the cached results against the raw computation.
+// benchmarks) can pin the cached results against the raw computation, and
+// that drive the streaming constructor's slab with a chosen compaction
+// floor.
+
+// StreamTuples and DistinctTuples expose streamTuples and distinctTuples.
+var (
+	StreamTuples   = streamTuples
+	DistinctTuples = distinctTuples
+)
 
 // UncachedSuccessors recomputes a's successor list without consulting or
 // populating the edge cache.

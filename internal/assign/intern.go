@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -42,7 +43,10 @@ type interner struct {
 
 	// nodes[id] is the canonical assignment with that ID.
 	nodes []*Assignment
-	// buckets maps a structural hash to the IDs that share it.
+	// buckets maps a structural hash to the IDs that share it. It is
+	// built on the first intern call (see index), so a space whose nodes
+	// were all registered in bulk and that is never explored never
+	// hashes them.
 	buckets map[uint64][]NodeID
 
 	// succs[id]/preds[id] are the memoized edge lists; the *Done flags
@@ -60,14 +64,40 @@ type interner struct {
 	rootsDone bool
 }
 
-func newInterner() *interner {
-	return &interner{buckets: make(map[uint64][]NodeID)}
+func newInterner() *interner { return &interner{} }
+
+// registerFresh registers pairwise distinct assignments on an interner that
+// holds no node yet, assigning NodeIDs in slice order. It counts one miss
+// per node, as interning them one by one would, but builds no hash index.
+// The caller must hold mu.
+func (in *interner) registerFresh(as []*Assignment) {
+	if len(in.nodes) != 0 {
+		panic("assign: registerFresh on a non-empty interner")
+	}
+	for i, a := range as {
+		a.id = NodeID(i)
+	}
+	in.nodes = slices.Clone(as)
+	in.internMisses.Add(int64(len(as)))
+}
+
+// index builds the hash index over every node registered so far. The
+// caller must hold mu.
+func (in *interner) index() {
+	in.buckets = make(map[uint64][]NodeID, len(in.nodes))
+	for id, a := range in.nodes {
+		h := a.hash()
+		in.buckets[h] = append(in.buckets[h], NodeID(id))
+	}
 }
 
 // intern returns the canonical node equal to a, registering a (and assigning
 // it the next dense ID) when no equal node exists. The caller must hold mu.
 // The second result reports whether a new node was registered.
 func (in *interner) intern(a *Assignment) (*Assignment, bool) {
+	if in.buckets == nil {
+		in.index()
+	}
 	h := a.hash()
 	for _, id := range in.buckets[h] {
 		if in.nodes[id].equal(a) {

@@ -3,11 +3,8 @@ package assign
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
-	"strings"
-	"sync"
 
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
@@ -62,7 +59,7 @@ type Space struct {
 	// across closure checks of related assignments. keyBuf is the reused
 	// buffer its keys are built in, and validCols the lazily built column
 	// table validMatch and ValidScan read (see validColumns). All guarded
-	// by in.mu.
+	// by in.mu; coverCache is made on the first closure or validity check.
 	coverCache map[string]bool
 	keyBuf     []byte
 	validCols  *validTable
@@ -123,34 +120,29 @@ func NewSpaceFromRows(q *oassisql.Query, res *sparql.Results, morePool ontology.
 // shares: mining variable specs, namespaces, upper bounds and the MORE pool.
 // Only the projection of the WHERE results differs between constructors.
 func newSpaceShell(q *oassisql.Query, morePool ontology.FactSet) (*Space, error) {
-	v := q.Vocabulary()
-	s := &Space{
-		v:          v,
-		query:      q,
-		kinds:      make(map[string]vocab.Kind),
-		ub:         make(map[string][]vocab.TermID),
-		in:         newInterner(),
-		coverCache: make(map[string]bool),
-	}
-	whereKinds, err := sparql.VarKinds(q.Where)
-	if err != nil {
+	if err := sparql.CheckVarKinds(q.Where); err != nil {
 		return nil, err
 	}
-	for _, sv := range q.SatVars() {
-		_, bound := whereKinds[sv.Name]
-		s.vars = append(s.vars, VarSpec{Name: sv.Name, Kind: sv.Kind, Mult: sv.Mult, Bound: bound})
+	sat := q.SatVars()
+	s := &Space{
+		v:     q.Vocabulary(),
+		query: q,
+		vars:  make([]VarSpec, len(sat)),
+		kinds: make(map[string]vocab.Kind, len(sat)),
+		ub:    make(map[string][]vocab.TermID),
+		in:    newInterner(),
+	}
+	for i, sv := range sat {
+		_, bound := sparql.VarKind(q.Where, sv.Name)
+		s.vars[i] = VarSpec{Name: sv.Name, Kind: sv.Kind, Mult: sv.Mult, Bound: bound}
 		s.kinds[sv.Name] = sv.Kind
 	}
 	if q.Satisfying.More {
-		s.morePool = canonicalMore(v, morePool)
+		s.morePool = canonicalMore(s.v, morePool)
 	}
 	s.computeUpperBounds()
 	return s, nil
 }
-
-// projectParallelThreshold is the candidate count below which sharding the
-// candidate build across workers costs more than it saves.
-const projectParallelThreshold = 256
 
 // projSchema maps the bound mining variables, sorted by name (the canonical
 // Assignment layout), onto the columns of a plan's result rows.
@@ -161,45 +153,82 @@ type projSchema struct {
 }
 
 // schemaFor builds the projection schema against a plan's variable slots.
+// s.vars is sorted by name, so the columns come out in name order. colIdx
+// is never nil: Plan.Stream reads a nil projection as "every slot".
 func (s *Space) schemaFor(planVars []sparql.PlanVar) projSchema {
-	type col struct {
-		name string
-		kind vocab.Kind
-		idx  int
+	n := len(s.vars)
+	sch := projSchema{
+		names:  make([]string, 0, n),
+		kinds:  make([]vocab.Kind, 0, n),
+		colIdx: make([]int, 0, n),
 	}
-	slot := map[string]int{}
-	for i, pv := range planVars {
-		slot[pv.Name] = i
-	}
-	var cols []col
 	for _, vs := range s.vars {
 		if !vs.Bound {
 			continue
 		}
-		if i, ok := slot[vs.Name]; ok {
-			cols = append(cols, col{name: vs.Name, kind: s.kinds[vs.Name], idx: i})
+		for i, pv := range planVars {
+			if pv.Name == vs.Name {
+				sch.names = append(sch.names, vs.Name)
+				sch.kinds = append(sch.kinds, vs.Kind)
+				sch.colIdx = append(sch.colIdx, i)
+				break
+			}
 		}
-	}
-	sort.Slice(cols, func(i, j int) bool { return cols[i].name < cols[j].name })
-	sch := projSchema{
-		names:  make([]string, len(cols)),
-		kinds:  make([]vocab.Kind, len(cols)),
-		colIdx: make([]int, len(cols)),
-	}
-	for i, c := range cols {
-		sch.names[i], sch.kinds[i], sch.colIdx[i] = c.name, c.kind, c.idx
 	}
 	return sch
 }
 
 // internTuples is the NodeID order every constructor shares. slab packs n
-// projected tuples, one value per schema column (variables in name order).
-// The distinct tuples are interned in ascending tuple order, TermIDs
-// compared numerically, so a valid node's NodeID is the rank of its
-// projected tuple whichever constructor built the slab. Valid() is then
-// settled in canonical key order.
+// projected tuples, one value per schema column (variables in name order),
+// duplicates allowed. The distinct tuples are interned in ascending tuple
+// order, TermIDs compared numerically, so a valid node's NodeID is the rank
+// of its projected tuple whichever constructor built the slab. Valid() is
+// then settled in canonical key order.
+//
+// The space costs a fixed number of allocations whatever |𝒜valid| is: the
+// nodes live in one []Assignment, their singleton value sets are one
+// [][]TermID slicing one flat value array, and they are registered on the
+// fresh interner in one pass without hashing (see registerFresh). Keys stay
+// lazy; Valid() is sorted on the values with vocab.CompareDecimal, which
+// orders them as their keys would.
 func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
 	w := len(sch.names)
+	vals, m := distinctTuples(slab, w, n)
+
+	// Singleton value sets are trivially canonical and the name/kind
+	// slices are immutable, so every node shares them and slices its
+	// values out of vals.
+	nodes := make([]Assignment, m)
+	sets := make([][]vocab.TermID, m*w)
+	for i := range sets {
+		sets[i] = vals[i : i+1 : i+1]
+	}
+	valid := make([]*Assignment, m)
+	for r := range nodes {
+		a := &nodes[r]
+		a.names, a.kinds, a.vals = sch.names, sch.kinds, sets[r*w:(r+1)*w:(r+1)*w]
+		valid[r] = a
+	}
+
+	s.in.mu.Lock()
+	defer s.in.mu.Unlock()
+	s.in.registerFresh(valid)
+	s.in.grow()
+	slices.SortFunc(valid, func(a, b *Assignment) int {
+		for i, av := range a.vals {
+			if c := vocab.CompareDecimal(av[0], b.vals[i][0]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	s.valid = valid
+}
+
+// distinctTuples returns the m distinct tuples of the n width-w tuples
+// packed in slab, in ascending order (TermIDs compared numerically, column
+// by column), packed the same way in a fresh array.
+func distinctTuples(slab []vocab.TermID, w, n int) ([]vocab.TermID, int) {
 	tuple := func(i int32) []vocab.TermID { return slab[int(i)*w : int(i+1)*w] }
 	order := make([]int32, n)
 	for i := range order {
@@ -211,53 +240,7 @@ func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
 	for _, i := range order {
 		vals = append(vals, tuple(i)...)
 	}
-	candidates := buildCandidates(sch, vals, len(order))
-
-	s.in.mu.Lock()
-	defer s.in.mu.Unlock()
-	s.valid = make([]*Assignment, len(candidates))
-	for i, cand := range candidates {
-		s.valid[i], _ = s.in.intern(cand)
-	}
-	s.in.grow()
-	slices.SortFunc(s.valid, func(a, b *Assignment) int { return strings.Compare(a.Key(), b.Key()) })
-}
-
-// buildCandidates turns n distinct tuples packed in vals into candidate
-// assignments under the schema, sharded across ≤8 workers when n warrants
-// it. Singleton value sets are trivially canonical and the name/kind slices
-// are immutable, so the candidates share them and slice their values out of
-// vals. The candidates come back in tuple order with warmed key caches.
-func buildCandidates(sch projSchema, vals []vocab.TermID, n int) []*Assignment {
-	w := len(sch.names)
-	candidates := make([]*Assignment, n)
-	sets := make([][]vocab.TermID, n*w)
-	build := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			for i := r * w; i < (r+1)*w; i++ {
-				sets[i] = vals[i : i+1 : i+1]
-			}
-			a := &Assignment{names: sch.names, kinds: sch.kinds, vals: sets[r*w : (r+1)*w : (r+1)*w], id: noID}
-			a.Key() // warm the key cache while we are on a worker
-			candidates[r] = a
-		}
-	}
-	workers := min(runtime.GOMAXPROCS(0), 8)
-	if n < projectParallelThreshold || workers < 2 {
-		build(0, n)
-		return candidates
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			build(lo, hi)
-		}(lo, min(lo+chunk, n))
-	}
-	wg.Wait()
-	return candidates
+	return vals, len(order)
 }
 
 // Vocabulary returns the space's vocabulary.
@@ -673,6 +656,9 @@ rows:
 		}
 		found = true
 		break
+	}
+	if s.coverCache == nil {
+		s.coverCache = make(map[string]bool)
 	}
 	s.coverCache[string(key)] = found
 	return found

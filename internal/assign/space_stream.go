@@ -1,8 +1,6 @@
 package assign
 
 import (
-	"encoding/binary"
-
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
 	"oassis/internal/sparql"
@@ -18,11 +16,16 @@ import (
 // exists, and the stream yields about one row per distinct candidate
 // instead of one per full solution.
 //
-// Each yielded row is projected onto the schema columns and deduplicated
-// through a byte-key map; a map hit costs no allocation, and the distinct
-// tuples are packed into one flat slab. The slab then goes through
-// internTuples, the helper every constructor ends in: NodeIDs follow the
-// projected tuples in ascending order, TermIDs compared numerically,
+// Each yielded row is projected onto the schema columns and appended to one
+// flat slab, duplicates included, and sort-and-compact (distinctTuples)
+// deduplicates them instead of a per-row hash lookup. A query whose rows
+// repeat their projection many times over would make that slab grow with
+// the rows, so the slab is compacted whenever it holds twice the distinct
+// tuples left by the last compaction (and at least slabCompactRows rows):
+// it stays within a constant factor of the distinct tuples, and a query
+// with fewer rows than the floor is sorted once. internTuples is the
+// helper every constructor ends in: NodeIDs follow the projected tuples in
+// ascending order, TermIDs compared numerically,
 // variables in name order. NodeIDs and Valid() therefore come out identical
 // to NewSpaceFromRows and NewSpace over the same query, which the
 // differential suites in stream_test.go and space_race_test.go pin.
@@ -39,28 +42,35 @@ func NewSpaceFromPlan(q *oassisql.Query, pl *sparql.Plan, morePool ontology.Fact
 		return nil, 0, err
 	}
 	sch := s.schemaFor(pl.Vars())
-
-	// seen holds the byte key of every distinct tuple in slab. The key
-	// buffer is reused across rows; Go's map[string] lookup on
-	// string(keyBuf) does not allocate, so only fresh tuples cost anything.
-	seen := make(map[string]struct{})
-	var slab []vocab.TermID
-	n := 0
-	keyBuf := make([]byte, 4*len(sch.colIdx))
-	streamed := pl.Stream(sch.colIdx, func(row []vocab.TermID) bool {
-		for i, c := range sch.colIdx {
-			binary.LittleEndian.PutUint32(keyBuf[4*i:], uint32(row[c]))
-		}
-		if _, ok := seen[string(keyBuf)]; ok {
-			return true
-		}
-		seen[string(keyBuf)] = struct{}{}
-		for _, c := range sch.colIdx {
-			slab = append(slab, row[c])
-		}
-		n++
-		return true
-	})
+	slab, n, streamed := streamTuples(pl, sch.colIdx, slabCompactRows)
 	s.internTuples(sch, slab, n)
 	return s, streamed, nil
+}
+
+// slabCompactRows is the fewest buffered rows streamTuples compacts.
+const slabCompactRows = 4096
+
+// streamTuples streams pl projected onto cols into a slab of n tuples, one
+// value per column, and returns it with the number of rows Stream yielded.
+// Whenever the slab holds max(floor, 2m) rows, m the distinct tuples after
+// the last compaction, it is replaced by its distinct tuples, so the slab
+// holds the same distinct tuples as the uncompacted one would, in at most
+// about twice their number of rows.
+func streamTuples(pl *sparql.Plan, cols []int, floor int) (slab []vocab.TermID, n, streamed int) {
+	// The callback's state is one struct, so it escapes as one allocation.
+	st := struct {
+		slab     []vocab.TermID
+		n, limit int
+	}{limit: floor}
+	streamed = pl.Stream(cols, func(row []vocab.TermID) bool {
+		for _, c := range cols {
+			st.slab = append(st.slab, row[c])
+		}
+		if st.n++; st.n >= st.limit {
+			st.slab, st.n = distinctTuples(st.slab, len(cols), st.n)
+			st.limit = max(floor, 2*st.n)
+		}
+		return true
+	})
+	return st.slab, st.n, streamed
 }

@@ -10,6 +10,8 @@ package assign_test
 // goroutines (run with -race).
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -175,4 +177,55 @@ func TestConcurrentStreamingSpace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestStreamTuplesCompaction drives the streaming constructor's slab with
+// compaction floors from 1 upwards on the fan-out query projected onto $p
+// and $q, which the plan binds around $y, so each (p, q) tuple streams
+// once per $y binding: every floor must leave the same distinct tuples as
+// one uncompacted slab, and the slab must end below max(floor, 2m) rows
+// for m distinct tuples.
+func TestStreamTuplesCompaction(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		d, err := synth.NewDAG(synth.DAGConfig{Width: int(8 + seed*3), Depth: 3, MSPPercent: 0.05, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q, err := oassisql.Parse(fanOutQuery, d.Vocab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := sparql.NewEvaluator(d.Store).Compile(q.Where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols []int
+		for i, pv := range plan.Vars() {
+			if pv.Name == "p" || pv.Name == "q" {
+				cols = append(cols, i)
+			}
+		}
+		w := len(cols)
+		full, nFull, streamed := assign.StreamTuples(plan, cols, math.MaxInt)
+		if nFull != streamed {
+			t.Fatalf("seed %d: uncompacted slab holds %d of %d rows", seed, nFull, streamed)
+		}
+		want, m := assign.DistinctTuples(full, w, nFull)
+		if streamed < 2*m {
+			t.Fatalf("seed %d: %d rows for %d tuples; the fixture must repeat tuples", seed, streamed, m)
+		}
+		for _, floor := range []int{1, 2, 3, 8, 64} {
+			slab, n, gotStreamed := assign.StreamTuples(plan, cols, floor)
+			if gotStreamed != streamed {
+				t.Fatalf("seed %d floor %d: streamed %d rows, want %d", seed, floor, gotStreamed, streamed)
+			}
+			if n >= max(floor, 2*m) {
+				t.Fatalf("seed %d floor %d: slab ends at %d rows for %d distinct tuples", seed, floor, n, m)
+			}
+			got, gm := assign.DistinctTuples(slab, w, n)
+			if gm != m || !slices.Equal(got, want) {
+				t.Fatalf("seed %d floor %d: %d distinct tuples %v, want %d %v", seed, floor, gm, got, m, want)
+			}
+		}
+	}
 }

@@ -2,7 +2,7 @@ package oassisql
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"oassis/internal/sparql"
@@ -169,34 +169,30 @@ type SatVar struct {
 // SatVars returns the variables occurring in the SATISFYING clause, sorted
 // by name. Their multiplicity is the widest used at any occurrence.
 func (q *Query) SatVars() []SatVar {
-	vars := map[string]*SatVar{}
+	var out []SatVar
 	note := func(t sparql.Term, k vocab.Kind, m Multiplicity) {
 		if t.Kind != sparql.Var {
 			return
 		}
-		sv, ok := vars[t.Name]
-		if !ok {
-			sv = &SatVar{Name: t.Name, Kind: k, Mult: m}
-			vars[t.Name] = sv
-			return
+		for i := range out {
+			if sv := &out[i]; sv.Name == t.Name {
+				if m.Min < sv.Mult.Min {
+					sv.Mult.Min = m.Min
+				}
+				if m.Max < 0 || (sv.Mult.Max >= 0 && m.Max > sv.Mult.Max) {
+					sv.Mult.Max = m.Max
+				}
+				return
+			}
 		}
-		if m.Min < sv.Mult.Min {
-			sv.Mult.Min = m.Min
-		}
-		if m.Max < 0 || (sv.Mult.Max >= 0 && m.Max > sv.Mult.Max) {
-			sv.Mult.Max = m.Max
-		}
+		out = append(out, SatVar{Name: t.Name, Kind: k, Mult: m})
 	}
 	for _, p := range q.Satisfying.Patterns {
 		note(p.S, vocab.Element, p.SMult)
 		note(p.P, vocab.Relation, p.PMult)
 		note(p.O, vocab.Element, p.OMult)
 	}
-	out := make([]SatVar, 0, len(vars))
-	for _, sv := range vars {
-		out = append(out, *sv)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out, func(a, b SatVar) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 

@@ -359,8 +359,7 @@ func validate(q *Query) error {
 	if len(q.Satisfying.Patterns) == 0 {
 		return fmt.Errorf("oassisql: SATISFYING clause has no patterns")
 	}
-	whereKinds, err := sparql.VarKinds(q.Where)
-	if err != nil {
+	if err := sparql.CheckVarKinds(q.Where); err != nil {
 		return err
 	}
 	// A SATISFYING variable may be unconstrained by WHERE (its domain is
@@ -368,7 +367,7 @@ func validate(q *Query) error {
 	// frequent itemset mining, Section 4.1), but when it does occur in
 	// WHERE its namespace must agree between the clauses.
 	for _, sv := range q.SatVars() {
-		if k, ok := whereKinds[sv.Name]; ok && k != sv.Kind {
+		if k, ok := sparql.VarKind(q.Where, sv.Name); ok && k != sv.Kind {
 			return fmt.Errorf("oassisql: variable $%s used as %s in WHERE but %s in SATISFYING",
 				sv.Name, k, sv.Kind)
 		}

@@ -699,8 +699,8 @@ func appendJSONString(b []byte, s string) []byte {
 }
 
 // ReadJournalJSONL decodes a journal stream previously written by the
-// JSONL sink or WriteJSONL. Blank lines are skipped; a malformed line
-// aborts with its line number.
+// JSONL sink or WriteJSONL. Blank lines are skipped; a malformed line, or
+// one past the 16 MiB line limit, aborts with its line number.
 func ReadJournalJSONL(r io.Reader) ([]Event, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
@@ -719,7 +719,7 @@ func ReadJournalJSONL(r io.Reader) ([]Event, error) {
 		out = append(out, e)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("journal read: %w", err)
+		return nil, fmt.Errorf("journal line %d: %w", line+1, err)
 	}
 	return out, nil
 }

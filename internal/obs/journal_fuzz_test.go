@@ -1,0 +1,100 @@
+package obs
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// recordedJournal is the JSONL stream TestJournalJSONLDeterminism records:
+// every fixture event through the journal's sink.
+func recordedJournal(t testing.TB) []byte {
+	j := NewJournal(64)
+	var sink bytes.Buffer
+	j.SetSink(&sink)
+	for _, e := range journalFixtureEvents() {
+		j.record(e)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return sink.Bytes()
+}
+
+var journalLineErr = regexp.MustCompile(`^journal line (\d+): `)
+
+// checkJournalDecode is the robustness contract of ReadJournalJSONL: it
+// never panics, and either decodes one event per non-blank line or returns
+// an error naming a line of the input that does not decode on its own.
+func checkJournalDecode(t *testing.T, input []byte) {
+	t.Helper()
+	events, err := ReadJournalJSONL(bytes.NewReader(input))
+	lines := strings.Split(string(input), "\n")
+	if err == nil {
+		n := 0
+		for _, l := range lines {
+			if len(bytes.TrimSpace([]byte(l))) > 0 {
+				n++
+			}
+		}
+		if len(events) != n {
+			t.Fatalf("decoded %d events from %d non-blank lines", len(events), n)
+		}
+		return
+	}
+	m := journalLineErr.FindStringSubmatch(err.Error())
+	if m == nil {
+		t.Fatalf("error does not name a line: %v", err)
+	}
+	line, _ := strconv.Atoi(m[1])
+	if line < 1 || line > len(lines) {
+		t.Fatalf("error names line %d of a %d-line input: %v", line, len(lines), err)
+	}
+	if errors.Is(err, bufio.ErrTooLong) {
+		return
+	}
+	var e Event
+	if json.Unmarshal(bytes.TrimSpace([]byte(lines[line-1])), &e) == nil {
+		t.Fatalf("error names line %d, which decodes on its own: %v", line, err)
+	}
+}
+
+// TestReadJournalTruncated cuts the recorded journal at every byte and
+// corrupts every byte in turn: each prefix and each corrupted copy must
+// decode cleanly or fail naming the broken line.
+func TestReadJournalTruncated(t *testing.T) {
+	rec := recordedJournal(t)
+	for i := 0; i <= len(rec); i++ {
+		checkJournalDecode(t, rec[:i])
+	}
+	for i := range rec {
+		for _, c := range []byte{'{', '}', '"', '\n', 0, 0xff} {
+			bad := bytes.Clone(rec)
+			bad[i] = c
+			checkJournalDecode(t, bad)
+		}
+	}
+}
+
+// FuzzReadJournalJSONL drives ReadJournalJSONL with arbitrary input seeded
+// from a recorded journal, whole, truncated and corrupted (run with
+// `go test -fuzz=FuzzReadJournalJSONL ./internal/obs`).
+func FuzzReadJournalJSONL(f *testing.F) {
+	rec := recordedJournal(f)
+	f.Add(rec)
+	f.Add(rec[:len(rec)/2])
+	f.Add(rec[:len(rec)-2])
+	bad := bytes.Clone(rec)
+	bad[len(bad)/3] = '}'
+	f.Add(bad)
+	f.Add([]byte("\n\n{}\n"))
+	f.Add([]byte(`{"kind":"ask","pruned":[1,2`))
+	f.Fuzz(func(t *testing.T, input []byte) {
+		checkJournalDecode(t, input)
+	})
+}

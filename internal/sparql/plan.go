@@ -1166,37 +1166,12 @@ func (r *Results) Bindings() []Binding {
 
 // cmpRows orders rows exactly as the interpreted evaluator's string keys
 // did: per variable in name (= slot) order, values compare as their decimal
-// renderings inside the legacy "name=value;" key.
+// renderings inside the legacy "name=value;" key (vocab.CompareDecimal).
 func cmpRows(a, b []vocab.TermID) int {
 	for i := range a {
-		if c := cmpTermDecimal(a[i], b[i]); c != 0 {
+		if c := vocab.CompareDecimal(a[i], b[i]); c != 0 {
 			return c
 		}
 	}
 	return 0
-}
-
-// cmpTermDecimal compares two term IDs as decimal strings followed by ';'
-// (the legacy binding-key layout): "10" sorts before "9", and a value whose
-// decimal is a proper prefix of the other's sorts after it (';' > digit).
-func cmpTermDecimal(a, b vocab.TermID) int {
-	if a == b {
-		return 0
-	}
-	var ab, bb [12]byte
-	as := strconv.AppendInt(ab[:0], int64(a), 10)
-	bs := strconv.AppendInt(bb[:0], int64(b), 10)
-	n := len(as)
-	if len(bs) < n {
-		n = len(bs)
-	}
-	for i := 0; i < n; i++ {
-		if as[i] != bs[i] {
-			return int(as[i]) - int(bs[i])
-		}
-	}
-	if len(as) < len(bs) {
-		return 1
-	}
-	return -1
 }

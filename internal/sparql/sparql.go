@@ -155,31 +155,63 @@ func NewEvaluator(s *ontology.Store) *Evaluator {
 // a variable is used in both element and relation position.
 func VarKinds(bgp BGP) (map[string]vocab.Kind, error) {
 	kinds := make(map[string]vocab.Kind)
-	record := func(name string, k vocab.Kind) error {
-		if prev, ok := kinds[name]; ok && prev != k {
-			return fmt.Errorf("sparql: variable $%s used as both element and relation", name)
-		}
-		kinds[name] = k
-		return nil
-	}
 	for _, p := range bgp {
-		if p.S.Kind == Var {
-			if err := record(p.S.Name, vocab.Element); err != nil {
-				return nil, err
+		for i := 0; i < 3; i++ {
+			name, k, ok := p.varAt(i)
+			if !ok {
+				continue
 			}
-		}
-		if p.P.Kind == Var {
-			if err := record(p.P.Name, vocab.Relation); err != nil {
-				return nil, err
+			if prev, seen := kinds[name]; seen && prev != k {
+				return nil, fmt.Errorf("sparql: variable $%s used as both element and relation", name)
 			}
-		}
-		if p.O.Kind == Var {
-			if err := record(p.O.Name, vocab.Element); err != nil {
-				return nil, err
-			}
+			kinds[name] = k
 		}
 	}
 	return kinds, nil
+}
+
+// CheckVarKinds returns the error VarKinds would, for callers that need no
+// map: it compares each variable use with the variable's first use.
+func CheckVarKinds(bgp BGP) error {
+	for _, p := range bgp {
+		for i := 0; i < 3; i++ {
+			name, k, ok := p.varAt(i)
+			if !ok {
+				continue
+			}
+			if first, _ := VarKind(bgp, name); first != k {
+				return fmt.Errorf("sparql: variable $%s used as both element and relation", name)
+			}
+		}
+	}
+	return nil
+}
+
+// VarKind returns the namespace of the variable's first use in the BGP, and
+// whether the BGP uses it at all.
+func VarKind(bgp BGP, name string) (vocab.Kind, bool) {
+	for _, p := range bgp {
+		for i := 0; i < 3; i++ {
+			if n, k, ok := p.varAt(i); ok && n == name {
+				return k, true
+			}
+		}
+	}
+	return 0, false
+}
+
+// varAt returns the variable at position i (0 subject, 1 predicate, 2
+// object) and the namespace the position implies; ok is false when the
+// position holds no variable.
+func (p Pattern) varAt(i int) (name string, k vocab.Kind, ok bool) {
+	t, k := p.S, vocab.Element
+	switch i {
+	case 1:
+		t, k = p.P, vocab.Relation
+	case 2:
+		t = p.O
+	}
+	return t.Name, k, t.Kind == Var
 }
 
 // Eval returns every binding of the BGP's variables that matches the store,
@@ -211,7 +243,7 @@ func (e *Evaluator) evalInterpreted(bgp BGP) ([]Binding, error) {
 }
 
 func (e *Evaluator) validate(bgp BGP) error {
-	if _, err := VarKinds(bgp); err != nil {
+	if err := CheckVarKinds(bgp); err != nil {
 		return err
 	}
 	for _, p := range bgp {
