@@ -11,8 +11,8 @@ import (
 	"oassis/internal/vocab"
 )
 
-// buildSpace parses a query against the Figure 1 ontology, evaluates its
-// WHERE clause and constructs the assignment space.
+// buildSpace parses a query against the Figure 1 ontology, compiles its
+// WHERE clause and streams the plan into the assignment space.
 func buildSpace(t *testing.T, queryText string, morePool ontology.FactSet) (*assign.Space, *vocab.Vocabulary) {
 	t.Helper()
 	v, store := paperdata.Build()
@@ -20,11 +20,11 @@ func buildSpace(t *testing.T, queryText string, morePool ontology.FactSet) (*ass
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
+	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := assign.NewSpace(q, bindings, morePool)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, morePool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,15 +127,12 @@ WITH SUPPORT = 0.5`, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan, rows := solutions(t, sparql.NewEvaluator(store), q.Where)
 	// Exact SPARQL: x must reach both Left and Right → MidA, MidB, LeafA.
-	if len(bindings) != 3 {
-		t.Fatalf("bindings = %d, want 3", len(bindings))
+	if len(rows) != 3 {
+		t.Fatalf("bindings = %d, want 3", len(rows))
 	}
-	sp, err := assign.NewSpace(q, bindings, nil)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,11 +160,11 @@ WITH SUPPORT = 0.4`, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
+	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := assign.NewSpace(q, bindings, nil)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

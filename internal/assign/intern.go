@@ -49,19 +49,23 @@ type interner struct {
 	// hashes them.
 	buckets map[uint64][]NodeID
 
-	// succs[id]/preds[id] are the memoized edge lists; the *Done flags
-	// distinguish "not computed" from "computed empty".
-	succs    [][]*Assignment
-	succDone []bool
-	preds    [][]*Assignment
-	predDone []bool
-
-	// closure[id] memoizes InClosure per node (0 unknown, 1 in, 2 out).
-	closure []uint8
+	// memo[id] is node id's edge and closure memo. It is grown (under the
+	// write lock) on the first fill, not when nodes are interned, so a
+	// space that is never explored has none; an ID at or past its end is
+	// simply not memoized yet.
+	memo []nodeMemo
 
 	// roots memoizes the space's minimal assignments.
 	roots     []*Assignment
 	rootsDone bool
+}
+
+// nodeMemo is one node's memoized edge lists and closure verdict. The Done
+// flags distinguish "not computed" from "computed empty".
+type nodeMemo struct {
+	succs, preds       []*Assignment
+	succDone, predDone bool
+	closure            uint8 // InClosure: 0 unknown, 1 in, 2 out
 }
 
 func newInterner() *interner { return &interner{} }
@@ -120,17 +124,23 @@ func (in *interner) canonical(a *Assignment) bool {
 	return id != noID && int(id) < len(in.nodes) && in.nodes[id] == a
 }
 
-// grow extends the per-node side tables to cover every interned ID.
-func (in *interner) grow() {
-	d := len(in.nodes) - len(in.succs)
-	if d <= 0 {
-		return
+// memoAt returns node id's memo, or nil when the table does not reach id
+// yet. Safe under either lock mode.
+func (in *interner) memoAt(id NodeID) *nodeMemo {
+	if int(id) < len(in.memo) {
+		return &in.memo[id]
 	}
-	in.succs = append(in.succs, make([][]*Assignment, d)...)
-	in.succDone = append(in.succDone, make([]bool, d)...)
-	in.preds = append(in.preds, make([][]*Assignment, d)...)
-	in.predDone = append(in.predDone, make([]bool, d)...)
-	in.closure = append(in.closure, make([]uint8, d)...)
+	return nil
+}
+
+// fill returns node id's memo for writing, first growing the table to cover
+// every interned node. The caller must hold the write lock, and must not
+// keep the pointer across a call that may fill another node.
+func (in *interner) fill(id NodeID) *nodeMemo {
+	if d := len(in.nodes) - len(in.memo); d > 0 {
+		in.memo = append(in.memo, make([]nodeMemo, d)...)
+	}
+	return &in.memo[id]
 }
 
 // hash is a structural FNV-1a over the canonical content: variable names,

@@ -14,32 +14,11 @@ import (
 	"oassis/internal/assign"
 	"oassis/internal/core"
 	"oassis/internal/crowd"
-	"oassis/internal/oassisql"
 	"oassis/internal/paperdata"
 	"oassis/internal/sparql"
 	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
-
-// streamSpace builds a query's space over the Figure 1 ontology with the
-// streaming constructor.
-func streamSpace(t *testing.T, queryText string) (*assign.Space, *vocab.Vocabulary) {
-	t.Helper()
-	v, store := paperdata.Build()
-	q, err := oassisql.Parse(queryText, v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, _, err := assign.NewSpaceFromPlan(q, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sp, v
-}
 
 // twin rebuilds a from scratch, outside the space.
 func twin(sp *assign.Space, v *vocab.Vocabulary, a *assign.Assignment) *assign.Assignment {
@@ -57,7 +36,7 @@ func twin(sp *assign.Space, v *vocab.Vocabulary, a *assign.Assignment) *assign.A
 // the lookups count as hits without registering anything.
 func TestBulkInternCanon(t *testing.T) {
 	for _, text := range []string{paperdata.SimpleQueryText, paperdata.QueryText, multQuery} {
-		sp, v := streamSpace(t, text)
+		sp, v := buildSpace(t, text, nil)
 		valid := sp.Valid()
 		st := sp.Stats()
 		if st.Nodes != len(valid) || st.InternMisses != int64(len(valid)) || st.InternHits != 0 {
@@ -119,7 +98,7 @@ func TestBulkInternStatsUnchanged(t *testing.T) {
 		return fmt.Sprintf("nodes=%d valid=%d hits=%d misses=%d", st.Nodes, st.Valid, st.InternHits, st.InternMisses)
 	}
 	for _, c := range paper {
-		sp, v := streamSpace(t, c.text)
+		sp, v := buildSpace(t, c.text, nil)
 		if got := format(exploreStats(t, sp, v, 3000)); got != c.want {
 			t.Errorf("%s: %s, want %s", c.name, got, c.want)
 		}
@@ -210,7 +189,7 @@ func TestValidKeyOrder(t *testing.T) {
 		}
 	}
 	for _, text := range []string{paperdata.SimpleQueryText, paperdata.QueryText, multQuery} {
-		sp, _ := streamSpace(t, text)
+		sp, _ := buildSpace(t, text, nil)
 		check("paper", sp)
 	}
 	for _, width := range []int{3, 40, 400} {

@@ -1,11 +1,11 @@
 package assign_test
 
 // Oracle test for the NodeID order of the projected valid assignments.
-// Every constructor interns 𝒜valid in ascending projected-tuple order:
+// NewSpaceFromPlan interns 𝒜valid in ascending projected-tuple order:
 // TermIDs compared numerically, SATISFYING variables in name order. The
-// expected order is computed here independently, from Plan.Eval's rows and
-// the query's own variable names, and each constructor's Valid() must
-// carry exactly those tuples with NodeID = rank.
+// expected order is computed here independently, from the plan's full
+// Stream and the query's own variable names, and Valid() must carry
+// exactly those tuples with NodeID = rank.
 
 import (
 	"slices"
@@ -21,12 +21,12 @@ import (
 	"oassis/internal/vocab"
 )
 
-// projectedOrder returns the distinct projections of the plan's Eval rows
-// onto the query's WHERE-bound SATISFYING variables (sorted by name), in
-// ascending order, plus those variable names.
-func projectedOrder(q *oassisql.Query, res *sparql.Results) ([][]vocab.TermID, []string) {
+// projectedOrder returns the distinct projections of a plan's rows (over
+// the plan's variables vars) onto the query's WHERE-bound SATISFYING
+// variables, sorted by name, in ascending order, plus those variable names.
+func projectedOrder(q *oassisql.Query, vars []sparql.PlanVar, rows [][]vocab.TermID) ([][]vocab.TermID, []string) {
 	col := map[string]int{}
-	for i, pv := range res.Vars() {
+	for i, pv := range vars {
 		col[pv.Name] = i
 	}
 	var names []string
@@ -37,7 +37,7 @@ func projectedOrder(q *oassisql.Query, res *sparql.Results) ([][]vocab.TermID, [
 	}
 	sort.Strings(names)
 	var tuples [][]vocab.TermID
-	for _, row := range res.Rows() {
+	for _, row := range rows {
 		t := make([]vocab.TermID, len(names))
 		for i, n := range names {
 			t[i] = row[col[n]]
@@ -69,37 +69,24 @@ func requireTupleOrder(t *testing.T, tag string, sp *assign.Space, want [][]voca
 	}
 }
 
-// requireAllConstructors builds the query's space with each constructor
-// and pins its NodeID order against the oracle.
-func requireAllConstructors(t *testing.T, tag string, q *oassisql.Query, store *ontology.Store, semantic bool) {
+// requireNodeOrder builds the query's space, pins its NodeID order against
+// the oracle computed from the plan's full Stream, and returns the space
+// with the oracle's tuples and their variable names.
+func requireNodeOrder(t *testing.T, tag string, q *oassisql.Query, store *ontology.Store, semantic bool) (*assign.Space, [][]vocab.TermID, []string) {
 	t.Helper()
 	e := sparql.NewEvaluator(store)
 	e.Semantic = semantic
-	plan, err := e.Compile(q.Where)
+	plan, rows := solutions(t, e, q.Where)
+	want, names := projectedOrder(q, plan.Vars(), rows)
+	sp, streamed, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := plan.Eval()
-	want, names := projectedOrder(q, res)
-	bindings, err := e.Eval(q.Where)
-	if err != nil {
-		t.Fatal(err)
+	if streamed < len(sp.Valid()) {
+		t.Fatalf("%s: streamed %d rows but %d candidates survived", tag, streamed, len(sp.Valid()))
 	}
-	fromBindings, err := assign.NewSpace(q, bindings, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTupleOrder(t, tag+" NewSpace", fromBindings, want, names)
-	fromRows, err := assign.NewSpaceFromRows(q, res, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTupleOrder(t, tag+" NewSpaceFromRows", fromRows, want, names)
-	streamed, _, err := assign.NewSpaceFromPlan(q, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireTupleOrder(t, tag+" NewSpaceFromPlan", streamed, want, names)
+	requireTupleOrder(t, tag, sp, want, names)
+	return sp, want, names
 }
 
 // TestStreamingSpaceNodeOrder covers 100 randomized DAGs with the fan-out
@@ -115,13 +102,13 @@ func TestStreamingSpaceNodeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireAllConstructors(t, "dag", d.Query, d.Store, false)
+		requireNodeOrder(t, "dag", d.Query, d.Store, false)
 		if seed%4 == 0 {
 			q, err := oassisql.Parse(fanOutQuery, d.Vocab)
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireAllConstructors(t, "fan-out", q, d.Store, false)
+			requireNodeOrder(t, "fan-out", q, d.Store, false)
 		}
 	}
 	v, store := paperdata.Build()
@@ -130,7 +117,7 @@ func TestStreamingSpaceNodeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireAllConstructors(t, "paperdata exact", q, store, false)
-		requireAllConstructors(t, "paperdata semantic", q, store, true)
+		requireNodeOrder(t, "paperdata exact", q, store, false)
+		requireNodeOrder(t, "paperdata semantic", q, store, true)
 	}
 }

@@ -65,60 +65,9 @@ type Space struct {
 	validCols  *validTable
 }
 
-// NewSpace builds the assignment space for a query from the WHERE clause's
-// bindings. morePool is the candidate pool for MORE facts (ignored when the
-// query has no MORE keyword); in the paper these come from crowd suggestions,
-// here they are supplied by the caller (e.g. mined from simulated personal
-// histories). Every binding must bind every SATISFYING variable the WHERE
-// clause mentions, as sparql.Evaluator.Eval's bindings do.
-func NewSpace(q *oassisql.Query, bindings []sparql.Binding, morePool ontology.FactSet) (*Space, error) {
-	s, err := newSpaceShell(q, morePool)
-	if err != nil {
-		return nil, err
-	}
-	var whereVars []sparql.PlanVar
-	for _, vs := range s.vars {
-		if vs.Bound {
-			whereVars = append(whereVars, sparql.PlanVar{Name: vs.Name, Kind: vs.Kind})
-		}
-	}
-	sch := s.schemaFor(whereVars)
-	slab := make([]vocab.TermID, 0, len(bindings)*len(sch.names))
-	for _, b := range bindings {
-		for _, n := range sch.names {
-			id, ok := b[n]
-			if !ok {
-				return nil, fmt.Errorf("assign: a binding leaves WHERE variable $%s unbound", n)
-			}
-			slab = append(slab, id)
-		}
-	}
-	s.internTuples(sch, slab, len(bindings))
-	return s, nil
-}
-
-// NewSpaceFromRows builds the assignment space directly from a compiled
-// plan's row-oriented results (sparql.Plan.Eval), skipping the map-based
-// Binding form entirely.
-func NewSpaceFromRows(q *oassisql.Query, res *sparql.Results, morePool ontology.FactSet) (*Space, error) {
-	s, err := newSpaceShell(q, morePool)
-	if err != nil {
-		return nil, err
-	}
-	sch := s.schemaFor(res.Vars())
-	slab := make([]vocab.TermID, 0, res.Len()*len(sch.colIdx))
-	for _, row := range res.Rows() {
-		for _, c := range sch.colIdx {
-			slab = append(slab, row[c])
-		}
-	}
-	s.internTuples(sch, slab, res.Len())
-	return s, nil
-}
-
-// newSpaceShell builds the query-derived skeleton every Space constructor
-// shares: mining variable specs, namespaces, upper bounds and the MORE pool.
-// Only the projection of the WHERE results differs between constructors.
+// newSpaceShell builds the query-derived skeleton of a Space: mining
+// variable specs, namespaces, upper bounds and the MORE pool.
+// NewSpaceFromPlan then fills in 𝒜valid from the WHERE results.
 func newSpaceShell(q *oassisql.Query, morePool ontology.FactSet) (*Space, error) {
 	if err := sparql.CheckVarKinds(q.Where); err != nil {
 		return nil, err
@@ -178,12 +127,11 @@ func (s *Space) schemaFor(planVars []sparql.PlanVar) projSchema {
 	return sch
 }
 
-// internTuples is the NodeID order every constructor shares. slab packs n
-// projected tuples, one value per schema column (variables in name order),
-// duplicates allowed. The distinct tuples are interned in ascending tuple
-// order, TermIDs compared numerically, so a valid node's NodeID is the rank
-// of its projected tuple whichever constructor built the slab. Valid() is
-// then settled in canonical key order.
+// internTuples decides the NodeID order of 𝒜valid. slab packs n projected
+// tuples, one value per schema column (variables in name order), duplicates
+// allowed. The distinct tuples are interned in ascending tuple order,
+// TermIDs compared numerically, so a valid node's NodeID is the rank of its
+// projected tuple. Valid() is then settled in canonical key order.
 //
 // The space costs a fixed number of allocations whatever |𝒜valid| is: the
 // nodes live in one []Assignment, their singleton value sets are one
@@ -213,7 +161,6 @@ func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	s.in.registerFresh(valid)
-	s.in.grow()
 	slices.SortFunc(valid, func(a, b *Assignment) int {
 		for i, av := range a.vals {
 			if c := vocab.CompareDecimal(av[0], b.vals[i][0]); c != 0 {
@@ -286,7 +233,6 @@ func (s *Space) canonLocked(a *Assignment) *Assignment {
 		return a // already canonical in this space
 	}
 	c, _ := s.in.intern(a)
-	s.in.grow()
 	return c
 }
 
@@ -530,8 +476,8 @@ func (s *Space) InClosure(a *Assignment) bool {
 func (s *Space) inClosureLocked(a *Assignment) bool {
 	id := a.id
 	interned := id != noID && int(id) < len(s.in.nodes) && s.in.nodes[id] == a
-	if interned {
-		switch s.in.closure[id] {
+	if m := s.in.memoAt(id); interned && m != nil {
+		switch m.closure {
 		case 1:
 			return true
 		case 2:
@@ -540,10 +486,11 @@ func (s *Space) inClosureLocked(a *Assignment) bool {
 	}
 	in := s.computeInClosureLocked(a)
 	if interned {
+		m := s.in.fill(id)
 		if in {
-			s.in.closure[id] = 1
+			m.closure = 1
 		} else {
-			s.in.closure[id] = 2
+			m.closure = 2
 		}
 	}
 	return in
@@ -992,8 +939,8 @@ func (s *Space) Successors(a *Assignment) []*Assignment {
 	// memoized needs only a shared read lock — concurrent drivers never
 	// serialize on cache hits.
 	s.in.mu.RLock()
-	if s.in.canonical(a) && s.in.succDone[a.id] {
-		out := s.in.succs[a.id]
+	if m := s.in.memoAt(a.id); s.in.canonical(a) && m != nil && m.succDone {
+		out := m.succs
 		s.in.mu.RUnlock()
 		s.in.edgeHits.Add(1)
 		return out
@@ -1003,17 +950,17 @@ func (s *Space) Successors(a *Assignment) []*Assignment {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	a = s.canonLocked(a)
-	if s.in.succDone[a.id] {
+	if m := s.in.memoAt(a.id); m != nil && m.succDone {
 		// Lost the upgrade race to another filler: still a hit.
 		s.in.edgeHits.Add(1)
-		return s.in.succs[a.id]
+		return m.succs
 	}
 	s.in.edgeMisses.Add(1)
 	out := s.computeSuccessorsLocked(a)
-	// computeSuccessorsLocked may have interned new nodes, moving the
-	// backing arrays of the side tables; index afresh.
-	s.in.succs[a.id] = out
-	s.in.succDone[a.id] = true
+	// computeSuccessorsLocked may have interned and filled other nodes,
+	// moving the memo table; look the node up afresh.
+	m := s.in.fill(a.id)
+	m.succs, m.succDone = out, true
 	return out
 }
 
@@ -1169,8 +1116,8 @@ func (s *Space) factSpecializations(f ontology.Fact) []ontology.Fact {
 // Like Successors, the result is memoized and shared — read-only.
 func (s *Space) Predecessors(a *Assignment) []*Assignment {
 	s.in.mu.RLock()
-	if s.in.canonical(a) && s.in.predDone[a.id] {
-		out := s.in.preds[a.id]
+	if m := s.in.memoAt(a.id); s.in.canonical(a) && m != nil && m.predDone {
+		out := m.preds
 		s.in.mu.RUnlock()
 		s.in.edgeHits.Add(1)
 		return out
@@ -1180,14 +1127,14 @@ func (s *Space) Predecessors(a *Assignment) []*Assignment {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	a = s.canonLocked(a)
-	if s.in.predDone[a.id] {
+	if m := s.in.memoAt(a.id); m != nil && m.predDone {
 		s.in.edgeHits.Add(1)
-		return s.in.preds[a.id]
+		return m.preds
 	}
 	s.in.edgeMisses.Add(1)
 	out := s.computePredecessorsLocked(a)
-	s.in.preds[a.id] = out
-	s.in.predDone[a.id] = true
+	m := s.in.fill(a.id)
+	m.preds, m.predDone = out, true
 	return out
 }
 

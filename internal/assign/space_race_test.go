@@ -1,11 +1,13 @@
 package assign_test
 
-// Determinism and race tests for the sharded space construction: the
-// parallel row-projection path must produce byte-identical Valid() ordering
-// (and identical NodeIDs) to the serial map-based path, including when many
-// spaces are built concurrently. Run with -race.
+// Determinism and race tests for space construction on the width-100 DAG:
+// spaces built from many goroutines at once, each compiling its own plan or
+// sharing the store's plan cache, must all match a serially built space
+// whose Valid() keys and NodeIDs are checked against the plan's full
+// Stream. Run with -race.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -14,79 +16,89 @@ import (
 	"oassis/internal/synth"
 )
 
-// dagFixture returns a DAG workload large enough to cross the parallel
-// projection threshold, plus its evaluated WHERE rows.
-func dagFixture(t testing.TB) (*synth.DAG, *sparql.Results) {
+// dagFixture returns the width-100 DAG workload.
+func dagFixture(t testing.TB) *synth.DAG {
+	t.Helper()
 	d, err := synth.NewDAG(synth.DAGConfig{Width: 100, Depth: 5, MSPPercent: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sparql.NewEvaluator(d.Store).Compile(d.Query.Where)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d, plan.Eval()
+	return d
 }
 
-// TestParallelSpaceMatchesSerial pins the parallel NewSpaceFromRows result
-// against the serial NewSpace path on the same rows.
-func TestParallelSpaceMatchesSerial(t *testing.T) {
-	d, res := dagFixture(t)
-	serial, err := assign.NewSpace(d.Query, res.Bindings(), nil)
-	if err != nil {
-		t.Fatal(err)
+// spaceDiff describes the first difference between got's and want's
+// Valid() lists, keys and NodeIDs, or returns "" if there is none.
+func spaceDiff(got, want *assign.Space) string {
+	gv, wv := got.Valid(), want.Valid()
+	if len(gv) != len(wv) {
+		return fmt.Sprintf("valid count %d, want %d", len(gv), len(wv))
 	}
-	parallel, err := assign.NewSpaceFromRows(d.Query, res, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sv, pv := serial.Valid(), parallel.Valid()
-	if len(sv) != len(pv) {
-		t.Fatalf("valid count: serial %d, parallel %d", len(sv), len(pv))
-	}
-	if len(sv) < 2 {
-		t.Fatalf("fixture too small to be meaningful: %d valid assignments", len(sv))
-	}
-	for i := range sv {
-		if sv[i].Key() != pv[i].Key() {
-			t.Fatalf("Valid()[%d]: serial %q, parallel %q", i, sv[i].Key(), pv[i].Key())
+	for i := range gv {
+		if gv[i].Key() != wv[i].Key() {
+			return fmt.Sprintf("Valid()[%d] key %q, want %q", i, gv[i].Key(), wv[i].Key())
 		}
-		if sv[i].ID() != pv[i].ID() {
-			t.Fatalf("Valid()[%d] NodeID: serial %d, parallel %d", i, sv[i].ID(), pv[i].ID())
+		if gv[i].ID() != wv[i].ID() {
+			return fmt.Sprintf("Valid()[%d] NodeID %d, want %d", i, gv[i].ID(), wv[i].ID())
 		}
 	}
+	return ""
 }
 
-// TestConcurrentSpaceConstruction builds many spaces from the same results
-// at once; every one must come out identical.
-func TestConcurrentSpaceConstruction(t *testing.T) {
-	d, res := dagFixture(t)
-	ref, err := assign.NewSpaceFromRows(d.Query, res, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// buildInParallel builds the DAG query's space from 8 goroutines at once,
+// each compiling its plan through compile, and reports every space that
+// differs from ref.
+func buildInParallel(t *testing.T, d *synth.DAG, ref *assign.Space, compile func() (*sparql.Plan, error)) {
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp, err := assign.NewSpaceFromRows(d.Query, res, nil)
+			plan, err := compile()
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			got, want := sp.Valid(), ref.Valid()
-			if len(got) != len(want) {
-				t.Errorf("valid count %d, want %d", len(got), len(want))
+			sp, _, err := assign.NewSpaceFromPlan(d.Query, plan, nil)
+			if err != nil {
+				t.Error(err)
 				return
 			}
-			for i := range got {
-				if got[i].Key() != want[i].Key() || got[i].ID() != want[i].ID() {
-					t.Errorf("Valid()[%d] diverged under concurrency", i)
-					return
-				}
+			if diff := spaceDiff(sp, ref); diff != "" {
+				t.Errorf("diverged under concurrency: %s", diff)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestParallelSpaceMatchesSerial checks the serially built space against
+// the plan's full Stream, then builds it from 8 goroutines at once, each
+// with its own evaluator and plan; every one must match the serial space.
+func TestParallelSpaceMatchesSerial(t *testing.T) {
+	d := dagFixture(t)
+	serial := requireMatchesStream(t, "width-100 dag", d.Query, d.Store, false)
+	if len(serial.Valid()) < 2 {
+		t.Fatalf("fixture too small to be meaningful: %d valid assignments", len(serial.Valid()))
+	}
+	buildInParallel(t, d, serial, func() (*sparql.Plan, error) {
+		return sparql.NewEvaluator(d.Store).Compile(d.Query.Where)
+	})
+}
+
+// TestConcurrentSpaceConstruction builds many spaces at once, each from a
+// plan compiled (or served from the shared cache) in its own goroutine;
+// every one must match a serially built reference.
+func TestConcurrentSpaceConstruction(t *testing.T) {
+	d := dagFixture(t)
+	plan, err := sparql.NewEvaluator(d.Store).Compile(d.Query.Where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, err := assign.NewSpaceFromPlan(d.Query, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buildInParallel(t, d, ref, func() (*sparql.Plan, error) {
+		return sparql.NewEvaluator(d.Store).UseSharedCache().Compile(d.Query.Where)
+	})
 }

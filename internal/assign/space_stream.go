@@ -23,12 +23,10 @@ import (
 // the rows, so the slab is compacted whenever it holds twice the distinct
 // tuples left by the last compaction (and at least slabCompactRows rows):
 // it stays within a constant factor of the distinct tuples, and a query
-// with fewer rows than the floor is sorted once. internTuples is the
-// helper every constructor ends in: NodeIDs follow the projected tuples in
-// ascending order, TermIDs compared numerically,
-// variables in name order. NodeIDs and Valid() therefore come out identical
-// to NewSpaceFromRows and NewSpace over the same query, which the
-// differential suites in stream_test.go and space_race_test.go pin.
+// with fewer rows than the floor is sorted once. internTuples then assigns
+// NodeIDs in ascending projected-tuple order, TermIDs compared numerically,
+// variables in name order; the oracle tests in stream_test.go and
+// order_test.go pin that order against the full stream.
 
 // NewSpaceFromPlan builds the assignment space by streaming rows out of a
 // compiled plan, never materializing the plan's result set. It returns the

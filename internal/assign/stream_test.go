@@ -1,100 +1,103 @@
 package assign_test
 
-// Differential tests for the streaming space constructor: NewSpaceFromPlan
-// consumes rows straight off the plan operators, so it must reproduce the
-// materialized path (Eval + NewSpaceFromRows) exactly — same Valid()
-// ordering, same NodeIDs — or every downstream transcript diverges. The
-// suite sweeps 100+ randomized DAGs, includes projection-dropped fan-out
-// shapes where streaming actually deduplicates, replays full oracle-driven
-// mining runs on both spaces, and hammers one shared plan from many
-// goroutines (run with -race).
+// Tests for the space constructor: NewSpaceFromPlan consumes rows straight
+// off the plan operators, through the projection's cut, into 𝒜valid. Its
+// Valid() keys and NodeIDs are pinned against the plan's full Stream,
+// projected and deduplicated here, on a projection-dropped fan-out shape
+// where streaming actually deduplicates and on the paper's queries in both
+// modes. Full oracle-driven
+// mining runs must find the planted MSPs, and one shared plan is hammered
+// from many goroutines (run with -race).
 
 import (
 	"math"
 	"slices"
-	"sync"
+	"sort"
 	"testing"
 
 	"oassis/internal/assign"
 	"oassis/internal/core"
 	"oassis/internal/crowd"
 	"oassis/internal/oassisql"
+	"oassis/internal/ontology"
+	"oassis/internal/paperdata"
 	"oassis/internal/sparql"
 	"oassis/internal/synth"
+	"oassis/internal/vocab"
 )
+
+// solutions compiles where on e and returns the plan with the distinct rows
+// of its full Stream: copied, sorted with slices.Compare and deduplicated.
+func solutions(t testing.TB, e *sparql.Evaluator, where sparql.BGP) (*sparql.Plan, [][]vocab.TermID) {
+	t.Helper()
+	plan, err := e.Compile(where)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]vocab.TermID
+	plan.Stream(nil, func(row []vocab.TermID) bool {
+		rows = append(rows, slices.Clone(row))
+		return true
+	})
+	slices.SortFunc(rows, slices.Compare)
+	return plan, slices.CompactFunc(rows, slices.Equal)
+}
 
 // fanOutQuery has a WHERE variable ($q) the projection drops, so the
 // streamed row count exceeds the distinct-candidate count by the size of
 // the item taxonomy.
 const fanOutQuery = `SELECT FACT-SETS WHERE $y subClassOf* Stuff. $q subClassOf* Stuff. $p subClassOf* Somewhere SATISFYING $y doAt $p WITH SUPPORT = 0.5`
 
-// requireSameSpace pins Valid() ordering, keys and NodeIDs across the two
-// construction paths.
-func requireSameSpace(t *testing.T, tag string, a, b *assign.Space) {
+// requireMatchesStream checks the query's space against the plan's full
+// Stream: NodeIDs as requireNodeOrder does, and Valid() lists exactly the
+// projected tuples' keys, in sorted order. It returns the space.
+func requireMatchesStream(t *testing.T, tag string, q *oassisql.Query, store *ontology.Store, semantic bool) *assign.Space {
 	t.Helper()
-	av, bv := a.Valid(), b.Valid()
-	if len(av) != len(bv) {
-		t.Fatalf("%s: valid count %d vs %d", tag, len(av), len(bv))
-	}
-	for i := range av {
-		if av[i].Key() != bv[i].Key() {
-			t.Fatalf("%s: Valid()[%d] key %q vs %q", tag, i, av[i].Key(), bv[i].Key())
+	sp, want, names := requireNodeOrder(t, tag, q, store, semantic)
+	keys := make([]string, len(want))
+	for i, tuple := range want {
+		vals := make(map[string][]vocab.TermID, len(names))
+		for j, n := range names {
+			vals[n] = []vocab.TermID{tuple[j]}
 		}
-		if av[i].ID() != bv[i].ID() {
-			t.Fatalf("%s: Valid()[%d] NodeID %d vs %d", tag, i, av[i].ID(), bv[i].ID())
+		keys[i] = assign.New(q.Vocabulary(), sp.Kinds(), vals, nil).Key()
+	}
+	sort.Strings(keys)
+	for i, a := range sp.Valid() {
+		if a.Key() != keys[i] {
+			t.Fatalf("%s: Valid()[%d] is %q, want %q", tag, i, a.Key(), keys[i])
 		}
 	}
+	return sp
 }
 
-// TestStreamingSpaceMatchesMaterialized sweeps randomized DAG shapes; on
-// every one the streaming constructor must be indistinguishable from the
-// materialized one. Every fourth seed additionally runs the fan-out query,
-// where the intermediate row set is much larger than the output.
+// TestStreamingSpaceMatchesMaterialized checks the streamed space against
+// the plan's full Stream, materialized and projected here, on the
+// width-100 DAG's fan-out query and the paper's queries in both modes.
+// TestParallelSpaceMatchesSerial covers the width-100 DAG's own query and
+// TestStreamingSpaceNodeOrder sweeps 100 smaller randomized DAGs.
 func TestStreamingSpaceMatchesMaterialized(t *testing.T) {
-	for seed := int64(1); seed <= 100; seed++ {
-		d, err := synth.NewDAG(synth.DAGConfig{
-			Width:      int(8 + seed%17),
-			Depth:      int(2 + seed%3),
-			MSPPercent: 0.05,
-			Seed:       seed,
-		})
+	d := dagFixture(t)
+	q, err := oassisql.Parse(fanOutQuery, d.Vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireMatchesStream(t, "width-100 fan-out", q, d.Store, false)
+	v, store := paperdata.Build()
+	for _, text := range []string{paperdata.QueryText, paperdata.SimpleQueryText, multQuery} {
+		q, err := oassisql.Parse(text, v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := []*oassisql.Query{d.Query}
-		if seed%4 == 0 {
-			q, err := oassisql.Parse(fanOutQuery, d.Vocab)
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries = append(queries, q)
-		}
-		for qi, q := range queries {
-			plan, err := sparql.NewEvaluator(d.Store).Compile(q.Where)
-			if err != nil {
-				t.Fatal(err)
-			}
-			materialized, err := assign.NewSpaceFromRows(q, plan.Eval(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			streaming, streamed, err := assign.NewSpaceFromPlan(q, plan, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if streamed < len(streaming.Valid()) {
-				t.Fatalf("seed %d query %d: streamed %d rows but %d candidates survived",
-					seed, qi, streamed, len(streaming.Valid()))
-			}
-			requireSameSpace(t, "seed/query", materialized, streaming)
-		}
+		requireMatchesStream(t, "paperdata exact", q, store, false)
+		requireMatchesStream(t, "paperdata semantic", q, store, true)
 	}
 }
 
 // TestStreamingSpaceFullRun replays complete oracle-driven mining runs over
-// both constructions: identical spaces must yield identical MSP sets and
-// transcripts, which is the end-to-end consequence NodeID identity exists
-// to protect.
+// streamed spaces: the oracle realizes exactly the planted MSPs, so a run
+// must find exactly those, which is the end-to-end consequence of a
+// correct 𝒜valid.
 func TestStreamingSpaceFullRun(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		d, err := synth.NewDAG(synth.DAGConfig{
@@ -107,32 +110,25 @@ func TestStreamingSpaceFullRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		materialized, err := assign.NewSpaceFromRows(d.Query, plan.Eval(), nil)
+		sp, _, err := assign.NewSpaceFromPlan(d.Query, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streaming, _, err := assign.NewSpaceFromPlan(d.Query, plan, nil)
-		if err != nil {
-			t.Fatal(err)
+		res := core.NewEngine(sp, []crowd.Member{d.Oracle(0, seed)}, core.EngineConfig{
+			Theta: 0.5, Seed: seed,
+		}).Run()
+		got := make([]string, len(res.MSPs))
+		for i, m := range res.MSPs {
+			got[i] = m.Key()
 		}
-		run := func(sp *assign.Space) []string {
-			res := core.NewEngine(sp, []crowd.Member{d.Oracle(0, seed)}, core.EngineConfig{
-				Theta: 0.5, Seed: seed, RecordTranscript: true,
-			}).Run()
-			keys := make([]string, len(res.MSPs))
-			for i, m := range res.MSPs {
-				keys[i] = m.Key()
-			}
-			return keys
+		want := make([]string, len(d.Planted))
+		for i, p := range d.Planted {
+			want[i] = p.Key()
 		}
-		mk, sk := run(materialized), run(streaming)
-		if len(mk) != len(sk) {
-			t.Fatalf("seed %d: %d MSPs materialized, %d streaming", seed, len(mk), len(sk))
-		}
-		for i := range mk {
-			if mk[i] != sk[i] {
-				t.Fatalf("seed %d: MSP %d differs: %q vs %q", seed, i, mk[i], sk[i])
-			}
+		slices.Sort(got)
+		slices.Sort(want)
+		if len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("seed %d: run found MSPs %q, planted %q", seed, got, want)
 		}
 	}
 }
@@ -141,10 +137,7 @@ func TestStreamingSpaceFullRun(t *testing.T) {
 // once; the plan's exec state is per-call, so every result must be
 // identical. Run with -race.
 func TestConcurrentStreamingSpace(t *testing.T) {
-	d, err := synth.NewDAG(synth.DAGConfig{Width: 100, Depth: 5, MSPPercent: 0.02, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := dagFixture(t)
 	plan, err := sparql.NewEvaluator(d.Store).Compile(d.Query.Where)
 	if err != nil {
 		t.Fatal(err)
@@ -153,30 +146,7 @@ func TestConcurrentStreamingSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sp, _, err := assign.NewSpaceFromPlan(d.Query, plan, nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got, want := sp.Valid(), ref.Valid()
-			if len(got) != len(want) {
-				t.Errorf("valid count %d, want %d", len(got), len(want))
-				return
-			}
-			for i := range got {
-				if got[i].Key() != want[i].Key() || got[i].ID() != want[i].ID() {
-					t.Errorf("Valid()[%d] diverges under concurrency", i)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	buildInParallel(t, d, ref, func() (*sparql.Plan, error) { return plan, nil })
 }
 
 // TestStreamTuplesCompaction drives the streaming constructor's slab with

@@ -22,11 +22,11 @@ func buildSpace(t *testing.T, queryText string, morePool ontology.FactSet) (*ass
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
+	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := assign.NewSpace(q, bindings, morePool)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, morePool)
 	if err != nil {
 		t.Fatal(err)
 	}

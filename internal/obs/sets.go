@@ -162,8 +162,8 @@ func (m *PlanMetrics) CompileDone(dur time.Duration) {
 	m.CompileDur.Observe(dur.Seconds())
 }
 
-// EvalDone records one evaluation and the rows it produced (for a
-// projected Plan.Stream, the rows yielded after its cut).
+// EvalDone records one Plan.Stream run and the rows it yielded (with a
+// projection, the rows yielded after its cut).
 func (m *PlanMetrics) EvalDone(rows int, dur time.Duration) {
 	if m == nil {
 		return

@@ -24,11 +24,11 @@ func run(t *testing.T, theta float64) (*assign.Space, *core.Result, *vocab.Vocab
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
+	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := assign.NewSpace(q, bindings, nil)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +131,11 @@ func TestMineRulesEmptyResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bindings, err := sparql.NewEvaluator(store).Eval(q.Where)
+	plan, err := sparql.NewEvaluator(store).Compile(q.Where)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := assign.NewSpace(q, bindings, nil)
+	sp, _, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -76,26 +75,12 @@ func (e *Evaluator) UseSharedCache() *Evaluator {
 
 // shapeKey renders the BGP's normalized shape: the evaluation mode, then
 // each pattern in BGP order with constants as C<id>, variables as V<slot>
-// (slots assigned in sorted-name order, exactly as compile does), wildcards
-// as W, and literals length-prefixed so no literal byte sequence can
-// collide with the key's own separators. It returns the sorted variable
-// names alongside so a cache hit can rebind them onto the cached plan.
-func shapeKey(bgp BGP, semantic bool) (string, []string) {
-	seen := make(map[string]bool)
-	var names []string
-	for _, p := range bgp {
-		for _, t := range []Term{p.S, p.P, p.O} {
-			if t.Kind == Var && !seen[t.Name] {
-				seen[t.Name] = true
-				names = append(names, t.Name)
-			}
-		}
-	}
-	sort.Strings(names)
-	slot := make(map[string]int, len(names))
-	for i, n := range names {
-		slot[n] = i
-	}
+// (slots from bgpVars, exactly as compile assigns them), wildcards as W,
+// and literals length-prefixed so no literal byte sequence can collide
+// with the key's own separators. It returns the variable slots alongside
+// so a cache hit can rebind them onto the cached plan.
+func shapeKey(bgp BGP, semantic bool) (string, []PlanVar) {
+	vars := bgpVars(bgp)
 	buf := make([]byte, 0, 16+24*len(bgp))
 	if semantic {
 		buf = append(buf, 'S')
@@ -114,7 +99,7 @@ func shapeKey(bgp BGP, semantic bool) (string, []string) {
 				buf = strconv.AppendInt(buf, int64(t.ID), 10)
 			case Var:
 				buf = append(buf, 'V')
-				buf = strconv.AppendInt(buf, int64(slot[t.Name]), 10)
+				buf = strconv.AppendInt(buf, int64(varSlot(vars, t.Name)), 10)
 			case Literal:
 				buf = append(buf, 'L')
 				buf = strconv.AppendInt(buf, int64(len(t.Lit)), 10)
@@ -126,24 +111,17 @@ func shapeKey(bgp BGP, semantic bool) (string, []string) {
 			buf = append(buf, ',')
 		}
 	}
-	return string(buf), names
+	return string(buf), vars
 }
 
-// rebind clones the plan for a query that shares its shape but names its
+// rebind clones the plan for a query that shares its shape but may name its
 // variables differently: the immutable operator pipeline, store and mode are
-// shared, while the variable table is rebuilt positionally from the caller's
-// sorted names. The clone starts unobserved (fresh per-operator actuals);
-// Explain on a rebound plan renders patterns with the shape-defining names
-// the entry was first compiled under.
-func (pl *Plan) rebind(names []string) *Plan {
-	np := &Plan{store: pl.store, v: pl.v, semantic: pl.semantic, ops: pl.ops}
-	np.vars = make([]PlanVar, len(names))
-	np.slotOf = make(map[string]int, len(names))
-	for i, n := range names {
-		np.vars[i] = PlanVar{Name: n, Kind: pl.vars[i].Kind}
-		np.slotOf[n] = i
-	}
-	return np
+// shared, and vars, the caller's slots in slot order, replace the variable
+// table (equal shapes give each slot the same kind). The clone starts
+// unobserved (fresh per-operator actuals); Explain on a rebound plan renders
+// patterns with the shape-defining names the entry was first compiled under.
+func (pl *Plan) rebind(vars []PlanVar) *Plan {
+	return &Plan{store: pl.store, v: pl.v, semantic: pl.semantic, ops: pl.ops, vars: vars}
 }
 
 // lookup serves one Compile through the cache: a hit rebinds the cached
@@ -151,12 +129,12 @@ func (pl *Plan) rebind(names []string) *Plan {
 // the plan under its shape, and reports compile time as usual. Compile
 // errors are returned without caching (the next lookup re-compiles).
 func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
-	key, names := shapeKey(bgp, e.Semantic)
+	key, vars := shapeKey(bgp, e.Semantic)
 	if v, ok := c.entries.Load(key); ok {
 		c.hits.Add(1)
 		e.lastHit.Store(true)
 		e.Metrics.CacheHit()
-		pl := v.(*Plan).rebind(names)
+		pl := v.(*Plan).rebind(vars)
 		if e.Metrics != nil {
 			pl.Observe(e.Metrics)
 		}
@@ -169,17 +147,8 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, loaded := c.entries.LoadOrStore(key, pl.rebind(planNames(pl))); !loaded {
+	if _, loaded := c.entries.LoadOrStore(key, pl.rebind(pl.vars)); !loaded {
 		c.size.Add(1)
 	}
 	return pl, nil
-}
-
-// planNames returns the plan's variable names in slot order.
-func planNames(pl *Plan) []string {
-	names := make([]string, len(pl.vars))
-	for i, v := range pl.vars {
-		names[i] = v.Name
-	}
-	return names
 }

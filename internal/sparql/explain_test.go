@@ -8,6 +8,7 @@ import (
 	"oassis/internal/obs"
 	"oassis/internal/paperdata"
 	"oassis/internal/sparql"
+	"oassis/internal/vocab"
 )
 
 // TestPlanExplain pins the Explain report: one line per operator with the
@@ -39,9 +40,8 @@ func TestPlanExplain(t *testing.T) {
 	}
 
 	pl.Observe(nil) // counting without a metric sink
-	res := pl.Eval()
-	if res.Len() != 1 {
-		t.Fatalf("rows = %d", res.Len())
+	if rows := solutions(pl); len(rows) != 1 {
+		t.Fatalf("rows = %d", len(rows))
 	}
 	ops := pl.ExplainOps()
 	if len(ops) != 2 {
@@ -61,7 +61,7 @@ func TestPlanExplain(t *testing.T) {
 }
 
 // TestCompileWithMetrics: an evaluator carrying a PlanMetrics set times
-// compiles and auto-observes the plans it produces; Eval feeds the eval
+// compiles and auto-observes the plans it produces; Stream feeds the eval
 // counters and per-operator actuals.
 func TestCompileWithMetrics(t *testing.T) {
 	v, s := paperdata.Build()
@@ -75,12 +75,12 @@ func TestCompileWithMetrics(t *testing.T) {
 	if got := o.Plan.Compiles.Value(); got != 1 {
 		t.Fatalf("compiles = %d", got)
 	}
-	res := pl.Eval()
+	n := pl.Stream(nil, func([]vocab.TermID) bool { return true })
 	if o.Plan.Evals.Value() != 1 {
 		t.Fatalf("evals = %d", o.Plan.Evals.Value())
 	}
-	if got := o.Plan.Rows.Value(); got != int64(res.Len()) {
-		t.Fatalf("rows counter %d != result rows %d", got, res.Len())
+	if got := o.Plan.Rows.Value(); got != int64(n) || n != 42 {
+		t.Fatalf("rows counter %d, Stream yielded %d, want 42", got, n)
 	}
 	if o.Plan.EvalDur.Count() != 1 || o.Plan.CompileDur.Count() != 1 {
 		t.Fatal("duration histograms not fed")
@@ -88,7 +88,7 @@ func TestCompileWithMetrics(t *testing.T) {
 }
 
 // TestObservedEvalConcurrent: per-operator accounting must be race-free and
-// additive across concurrent Evals of one shared plan.
+// additive across concurrent Streams of one shared plan.
 func TestObservedEvalConcurrent(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
@@ -97,14 +97,14 @@ func TestObservedEvalConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl.Observe(nil)
-	base := pl.Eval().Len()
+	base := len(solutions(pl))
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if n := pl.Eval().Len(); n != base {
+			if n := len(solutions(pl)); n != base {
 				t.Errorf("concurrent eval rows = %d, want %d", n, base)
 			}
 		}()

@@ -2,6 +2,7 @@ package sparql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,16 +29,42 @@ import (
 //     index directly (Has / Objects / Subjects / FactsWithPredicate /
 //     ForwardClosure / BackwardClosure / ClosurePairs / LabeledElements).
 //
-// A compiled Plan is immutable and safe for concurrent Eval calls; each call
-// runs on its own scratch row. Results come back as rows in the same
-// deterministic order the interpreted evaluator produced (the legacy
-// string-key order), so the compiled pipeline is a drop-in replacement.
+// A compiled Plan is immutable and safe for concurrent Stream calls; each
+// call runs on its own scratch row and pushes rows to its consumer in
+// production order.
 
 // PlanVar describes one variable slot of a compiled plan. Slots are assigned
 // in sorted name order.
 type PlanVar struct {
 	Name string
 	Kind vocab.Kind
+}
+
+// bgpVars returns the BGP's variables sorted by name, which is their slot
+// order, each with the namespace of its first use. It is the one place slot
+// numbers are decided: compile and the plan cache's shape key both read it.
+func bgpVars(bgp BGP) []PlanVar {
+	vars := make([]PlanVar, 0, 3*len(bgp))
+	for _, p := range bgp {
+		for i := 0; i < 3; i++ {
+			if name, k, ok := p.varAt(i); ok && varSlot(vars, name) < 0 {
+				vars = append(vars, PlanVar{Name: name, Kind: k})
+			}
+		}
+	}
+	slices.SortFunc(vars, func(a, b PlanVar) int { return strings.Compare(a.Name, b.Name) })
+	return vars
+}
+
+// varSlot returns the index of the named variable in vars, or -1. A BGP has
+// a handful of variables, so a scan beats a map.
+func varSlot(vars []PlanVar, name string) int {
+	for i, v := range vars {
+		if v.Name == name {
+			return i
+		}
+	}
+	return -1
 }
 
 // freeVal marks an unbound slot in a scratch row. It is distinct from every
@@ -56,7 +83,7 @@ func (pl *Plan) lowerTerm(t Term) planTerm {
 	case Const:
 		return planTerm{isConst: true, constID: t.ID, slot: -1}
 	case Var:
-		return planTerm{slot: int32(pl.slotOf[t.Name])}
+		return planTerm{slot: int32(varSlot(pl.vars, t.Name))}
 	}
 	return planTerm{slot: -1} // wildcard / literal
 }
@@ -82,25 +109,24 @@ type op struct {
 }
 
 // Plan is a compiled BGP: a fixed operator pipeline over dense variable
-// slots. Build one with Evaluator.Compile; run it with Eval. A Plan is
+// slots. Build one with Evaluator.Compile; run it with Stream. A Plan is
 // immutable and safe for concurrent use; Observe (called once, before the
 // plan is shared) switches on per-operator cardinality accounting whose
-// counters are atomics, so concurrent Evals stay safe.
+// counters are atomics, so concurrent Streams stay safe.
 type Plan struct {
 	store    *ontology.Store
 	v        *vocab.Vocabulary
 	semantic bool
 
-	vars   []PlanVar
-	slotOf map[string]int
-	ops    []op
+	vars []PlanVar
+	ops  []op
 
 	// Observation state (nil/empty when Observe was never called).
-	// actual[i] counts partial rows entering operator i across every Eval;
-	// actual[len(ops)] counts emitted rows (pre-dedup), which for a
-	// projected Stream is the rows yielded after the cut. Per-Eval counting
-	// happens in a plain slice on the exec scratch and is merged here once
-	// per Eval, so the inner matching loops never touch an atomic.
+	// actual[i] counts partial rows entering operator i across every run;
+	// actual[len(ops)] counts yielded rows, which for a projected Stream
+	// are the rows yielded after the cut. Per-run counting happens in a
+	// plain slice on the exec scratch and is merged here once per run, so
+	// the inner matching loops never touch an atomic.
 	metrics *obs.PlanMetrics
 	actual  []atomic.Int64
 	evals   atomic.Int64
@@ -150,28 +176,15 @@ func (e *Evaluator) compile(bgp BGP) (*Plan, error) {
 	if err := e.validate(bgp); err != nil {
 		return nil, err
 	}
-	kinds, err := VarKinds(bgp)
-	if err != nil {
-		return nil, err
-	}
-	pl := &Plan{store: e.store, v: e.v, semantic: e.Semantic}
-	names := make([]string, 0, len(kinds))
-	for n := range kinds {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	pl.slotOf = make(map[string]int, len(names))
-	for i, n := range names {
-		pl.slotOf[n] = i
-		pl.vars = append(pl.vars, PlanVar{Name: n, Kind: kinds[n]})
-	}
+	pl := &Plan{store: e.store, v: e.v, semantic: e.Semantic, vars: bgpVars(bgp)}
 
 	bound := make([]bool, len(pl.vars))
 	if reorderUnsafe(bgp, pl.semantic) {
 		// Some pattern's meaning depends on whether its variables are
 		// already bound when it runs (see reorderUnsafe). Reordering such a
-		// BGP could change the result set, so pin the interpreted
-		// evaluator's selection order exactly.
+		// BGP could change the result set, so pin the seed evaluator's
+		// selection order exactly (the order the WHERE semantics are
+		// defined in).
 		for _, pi := range interpretedOrder(bgp) {
 			pl.lower(bgp[pi], pi, pl.estimate(bgp[pi], bound), bound)
 			pl.markBound(bgp[pi], bound)
@@ -202,7 +215,7 @@ func (e *Evaluator) compile(bgp BGP) (*Plan, error) {
 func (pl *Plan) markBound(p Pattern, bound []bool) {
 	for _, t := range []Term{p.S, p.P, p.O} {
 		if t.Kind == Var {
-			bound[pl.slotOf[t.Name]] = true
+			bound[varSlot(pl.vars, t.Name)] = true
 		}
 	}
 }
@@ -306,7 +319,7 @@ func (pl *Plan) resolvedAt(t Term, bound []bool) bool {
 	case Const:
 		return true
 	case Var:
-		return bound[pl.slotOf[t.Name]]
+		return bound[varSlot(pl.vars, t.Name)]
 	}
 	return false
 }
@@ -585,64 +598,28 @@ func (pl *Plan) Explain() string {
 	return sb.String()
 }
 
-// exec is the per-run scratch state: one reusable row plus the consumer of
-// emitted rows. yield receives the scratch row each time the pipeline
-// completes a solution (the slice is reused — consumers retaining a row must
-// copy it); returning false stops the run. Eval installs its arena collector
-// as the yield, so collection and streaming share one execution path. cut is
-// the operator from which the run is an existence probe (len(ops) when every
+// exec is the per-run scratch state of one Stream call: one reusable row
+// plus the consumer of emitted rows. yield receives the scratch row each
+// time the pipeline completes a solution (the slice is reused — consumers
+// retaining a row must copy it); returning false stops the run. cut is the
+// operator from which the run is an existence probe (len(ops) when every
 // operator runs in full; see Stream). counts, when non-nil, tallies step
 // entries per operator for this run (merged into the plan's atomics once at
 // the end).
 type exec struct {
-	pl      *Plan
 	row     []vocab.TermID
 	yield   func(row []vocab.TermID) bool
 	cut     int
 	stop    bool
 	emitted int
-	arena   []vocab.TermID
-	rows    [][]vocab.TermID
 	counts  []int64
 }
 
-func (pl *Plan) newExec(cut int, yield func(row []vocab.TermID) bool) *exec {
-	ex := &exec{pl: pl, row: make([]vocab.TermID, len(pl.vars)), cut: cut, yield: yield}
-	for i := range ex.row {
-		ex.row[i] = freeVal
-	}
-	if pl.actual != nil {
-		ex.counts = make([]int64, len(pl.ops)+1)
-	}
-	return ex
-}
-
-// run drives the operator pipeline to completion (or early stop), merges the
-// per-run operator counts into the plan's atomics, and returns the elapsed
-// time (zero when the plan is unobserved). Callers report to metrics
-// themselves: Eval counts deduplicated solutions, Stream counts raw emits.
-func (pl *Plan) run(ex *exec) time.Duration {
-	observing := pl.actual != nil
-	var start time.Time
-	if observing {
-		start = time.Now()
-	}
-	pl.step(ex, 0)
-	if !observing {
-		return 0
-	}
-	for i, c := range ex.counts {
-		pl.actual[i].Add(c)
-	}
-	pl.evals.Add(1)
-	return time.Since(start)
-}
-
 // Stream runs the plan push-based and calls yield with a row of the plan's
-// variable slots, in production order — not the sorted, deduplicated order
-// Eval returns. The row slice is the run's scratch row, valid only for the
-// duration of the call; copy it to retain it. Returning false from yield
-// stops the whole run.
+// variable slots, in production order: neither sorted nor deduplicated. The
+// row slice is the run's scratch row, valid only for the duration of the
+// call; copy it to retain it. Returning false from yield stops the whole
+// run. It is the only way rows leave a plan.
 //
 // proj lists the slots the consumer reads; nil means every slot, and then
 // yield sees every solution, the same logical row possibly more than once.
@@ -658,14 +635,24 @@ func (pl *Plan) run(ex *exec) time.Duration {
 // The cut is chosen per call, so one cached plan serves consumers that
 // project different variables. Stream returns the number of rows yielded —
 // after the cut, so with a projection it counts probe successes, not
-// solutions — and, like Eval, counts as one evaluation on the plan's
-// metrics.
+// solutions — and counts as one evaluation on the plan's metrics.
 func (pl *Plan) Stream(proj []int, yield func(row []vocab.TermID) bool) int {
-	ex := pl.newExec(pl.cutFor(proj), yield)
-	dur := pl.run(ex)
-	if pl.actual != nil {
-		pl.metrics.EvalDone(ex.emitted, dur)
+	ex := &exec{row: make([]vocab.TermID, len(pl.vars)), cut: pl.cutFor(proj), yield: yield}
+	for i := range ex.row {
+		ex.row[i] = freeVal
 	}
+	if pl.actual == nil {
+		pl.step(ex, 0)
+		return ex.emitted
+	}
+	start := time.Now()
+	ex.counts = make([]int64, len(pl.ops)+1)
+	pl.step(ex, 0)
+	for i, c := range ex.counts {
+		pl.actual[i].Add(c)
+	}
+	pl.evals.Add(1)
+	pl.metrics.EvalDone(ex.emitted, time.Since(start))
 	return ex.emitted
 }
 
@@ -691,54 +678,6 @@ func (o *op) binds(slot int) bool {
 	return int(o.s.slot) == slot || int(o.p.slot) == slot || int(o.o.slot) == slot
 }
 
-// Eval runs the plan and returns every solution as a row of the plan's
-// variable slots, deterministically ordered and deduplicated (the same
-// order Evaluator.Eval has always produced). It is a collector over the
-// same push-based machinery Stream exposes.
-func (pl *Plan) Eval() *Results {
-	ex := pl.newExec(len(pl.ops), nil)
-	ex.yield = ex.collect
-	dur := pl.run(ex)
-	rows := ex.rows
-	sort.Slice(rows, func(i, j int) bool { return cmpRows(rows[i], rows[j]) < 0 })
-	dedup := rows[:0]
-	for i, r := range rows {
-		if i == 0 || cmpRows(rows[i-1], r) != 0 {
-			dedup = append(dedup, r)
-		}
-	}
-	if pl.actual != nil {
-		pl.metrics.EvalDone(len(dedup), dur)
-	}
-	return &Results{vars: pl.vars, rows: dedup}
-}
-
-// collect is Eval's yield: it copies the scratch row into the exec's chunked
-// arena. Chunks grow with demand — sized to the rows collected so far,
-// doubling up to a cap — so a query with a handful of solutions no longer
-// pays for a fixed 256-row chunk.
-func (ex *exec) collect(row []vocab.TermID) bool {
-	n := len(row)
-	if n == 0 {
-		ex.rows = append(ex.rows, nil)
-		return true
-	}
-	if cap(ex.arena)-len(ex.arena) < n {
-		chunk := len(ex.rows)
-		if chunk < 8 {
-			chunk = 8
-		}
-		if chunk > 256 {
-			chunk = 256
-		}
-		ex.arena = make([]vocab.TermID, 0, chunk*n)
-	}
-	off := len(ex.arena)
-	ex.arena = append(ex.arena, row...)
-	ex.rows = append(ex.rows, ex.arena[off:off+n:off+n])
-	return true
-}
-
 func (ex *exec) emit() {
 	ex.emitted++
 	if !ex.yield(ex.row) {
@@ -762,7 +701,7 @@ func (ex *exec) resolve(t planTerm) (vocab.TermID, bool) {
 // trySet binds a term position to v. Constants and wildcards pass through
 // unchecked (the operator that calls trySet has already honoured constant
 // constraints through its index choice, and the semantic operator checks
-// them with Leq first — mirroring the interpreted bind()). For variables it
+// them with Leq first). For variables it
 // binds a free slot (fresh=true: caller must unset after the continuation)
 // or requires equality with the existing binding.
 func (ex *exec) trySet(t planTerm, v vocab.TermID) (ok, fresh bool) {
@@ -996,8 +935,7 @@ func (pl *Plan) runTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 
 // runSemDispatch enumerates candidate predicates for a semantic triple: a
 // pattern predicate q matches any stored predicate q' with q ≤ q'. Bound
-// predicate variables additionally require equality (as the interpreted
-// bind() did).
+// predicate variables additionally require equality.
 func (pl *Plan) runSemDispatch(ex *exec, o *op, i int) {
 	if o.p.isConst {
 		for _, pr := range pl.store.Predicates() {
@@ -1130,48 +1068,4 @@ func (pl *Plan) runSemTriple(ex *exec, o *op, pred vocab.TermID, i int) {
 			}
 		}
 	}
-}
-
-// Results is the row-oriented outcome of a plan evaluation: one row per
-// solution, one column per plan variable (slot order). Rows are sorted in
-// the evaluator's canonical deterministic order and deduplicated.
-type Results struct {
-	vars []PlanVar
-	rows [][]vocab.TermID
-}
-
-// Vars returns the column schema (shared; do not modify).
-func (r *Results) Vars() []PlanVar { return r.vars }
-
-// Rows returns the solution rows (shared; do not modify).
-func (r *Results) Rows() [][]vocab.TermID { return r.rows }
-
-// Len returns the number of solutions.
-func (r *Results) Len() int { return len(r.rows) }
-
-// Bindings converts the rows to the legacy map form.
-func (r *Results) Bindings() []Binding {
-	out := make([]Binding, len(r.rows))
-	for i, row := range r.rows {
-		b := make(Binding, len(r.vars))
-		for j, pv := range r.vars {
-			if j < len(row) && row[j] != freeVal {
-				b[pv.Name] = row[j]
-			}
-		}
-		out[i] = b
-	}
-	return out
-}
-
-// cmpRows orders rows exactly as the interpreted evaluator's string keys
-// did: per variable in name (= slot) order, values compare as their decimal
-// renderings inside the legacy "name=value;" key (vocab.CompareDecimal).
-func cmpRows(a, b []vocab.TermID) int {
-	for i := range a {
-		if c := vocab.CompareDecimal(a[i], b[i]); c != 0 {
-			return c
-		}
-	}
-	return 0
 }

@@ -2,6 +2,7 @@ package sparql_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,9 +52,8 @@ func TestPlanSelectivityOrder(t *testing.T) {
 		t.Fatalf("plan order = %v, want [1 0] (small pattern first)\n%s", order, pl.Describe())
 	}
 	// The join must still produce the single solution.
-	res := pl.Eval()
-	if res.Len() != 1 {
-		t.Fatalf("got %d rows, want 1", res.Len())
+	if rows := solutions(pl); len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1", len(rows))
 	}
 }
 
@@ -74,8 +74,8 @@ func TestPlanConstAnchorFirst(t *testing.T) {
 	}
 }
 
-// TestPlanReuse: one compiled plan evaluated repeatedly returns identical
-// results, and matches a fresh Eval.
+// TestPlanReuse: one compiled plan streamed repeatedly yields identical rows
+// in an identical order, and the same solutions as a fresh compile.
 func TestPlanReuse(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
@@ -84,33 +84,26 @@ func TestPlanReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := pl.Eval()
+	stream := func() [][]vocab.TermID {
+		var rows [][]vocab.TermID
+		pl.Stream(nil, func(row []vocab.TermID) bool {
+			rows = append(rows, slices.Clone(row))
+			return true
+		})
+		return rows
+	}
+	first := stream()
 	for i := 0; i < 3; i++ {
-		again := pl.Eval()
-		if again.Len() != first.Len() {
-			t.Fatalf("run %d: %d rows, want %d", i, again.Len(), first.Len())
-		}
-		for r := range first.Rows() {
-			for c := range first.Rows()[r] {
-				if first.Rows()[r][c] != again.Rows()[r][c] {
-					t.Fatalf("run %d: row %d differs", i, r)
-				}
-			}
+		if again := stream(); !rowsEqual(again, first) {
+			t.Fatalf("run %d: streamed %d rows, differing from the first run's %d", i, len(again), len(first))
 		}
 	}
-	viaEval, err := e.Eval(bgp)
+	fresh, err := e.Compile(bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(viaEval) != first.Len() {
-		t.Fatalf("Eval gave %d bindings, plan gave %d rows", len(viaEval), first.Len())
-	}
-	// Rows convert to the same bindings, in the same deterministic order.
-	conv := first.Bindings()
-	for i := range conv {
-		if refKey(conv[i]) != refKey(viaEval[i]) {
-			t.Fatalf("binding %d differs: %v vs %v", i, conv[i], viaEval[i])
-		}
+	if !rowsEqual(solutions(fresh), solutions(pl)) {
+		t.Fatal("a fresh compile yields different solutions")
 	}
 }
 
@@ -134,31 +127,27 @@ func TestPlanResultsSchema(t *testing.T) {
 			t.Fatalf("var %s kind = %v, want Element", pv.Name, pv.Kind)
 		}
 	}
-	res := pl.Eval()
-	if res.Len() != 42 {
-		t.Fatalf("got %d rows, want 42", res.Len())
+	rows := solutions(pl)
+	if len(rows) != 42 {
+		t.Fatalf("got %d rows, want 42", len(rows))
 	}
-	for _, row := range res.Rows() {
+	for _, row := range rows {
 		if len(row) != len(vars) {
 			t.Fatalf("row width %d, want %d", len(row), len(vars))
 		}
 	}
 }
 
-// TestPlanEmptyBGP: one empty row, one empty binding.
+// TestPlanEmptyBGP: one empty row, which is one empty binding.
 func TestPlanEmptyBGP(t *testing.T) {
 	_, s := paperdata.Build()
 	pl, err := sparql.NewEvaluator(s).Compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := pl.Eval()
-	if res.Len() != 1 || len(res.Rows()[0]) != 0 {
-		t.Fatalf("empty BGP: got %d rows (%v), want one empty row", res.Len(), res.Rows())
-	}
-	bs := res.Bindings()
-	if len(bs) != 1 || len(bs[0]) != 0 {
-		t.Fatalf("empty BGP bindings = %v, want one empty binding", bs)
+	rows := solutions(pl)
+	if len(rows) != 1 || len(rows[0]) != 0 {
+		t.Fatalf("empty BGP: got %d rows (%v), want one empty row", len(rows), rows)
 	}
 }
 

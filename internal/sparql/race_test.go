@@ -1,8 +1,8 @@
 package sparql_test
 
 // Concurrency tests for the WHERE stage: one Evaluator (and one compiled
-// Plan) shared across goroutines must be safe and return identical,
-// deterministically ordered results. Run with -race.
+// Plan) shared across goroutines must be safe and return identical
+// results. Run with -race.
 
 import (
 	"math/rand"
@@ -17,7 +17,7 @@ func TestConcurrentEval(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	bgp := figure2WhereBGP(t, v)
-	want, err := e.Eval(bgp)
+	want, err := evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,18 +32,18 @@ func TestConcurrentEval(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := e.Eval(bgp) // shared Evaluator, fresh plan per call
+			got, err := evalBindings(e, bgp) // shared Evaluator, fresh plan per call
 			if err != nil {
 				errs <- err.Error()
 				return
 			}
 			if !bindingsEqual(got, want) {
-				errs <- "concurrent Eval diverged from serial result"
+				errs <- "concurrent evaluation diverged from serial result"
 				return
 			}
-			rows := pl.Eval() // shared compiled plan
-			if rows.Len() != len(want) {
-				errs <- "concurrent Plan.Eval row count diverged"
+			rows := solutions(pl) // shared compiled plan
+			if len(rows) != len(want) {
+				errs <- "concurrent Plan.Stream row count diverged"
 			}
 		}()
 	}
@@ -61,7 +61,7 @@ func TestConcurrentEvalSemantic(t *testing.T) {
 	e := sparql.NewEvaluator(s)
 	e.Semantic = true
 	bgp := figure2WhereBGP(t, v)
-	want, err := e.Eval(bgp)
+	want, err := evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +70,13 @@ func TestConcurrentEvalSemantic(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := e.Eval(bgp)
+			got, err := evalBindings(e, bgp)
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			if !bindingsEqual(got, want) {
-				t.Error("concurrent semantic Eval diverged")
+				t.Error("concurrent semantic evaluation diverged")
 			}
 		}()
 	}
@@ -105,12 +105,12 @@ func TestConcurrentEvalSemanticLargeStore(t *testing.T) {
 					{S: sparql.VarTerm("x"), P: sparql.ConstTerm(rels[1]), O: sparql.VarTerm("y")},
 				})
 		}
-		want := make([][]sparql.Binding, len(bgps))
+		want := make([][]Binding, len(bgps))
 		es := sparql.NewEvaluator(serial)
 		es.Semantic = true
 		for i, bgp := range bgps {
 			var err error
-			if want[i], err = es.Eval(bgp); err != nil {
+			if want[i], err = evalBindings(es, bgp); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -123,13 +123,13 @@ func TestConcurrentEvalSemanticLargeStore(t *testing.T) {
 				defer wg.Done()
 				for k := range bgps {
 					i := (k + g) % len(bgps)
-					got, err := ec.Eval(bgps[i])
+					got, err := evalBindings(ec, bgps[i])
 					if err != nil {
 						t.Error(err)
 						return
 					}
 					if !bindingsEqual(got, want[i]) {
-						t.Errorf("seed %d query %d: concurrent semantic Eval diverged", seed, i)
+						t.Errorf("seed %d query %d: concurrent semantic evaluation diverged", seed, i)
 					}
 				}
 			}(g)

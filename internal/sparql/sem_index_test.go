@@ -71,7 +71,7 @@ func TestDifferentialSemanticLargeStore(t *testing.T) {
 		for ci, bgp := range cases {
 			e := sparql.NewEvaluator(s)
 			e.Semantic = true
-			got, err := e.Eval(bgp)
+			got, err := evalBindings(e, bgp)
 			if err != nil {
 				t.Fatalf("seed %d case %d: %v", seed, ci, err)
 			}

@@ -42,7 +42,7 @@ func figure2WhereBGP(t *testing.T, v *vocab.Vocabulary) sparql.BGP {
 func TestFigure2Where(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
-	bindings, err := e.Eval(figure2WhereBGP(t, v))
+	bindings, err := evalBindings(e, figure2WhereBGP(t, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestStarPathClosures(t *testing.T) {
 	e := sparql.NewEvaluator(s)
 	sub := v.Relation("subClassOf")
 	// Forward: Basketball subClassOf* $c climbs to Thing.
-	bs, err := e.Eval(sparql.BGP{{
+	bs, err := evalBindings(e, sparql.BGP{{
 		S: sparql.ConstTerm(v.Element("Basketball")), P: sparql.ConstTerm(sub),
 		O: sparql.VarTerm("c"), Star: true,
 	}})
@@ -95,7 +95,7 @@ func TestStarPathClosures(t *testing.T) {
 		}
 	}
 	// Zero-length: Basketball subClassOf* Basketball matches.
-	bs, err = e.Eval(sparql.BGP{{
+	bs, err = evalBindings(e, sparql.BGP{{
 		S: sparql.ConstTerm(v.Element("Basketball")), P: sparql.ConstTerm(sub),
 		O: sparql.ConstTerm(v.Element("Basketball")), Star: true,
 	}})
@@ -106,7 +106,7 @@ func TestStarPathClosures(t *testing.T) {
 		t.Fatalf("zero-length path should match, got %d bindings", len(bs))
 	}
 	// Instances are not subclasses: Central Park subClassOf* Attraction fails.
-	bs, err = e.Eval(sparql.BGP{{
+	bs, err = evalBindings(e, sparql.BGP{{
 		S: sparql.ConstTerm(v.Element("Central Park")), P: sparql.ConstTerm(sub),
 		O: sparql.ConstTerm(v.Element("Attraction")), Star: true,
 	}})
@@ -125,7 +125,7 @@ func TestStarPathBothFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := sparql.NewEvaluator(s)
-	bs, err := e.Eval(sparql.BGP{{
+	bs, err := evalBindings(e, sparql.BGP{{
 		S: sparql.VarTerm("s"), P: sparql.ConstTerm(v.Relation("subClassOf")),
 		O: sparql.VarTerm("o"), Star: true,
 	}})
@@ -142,7 +142,7 @@ func TestWildcardMatchesWithoutBinding(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	// [] nearBy $x: x ranges over elements with an incoming nearBy edge.
-	bs, err := e.Eval(sparql.BGP{{
+	bs, err := evalBindings(e, sparql.BGP{{
 		S: sparql.WildcardTerm(), P: sparql.ConstTerm(v.Relation("nearBy")),
 		O: sparql.VarTerm("x"),
 	}})
@@ -163,7 +163,7 @@ func TestSharedVariableJoin(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	// $z instanceOf Restaurant . $z nearBy "Central Park"
-	bs, err := e.Eval(sparql.BGP{
+	bs, err := evalBindings(e, sparql.BGP{
 		{S: sparql.VarTerm("z"), P: sparql.ConstTerm(v.Relation("instanceOf")), O: sparql.ConstTerm(v.Element("Restaurant"))},
 		{S: sparql.VarTerm("z"), P: sparql.ConstTerm(v.Relation("nearBy")), O: sparql.ConstTerm(v.Element("Central Park"))},
 	})
@@ -178,7 +178,7 @@ func TestSharedVariableJoin(t *testing.T) {
 func TestEmptyBGP(t *testing.T) {
 	_, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
-	bs, err := e.Eval(sparql.BGP{})
+	bs, err := evalBindings(e, sparql.BGP{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestPredicateVariable(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	// "Maoz Veg." $p $o
-	bs, err := e.Eval(sparql.BGP{{
+	bs, err := evalBindings(e, sparql.BGP{{
 		S: sparql.ConstTerm(v.Element("Maoz Veg.")), P: sparql.VarTerm("p"), O: sparql.VarTerm("o"),
 	}})
 	if err != nil {
@@ -225,7 +225,7 @@ func TestValidationErrors(t *testing.T) {
 		},
 	}
 	for name, bgp := range cases {
-		if _, err := e.Eval(bgp); err == nil {
+		if _, err := evalBindings(e, bgp); err == nil {
 			t.Errorf("%s: expected error", name)
 		}
 	}
@@ -242,7 +242,7 @@ func TestSemanticMode(t *testing.T) {
 		S: sparql.ConstTerm(v.Element("Boathouse")), P: sparql.ConstTerm(v.Relation("nearBy")),
 		O: sparql.ConstTerm(v.Element("Central Park")),
 	}}
-	bs, err := e.Eval(bgp)
+	bs, err := evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestSemanticMode(t *testing.T) {
 		t.Fatal("exact mode must not match nearBy through an inside fact")
 	}
 	e.Semantic = true
-	bs, err = e.Eval(bgp)
+	bs, err = evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestSemanticMode(t *testing.T) {
 	// Generalized subject binding: ⟨Park, instanceOf, Park⟩ is implied
 	// (via Central Park / Madison Square), so $g instanceOf Park includes
 	// Park itself in semantic mode.
-	bs, err = e.Eval(sparql.BGP{{
+	bs, err = evalBindings(e, sparql.BGP{{
 		S: sparql.VarTerm("g"), P: sparql.ConstTerm(v.Relation("instanceOf")),
 		O: sparql.ConstTerm(v.Element("Park")),
 	}})
@@ -283,12 +283,12 @@ func TestDeterministicOrder(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	bgp := figure2WhereBGP(t, v)
-	first, err := e.Eval(bgp)
+	first, err := evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := e.Eval(bgp)
+		again, err := evalBindings(e, bgp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestSemanticModePredicateVariable(t *testing.T) {
 	v, s := paperdata.Build()
 	e := sparql.NewEvaluator(s)
 	e.Semantic = true
-	bs, err := e.Eval(sparql.BGP{{
+	bs, err := evalBindings(e, sparql.BGP{{
 		S: sparql.ConstTerm(v.Element("Maoz Veg.")), P: sparql.VarTerm("p"), O: sparql.VarTerm("o"),
 	}})
 	if err != nil {
@@ -361,7 +361,7 @@ func TestSemanticBoundObject(t *testing.T) {
 		S: sparql.VarTerm("z"), P: sparql.ConstTerm(v.Relation("nearBy")),
 		O: sparql.ConstTerm(v.Element("Outdoor")), // generalizes Central Park
 	}}
-	bs, err := e.Eval(bgp)
+	bs, err := evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestSemanticBoundObject(t *testing.T) {
 		t.Fatal("exact mode must not match a generalized object")
 	}
 	e.Semantic = true
-	bs, err = e.Eval(bgp)
+	bs, err = evalBindings(e, bgp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,16 @@
 package sparql_test
 
-// Differential tests for the streaming execution path and the shared plan
-// cache. Stream is the primitive Eval is now built on, so the two are
-// pinned against each other on the randomized workload of ref_test.go:
-// sorting and deduplicating the streamed rows must reproduce Eval's rows
-// exactly. The cache tests fuzz the shape normalizer: whenever two
-// compilations share a cache entry, their result tuples must be identical,
-// and near-miss shapes (literal edits, star toggles, mode flips) must not
+// Tests for the streaming execution path and the shared plan cache, plus
+// the row-collecting helpers the package's tests read solutions through.
+// The cache tests fuzz the shape normalizer: whenever two compilations
+// share a cache entry, their result tuples must be identical, and
+// near-miss shapes (literal edits, star toggles, mode flips) must not
 // share.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,57 +19,35 @@ import (
 	"oassis/internal/vocab"
 )
 
-// sortDedupRows reproduces Eval's row post-processing on streamed rows.
-func sortDedupRows(rows [][]vocab.TermID) [][]vocab.TermID {
-	sort.Slice(rows, func(i, j int) bool { return sparql.CompareRows(rows[i], rows[j]) < 0 })
-	out := rows[:0]
-	for i, r := range rows {
-		if i == 0 || sparql.CompareRows(r, rows[i-1]) != 0 {
-			out = append(out, r)
-		}
-	}
-	return out
+// solutions runs the full Stream of pl and returns its distinct rows:
+// copied, sorted with slices.Compare and deduplicated.
+func solutions(pl *sparql.Plan) [][]vocab.TermID {
+	var rows [][]vocab.TermID
+	pl.Stream(nil, func(row []vocab.TermID) bool {
+		rows = append(rows, slices.Clone(row))
+		return true
+	})
+	slices.SortFunc(rows, slices.Compare)
+	return slices.CompactFunc(rows, slices.Equal)
 }
 
-// TestStreamMatchesEval pins Stream against Eval on randomized stores and
-// BGPs in both modes: the streamed production, sorted and deduplicated,
-// must equal Eval's materialized rows byte for byte.
-func TestStreamMatchesEval(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s, bgp := randomCase(rng)
-		for _, semantic := range []bool{false, true} {
-			e := sparql.NewEvaluator(s)
-			e.Semantic = semantic
-			pl, err := e.Compile(bgp)
-			if err != nil {
-				t.Fatalf("seed %d semantic=%v: compile: %v", seed, semantic, err)
-			}
-			want := pl.Eval()
-			var streamed [][]vocab.TermID
-			n := pl.Stream(nil, func(row []vocab.TermID) bool {
-				if len(row) != len(want.Vars()) {
-					t.Fatalf("seed %d: streamed row width %d, want %d", seed, len(row), len(want.Vars()))
-				}
-				streamed = append(streamed, append([]vocab.TermID(nil), row...))
-				return true
-			})
-			if n != len(streamed) {
-				t.Fatalf("seed %d: Stream returned %d, callback saw %d rows", seed, n, len(streamed))
-			}
-			got := sortDedupRows(streamed)
-			if len(got) != want.Len() {
-				t.Fatalf("seed %d semantic=%v: streamed %d distinct rows, Eval has %d\n%s",
-					seed, semantic, len(got), want.Len(), describeCase(s, bgp))
-			}
-			for i := range got {
-				if sparql.CompareRows(got[i], want.Rows()[i]) != 0 {
-					t.Fatalf("seed %d semantic=%v: row %d: stream %v, eval %v\n%s",
-						seed, semantic, i, got[i], want.Rows()[i], describeCase(s, bgp))
-				}
-			}
-		}
+// evalBindings compiles bgp on e and returns its solutions in map form,
+// ordered by refKey as refEvaluator orders its own.
+func evalBindings(e *sparql.Evaluator, bgp sparql.BGP) ([]Binding, error) {
+	pl, err := e.Compile(bgp)
+	if err != nil {
+		return nil, err
 	}
+	var out []Binding
+	for _, row := range solutions(pl) {
+		b := make(Binding, len(row))
+		for i, pv := range pl.Vars() {
+			b[pv.Name] = row[i]
+		}
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return refKey(out[i]) < refKey(out[j]) })
+	return out, nil
 }
 
 // TestStreamEarlyStop checks that a yield returning false halts the
@@ -102,17 +79,7 @@ func TestStreamEarlyStop(t *testing.T) {
 }
 
 // rowsEqual compares two result row sets positionally.
-func rowsEqual(a, b [][]vocab.TermID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if sparql.CompareRows(a[i], b[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
+func rowsEqual(a, b [][]vocab.TermID) bool { return slices.EqualFunc(a, b, slices.Equal) }
 
 // TestPlanCacheSoundness fuzzes the shape normalizer: random BGP pairs over
 // one store compile through a shared cache, and every compile — hit or miss
@@ -140,7 +107,7 @@ func TestPlanCacheSoundness(t *testing.T) {
 				if cerr != nil {
 					continue
 				}
-				if !rowsEqual(cpl.Eval().Rows(), ppl.Eval().Rows()) {
+				if !rowsEqual(solutions(cpl), solutions(ppl)) {
 					hits, misses, entries := cached.Cache.Stats()
 					t.Fatalf("seed %d semantic=%v (cache hits=%d misses=%d entries=%d): cached plan diverges from direct compile\n%s",
 						seed, semantic, hits, misses, entries, describeCase(cs.s, bgp))
@@ -201,7 +168,7 @@ func TestPlanCacheRenamedHit(t *testing.T) {
 	if hits < 1 {
 		t.Fatalf("order-preserving renaming missed the cache (hits=%d misses=%d)", hits, misses)
 	}
-	if !rowsEqual(pl1.Eval().Rows(), pl2.Eval().Rows()) {
+	if !rowsEqual(solutions(pl1), solutions(pl2)) {
 		t.Fatal("renamed plan produces different tuples")
 	}
 	vars2 := pl2.Vars()
