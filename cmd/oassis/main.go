@@ -122,22 +122,19 @@ func run(cfg runConfig) error {
 			members = append(members, m)
 		}
 	}
-	// The answer cache survives across runs when -cache is given
+	// The answer store survives across runs when -cache is given
 	// (Section 6.3: re-evaluating with a different threshold replays
 	// collected answers).
-	var cache *oassis.CrowdCache
+	var answers *oassis.Platform
 	if cfg.cachePath != "" {
 		if f, err := os.Open(cfg.cachePath); err == nil {
-			cache, err = oassis.LoadCrowdCache(f, v)
+			answers, err = oassis.LoadPlatform(f, v, oassis.PlatformConfig{})
 			f.Close()
 			if err != nil {
 				return err
 			}
 		} else {
-			cache = oassis.NewCrowdCache()
-		}
-		for i, m := range members {
-			members[i] = cache.Wrap(m)
+			answers = oassis.NewPlatform(oassis.PlatformConfig{})
 		}
 	}
 	qb, err := os.ReadFile(cfg.queryPath)
@@ -161,6 +158,9 @@ func run(cfg runConfig) error {
 		}
 		opts = append(opts, oassis.WithMorePool(pool))
 	}
+	if answers != nil {
+		opts = append(opts, oassis.WithPlatform(answers))
+	}
 	session, err := oassis.NewSession(store, q, opts...)
 	if err != nil {
 		return err
@@ -180,7 +180,7 @@ func run(cfg runConfig) error {
 		if err != nil {
 			return err
 		}
-		if err := cache.Save(f, v); err != nil {
+		if err := answers.Save(f, v); err != nil {
 			f.Close()
 			return err
 		}

@@ -13,11 +13,11 @@ import (
 //
 // Vocabularies are immutable once frozen (the order closures are
 // precomputed), so evolution is a rebuild. The intended workflow keeps the
-// crowd's effort: wrap members in a CrowdCache during the first run, evolve
-// the ontology, rebuild the session and re-run — every question about
-// unchanged terms replays from the cache and only the new region costs
-// fresh questions. Caches are fingerprinted per vocabulary, so pass the old
-// cache through MigrateCache to re-key it for the evolved vocabulary.
+// crowd's effort: attach the first run to a Platform (WithPlatform), evolve
+// the ontology, rekey the platform with (*Platform).Rekey(old, new), then
+// rebuild the session on the same platform and re-run — every question
+// about unchanged terms replays from the store and only the new region
+// costs fresh questions.
 func EvolveOntology(old *Ontology, additions string) (*Vocabulary, *Ontology, error) {
 	var buf bytes.Buffer
 	if err := WriteOntology(&buf, old); err != nil {
@@ -31,11 +31,4 @@ func EvolveOntology(old *Ontology, additions string) (*Vocabulary, *Ontology, er
 		return nil, nil, fmt.Errorf("oassis: evolve: %w", err)
 	}
 	return v, store, nil
-}
-
-// MigrateCache re-keys a crowd cache collected under oldV so it replays
-// under newV (after EvolveOntology): questions are matched term-by-term by
-// name, and entries mentioning terms the new vocabulary lacks are dropped.
-func MigrateCache(cache *CrowdCache, oldV, newV *Vocabulary) (*CrowdCache, error) {
-	return cache.Rekey(oldV, newV)
 }

@@ -8,34 +8,32 @@ import (
 	"oassis/internal/paperdata"
 )
 
-// TestEvolveOntologyWithCacheReplay exercises the Section 8 evolution flow:
-// run a query with a cache, grow the ontology with a new activity, migrate
-// the cache, and re-run — the old region replays free, only the new region
-// costs fresh questions, and a pattern over the new term can surface.
-func TestEvolveOntologyWithCacheReplay(t *testing.T) {
+// TestEvolveOntologyWithPlatformReplay exercises the Section 8 evolution
+// flow: run a query on a platform, grow the ontology with a new activity,
+// rekey the platform, and re-run — the old region replays free, only the
+// new region costs fresh questions, and a pattern over the new term can
+// surface.
+func TestEvolveOntologyWithPlatformReplay(t *testing.T) {
 	v, store := fixture(t)
 	q, err := oassis.ParseQuery(paperdata.SimpleQueryText, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := oassis.NewCrowdCache()
+	answers := oassis.NewPlatform(oassis.PlatformConfig{})
 
-	// First run: the Table 3 crowd, wrapped in the cache.
-	members := table3Members(t, v)
-	wrapped := make([]oassis.Member, len(members))
-	for i, m := range members {
-		wrapped[i] = cache.Wrap(m)
-	}
+	// First run: the Table 3 crowd, through the platform.
 	session, err := oassis.NewSession(store, q, oassis.WithSeed(1),
-		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
+		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)),
+		oassis.WithPlatform(answers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := session.Run(wrapped)
+	res1, err := session.Run(table3Members(t, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstMisses := cache.Misses
+	first := answers.Stats()
+	firstMisses := first.Misses
 	if firstMisses == 0 {
 		t.Fatal("first run asked nothing")
 	}
@@ -55,10 +53,9 @@ Rollerblading subClassOf Sport
 		t.Fatal("old order lost")
 	}
 
-	// Migrate the cache and re-run against the evolved ontology. The
+	// Rekey the platform and re-run against the evolved ontology. The
 	// crowd must be rebuilt over the new vocabulary (same histories).
-	cache2, err := oassis.MigrateCache(cache, v, v2)
-	if err != nil {
+	if err := answers.Rekey(v, v2); err != nil {
 		t.Fatal(err)
 	}
 	du1, du2 := rebuildTable3(t, v2)
@@ -66,30 +63,31 @@ Rollerblading subClassOf Sport
 	m1.Scale = nil
 	m2 := oassis.NewSimMember("u2", v2, du2, 2)
 	m2.Scale = nil
-	wrapped2 := []oassis.Member{cache2.Wrap(m1), cache2.Wrap(m2)}
 
 	q2, err := oassis.ParseQuery(paperdata.SimpleQueryText, v2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	session2, err := oassis.NewSession(store2, q2, oassis.WithSeed(1),
-		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
+		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)),
+		oassis.WithPlatform(answers))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := session2.Run(wrapped2)
+	res2, err := session2.Run([]oassis.Member{m1, m2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The second run must be mostly replay: fresh questions only for the
 	// new region (Rollerblading under Sport at each attraction).
-	fresh := cache2.Misses
+	second := answers.Stats()
+	fresh := second.Misses - firstMisses
 	if fresh >= firstMisses/2 {
-		t.Errorf("evolution re-run asked %d fresh questions (first run: %d) — cache migration failed",
+		t.Errorf("evolution re-run asked %d fresh questions (first run: %d) — platform rekey failed",
 			fresh, firstMisses)
 	}
-	if cache2.Hits == 0 {
-		t.Error("no replayed answers after migration")
+	if second.Hits == first.Hits {
+		t.Error("no replayed answers after rekey")
 	}
 	// The same MSPs survive (nobody rollerblades in the histories).
 	if len(res2.ValidMSPs) != len(res1.ValidMSPs) {
@@ -114,25 +112,33 @@ func TestEvolveOntologyRejectsBadAdditions(t *testing.T) {
 	}
 }
 
-func TestMigrateCacheDropsRemovedTerms(t *testing.T) {
-	v, _ := fixture(t)
-	cache := oassis.NewCrowdCache()
-	du1, _ := paperdata.Table3(v)
-	m := oassis.NewSimMember("u1", v, du1, 1)
-	wrapped := cache.Wrap(m)
-	fs := oassis.NewFactSet(paperdata.Fact(v, "Biking", "doAt", "Central Park"))
-	wrapped.AskConcrete(fs)
+func TestPlatformRekeyDropsRemovedTerms(t *testing.T) {
+	v, store := fixture(t)
+	q, err := oassis.ParseQuery(paperdata.SimpleQueryText, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers := oassis.NewPlatform(oassis.PlatformConfig{})
+	session, err := oassis.NewSession(store, q, oassis.WithSeed(1), oassis.WithPlatform(answers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := session.Run(table3Members(t, v)); err != nil {
+		t.Fatal(err)
+	}
+	if answers.Len() == 0 {
+		t.Fatal("first run stored nothing")
+	}
 
 	// A fresh, unrelated vocabulary lacks the terms entirely.
 	v2, _, err := oassis.LoadOntology(strings.NewReader("a subClassOf b\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	migrated, err := oassis.MigrateCache(cache, v, v2)
-	if err != nil {
+	if err := answers.Rekey(v, v2); err != nil {
 		t.Fatal(err)
 	}
-	if migrated.Size() != 0 {
-		t.Fatalf("migrated cache kept %d entries for missing terms", migrated.Size())
+	if n := answers.Len(); n != 0 {
+		t.Fatalf("rekeyed platform kept %d answers for missing terms", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Culinary reproduces the paper's second application domain (Section 6.3):
 // mining popular combinations of dishes and drinks, e.g. for composing new
 // restaurant menus. It demonstrates threshold re-evaluation: the query runs
-// at support 0.2, and then again at 0.4 with the CrowdCache replaying the
-// collected answers instead of bothering the crowd again.
+// at support 0.2, and then again at 0.4 with one answer platform replaying
+// the collected answers instead of bothering the crowd again.
 //
 //	go run ./examples/culinary
 package main
@@ -86,15 +86,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One cache shared by both runs: the second run replays answers.
-	cache := oassis.NewCrowdCache()
-	wrapped := make([]oassis.Member, len(members))
-	for i, m := range members {
-		wrapped[i] = cache.Wrap(m)
-	}
+	// One platform shared by both runs: the second run replays answers.
+	answers := oassis.NewPlatform(oassis.PlatformConfig{})
 
 	for _, theta := range []float64{0.2, 0.4} {
-		missesBefore := cache.Misses
+		missesBefore := answers.Stats().Misses
 		q, err := oassis.ParseQuery(fmt.Sprintf(queryTemplate, theta), v)
 		if err != nil {
 			log.Fatal(err)
@@ -102,16 +98,17 @@ func main() {
 		session, err := oassis.NewSession(store, q,
 			oassis.WithSeed(2),
 			oassis.WithAggregator(oassis.NewMeanAggregator(4, theta)),
+			oassis.WithPlatform(answers),
 		)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := session.Run(wrapped)
+		res, err := session.Run(members)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("threshold %.1f — %d answers consumed, %d fresh crowd questions:\n",
-			theta, res.Stats.Questions, cache.Misses-missesBefore)
+			theta, res.Stats.Questions, answers.Stats().Misses-missesBefore)
 		for _, fs := range session.FactSets(res.ValidMSPs) {
 			fmt.Printf("  • %s\n", session.DescribeAnswer(fs))
 		}
@@ -128,5 +125,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	fmt.Printf("cache: %d stored answers, %d hits overall\n", cache.Size(), cache.Hits)
+	stats := answers.Stats()
+	fmt.Printf("platform: %d stored answers, %d hits overall\n", stats.Entries, stats.Hits)
 }

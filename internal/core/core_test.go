@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"testing"
+	"time"
 
 	"oassis/internal/assign"
 	"oassis/internal/core"
@@ -9,6 +10,7 @@ import (
 	"oassis/internal/oassisql"
 	"oassis/internal/ontology"
 	"oassis/internal/paperdata"
+	"oassis/internal/platform"
 	"oassis/internal/sparql"
 	"oassis/internal/vocab"
 )
@@ -348,32 +350,41 @@ func TestMultiUserWithSpammerFilter(t *testing.T) {
 	}
 }
 
-func TestCrowdCacheReplay(t *testing.T) {
-	cache := core.NewCrowdCache()
-	sp, v := buildSpace(t, paperdata.SimpleQueryText, nil)
-	base := newAvgMember(v)
-	member := cache.Wrap(base)
-
-	// First run at Θ=0.2 populates the cache.
-	res1 := (&core.SingleUser{Space: sp, Member: member, Theta: 0.2, Seed: 1}).Run()
-	missesAfterFirst := cache.Misses
-	if missesAfterFirst == 0 {
-		t.Fatal("first run hit an empty cache")
+// TestPlatformThresholdReplay re-runs the engine at a higher threshold on
+// the answer platform the first run filled: crowd answers are independent
+// of the threshold (Section 6.3), so almost everything replays.
+func TestPlatformThresholdReplay(t *testing.T) {
+	answers := platform.New(platform.Config{})
+	run := func(theta float64) *core.Result {
+		sp, v := buildSpace(t, paperdata.SimpleQueryText, nil)
+		member := newAvgMember(v)
+		conn := answers.Attach(crowd.NewMemberBroker([]crowd.Member{member}, time.Now))
+		defer conn.Detach()
+		return core.NewBrokerEngine(sp, []string{member.ID()}, core.EngineConfig{
+			Theta: theta, Aggregator: crowd.NewMeanAggregator(1, theta), Seed: 1,
+		}).RunWith(conn)
 	}
 
-	// Re-run at Θ=0.4: crowd answers are independent of the threshold
-	// (Section 6.3), so almost everything replays from the cache. A few
-	// live questions are legitimate: an assignment classified purely by
-	// inference at Θ=0.2 can require a direct answer at Θ=0.4.
-	sp2, _ := buildSpace(t, paperdata.SimpleQueryText, nil)
-	res2 := (&core.SingleUser{Space: sp2, Member: member, Theta: 0.4, Seed: 1}).Run()
-	newMisses := cache.Misses - missesAfterFirst
-	if newMisses*5 > missesAfterFirst {
-		t.Errorf("threshold re-run asked %d live questions (first run: %d), want mostly cached",
-			newMisses, missesAfterFirst)
+	// First run at Θ=0.2 fills the store.
+	res1 := run(0.2)
+	first := answers.Stats()
+	if first.Misses == 0 {
+		t.Fatal("first run hit an empty store")
 	}
-	if cache.Hits == 0 {
-		t.Error("no cache hits on replay")
+
+	// Re-run at Θ=0.4. A few live questions are legitimate: an assignment
+	// classified purely by inference at Θ=0.2 can require a direct answer
+	// at Θ=0.4.
+	res2 := run(0.4)
+	second := answers.Stats()
+	t.Logf("Θ=0.2: %d live questions; Θ=0.4: %d live, %d replayed",
+		first.Misses, second.Misses-first.Misses, second.Hits-first.Hits)
+	if newMisses := second.Misses - first.Misses; newMisses*5 > first.Misses {
+		t.Errorf("threshold re-run asked %d live questions (first run: %d), want mostly replayed",
+			newMisses, first.Misses)
+	}
+	if second.Hits == 0 {
+		t.Error("no store hits on replay")
 	}
 	// The higher threshold needs at most as many answers.
 	if res2.Stats.Questions > res1.Stats.Questions {

@@ -1,8 +1,8 @@
 // Package core implements the OASSIS query evaluation engine: the vertical
 // algorithm of Section 4.1 (Algorithm 1), the multi-user evaluation of
 // Section 4.2 with a pluggable black-box aggregator, the horizontal
-// (Apriori-style) and naive baselines of Section 6.4, and the CrowdCache
-// answer store that supports threshold re-evaluation (Section 6.3).
+// (Apriori-style) and naive baselines of Section 6.4. Answers are replayed
+// across thresholds (Section 6.3) by internal/platform at the broker layer.
 package core
 
 import (

@@ -9,11 +9,13 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"time"
 
 	"oassis/internal/assign"
 	"oassis/internal/core"
 	"oassis/internal/crowd"
 	"oassis/internal/obs"
+	"oassis/internal/platform"
 	"oassis/internal/synth"
 	"oassis/internal/vocab"
 )
@@ -69,14 +71,14 @@ type CrowdStatsResult struct {
 const aggK = 5
 
 // CrowdStats reproduces Figures 4a–4c for one domain config: the query runs
-// once per threshold, ascending, with a shared CrowdCache so later runs
-// replay earlier answers (Section 6.3's methodology).
+// once per threshold, ascending, attached to one answer platform so later
+// runs replay earlier answers (Section 6.3's methodology).
 //
 // The assignment Space is built ONCE and shared by every threshold run:
-// each core.NewEngine below gets a fresh classifier and aggregator (the
-// verdicts depend on theta) but reuses d.Space's interner and edge cache,
-// so successor/predecessor lists computed while mining at theta_1 are free
-// for every later threshold — the replay counterpart of the answer cache.
+// each engine below gets a fresh classifier and aggregator (the verdicts
+// depend on theta) but reuses d.Space's interner and edge cache, so
+// successor/predecessor lists computed while mining at theta_1 are free
+// for every later threshold — the replay counterpart of the answer store.
 func CrowdStats(cfg synth.DomainConfig, thetas []float64, seed int64) (*CrowdStatsResult, error) {
 	cfg.Obs = obsv
 	build := span("domain_build")
@@ -85,11 +87,13 @@ func CrowdStats(cfg synth.DomainConfig, thetas []float64, seed int64) (*CrowdSta
 		return nil, err
 	}
 	build(obs.Attr{Key: "valid", Val: int64(len(d.Space.Valid()))})
-	cache := core.NewCrowdCache()
-	members := make([]crowd.Member, len(d.Members))
+	ids := make([]string, len(d.Members))
 	for i, m := range d.Members {
-		members[i] = cache.Wrap(m)
+		ids[i] = m.ID()
 	}
+	broker := crowd.NewMemberBroker(d.Members, time.Now)
+	broker.Metrics = obsv.BrokerSet()
+	answers := platform.New(platform.Config{})
 	res := &CrowdStatsResult{
 		Domain:   cfg.Name,
 		Valid:    len(d.Space.Valid()),
@@ -99,14 +103,16 @@ func CrowdStats(cfg synth.DomainConfig, thetas []float64, seed int64) (*CrowdSta
 	sort.Float64s(sorted)
 	for i, theta := range sorted {
 		mine := span("mine")
-		eng := core.NewEngine(d.Space, members, core.EngineConfig{
+		eng := core.NewBrokerEngine(d.Space, ids, core.EngineConfig{
 			Theta:               theta,
 			Aggregator:          crowd.NewMeanAggregator(aggK, theta),
 			SpecializationRatio: 0.12,
 			Seed:                seed,
 			Obs:                 obsv,
 		})
-		r := eng.Run()
+		conn := answers.Attach(broker)
+		r := eng.RunWith(conn)
+		conn.Detach()
 		mine(obs.Attr{Key: "theta_pct", Val: int64(100 * theta)},
 			obs.Attr{Key: "questions", Val: int64(r.Stats.Questions)})
 		baseline := aggK * len(d.Space.Valid())

@@ -1,8 +1,8 @@
-// Package platform implements the cross-query answer platform: a
-// long-lived, concurrent answer store shared by every query session a
-// process serves. It generalizes the CrowdCache idea of Section 6.3 —
-// "the crowd answers are independent of the threshold" — from one query's
-// threshold re-evaluations to a whole multi-tenant fleet:
+// Package platform implements the answer store: a long-lived, concurrent
+// store of crowd answers shared by every query session a process serves.
+// It serves Section 6.3's "the crowd answers are independent of the
+// threshold" both for one query re-run at another threshold and for a
+// whole multi-tenant fleet:
 //
 //   - A member's answer to a question is stored once and replayed to every
 //     later query that poses the same question to the same member, so the
@@ -14,6 +14,8 @@
 //   - Answers carry freshness metadata: a configurable TTL expires stale
 //     answers (they are re-asked on next use) and an LRU bound caps the
 //     store, so the platform can run indefinitely.
+//   - The store persists as a JSON snapshot (Save, Load) and migrates to
+//     an evolved ontology (Rekey); see snapshot.go.
 //
 // The platform sits at the broker layer. Each session attaches with
 // Attach, receiving a Conn — a crowd.Broker that serves hits from the
@@ -32,7 +34,7 @@
 // Sharing contract: every session attached to one Platform must draw its
 // questions from the same vocabulary (question keys are interned term
 // IDs) and its crowd answers must be functions of the question content —
-// the same assumption CrowdCache replays make.
+// the assumption every replay makes.
 package platform
 
 import (
@@ -108,7 +110,6 @@ type entry struct {
 	// own option permutation.
 	choice   int
 	pruned   []vocab.TermID
-	elapsed  time.Duration
 	storedAt time.Time
 	// lru is the entry's position in the platform's recency list; the
 	// element value is the entry's askKey.
@@ -367,7 +368,6 @@ func (p *Platform) resolve(k askKey, ownerPerm []int, r crowd.Reply, ownerDelive
 			support:  r.Support,
 			choice:   -1,
 			pruned:   r.Pruned,
-			elapsed:  r.Elapsed,
 			storedAt: p.clock.Now(),
 		}
 		if r.Ask.Kind == crowd.SpecializeAsk {

@@ -82,9 +82,6 @@ type (
 	Result = core.Result
 	// Stats carries the cost counters the paper reports.
 	Stats = core.Stats
-	// CrowdCache stores answers for threshold re-evaluation
-	// (Section 6.3).
-	CrowdCache = core.CrowdCache
 	// Strategy selects vertical / horizontal / naive question ordering.
 	Strategy = core.Strategy
 	// Clock abstracts time for deterministic chaos simulation.
@@ -139,10 +136,11 @@ type (
 	// PlanOpExplain describes one operator of a compiled WHERE plan:
 	// pattern, access path, estimated and observed cardinalities.
 	PlanOpExplain = sparql.OpExplain
-	// Platform is the cross-query answer platform: a long-lived,
-	// concurrent answer store shared by all sessions of a process, with
-	// in-flight question dedup and freshness-based eviction (the
-	// Section 6.3 CrowdCache generalized to multi-tenant serving).
+	// Platform is the answer store: a long-lived, concurrent store shared
+	// by all sessions of a process that replays answers across thresholds
+	// and queries (Section 6.3), dedups in-flight questions, expires and
+	// evicts answers, persists snapshots (Save, LoadPlatform) and migrates
+	// them to an evolved ontology (Rekey).
 	Platform = platform.Platform
 	// PlatformConfig parameterizes a Platform (TTL, LRU bound, clock,
 	// observer).
@@ -291,20 +289,17 @@ func NewMajorityAggregator(k int, theta float64) Aggregator {
 	return crowd.NewMajorityAggregator(k, theta)
 }
 
-// NewCrowdCache returns an empty answer cache; wrap members with
-// (*CrowdCache).Wrap to replay answers across thresholds.
-func NewCrowdCache() *CrowdCache { return core.NewCrowdCache() }
-
 // NewPlatform builds an empty cross-query answer platform. Share one
 // Platform across every session (and every HTTP server) of a process whose
 // queries are posed over the same vocabulary; attach sessions to it with
 // WithPlatform.
 func NewPlatform(cfg PlatformConfig) *Platform { return platform.New(cfg) }
 
-// LoadCrowdCache restores a cache snapshot written by (*CrowdCache).Save,
-// verifying it was collected under the same vocabulary.
-func LoadCrowdCache(r io.Reader, v *Vocabulary) (*CrowdCache, error) {
-	return core.LoadCrowdCache(r, v)
+// LoadPlatform restores a platform from a snapshot written by
+// (*Platform).Save, verifying it was collected under the same vocabulary
+// and rejecting malformed answers.
+func LoadPlatform(r io.Reader, v *Vocabulary, cfg PlatformConfig) (*Platform, error) {
+	return platform.Load(r, v, cfg)
 }
 
 // Option configures a Session.

@@ -166,28 +166,47 @@ func TestRunWithoutMembers(t *testing.T) {
 	}
 }
 
-func TestCrowdCachePublicAPI(t *testing.T) {
+// TestPlatformPublicAPI fills a platform through a session, persists it
+// with Save and LoadPlatform, and re-runs the query on the restored
+// platform: every answer replays without a live question.
+func TestPlatformPublicAPI(t *testing.T) {
 	v, store := fixture(t)
 	q, err := oassis.ParseQuery(paperdata.SimpleQueryText, v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := oassis.NewCrowdCache()
-	members := table3Members(t, v)
-	wrapped := make([]oassis.Member, len(members))
-	for i, m := range members {
-		wrapped[i] = cache.Wrap(m)
+	run := func(answers *oassis.Platform) *oassis.Result {
+		session, err := oassis.NewSession(store, q, oassis.WithSeed(1),
+			oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)),
+			oassis.WithPlatform(answers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := session.Run(table3Members(t, v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	session, err := oassis.NewSession(store, q, oassis.WithSeed(1),
-		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
+	answers := oassis.NewPlatform(oassis.PlatformConfig{})
+	res1 := run(answers)
+	if answers.Len() == 0 {
+		t.Fatal("platform not populated")
+	}
+	var buf bytes.Buffer
+	if err := answers.Save(&buf, v); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := oassis.LoadPlatform(&buf, v, oassis.PlatformConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := session.Run(wrapped); err != nil {
-		t.Fatal(err)
+	res2 := run(restored)
+	if st := restored.Stats(); st.Misses != 0 || st.Hits != res2.Stats.Questions {
+		t.Errorf("re-run on the restored platform: %+v, want %d hits and no misses", st, res2.Stats.Questions)
 	}
-	if cache.Size() == 0 {
-		t.Fatal("cache not populated")
+	if len(res2.ValidMSPs) != len(res1.ValidMSPs) {
+		t.Errorf("restored run found %d valid MSPs, want %d", len(res2.ValidMSPs), len(res1.ValidMSPs))
 	}
 }
 
