@@ -1,6 +1,7 @@
 package ontology
 
 import (
+	"slices"
 	"sort"
 
 	"oassis/internal/vocab"
@@ -37,9 +38,12 @@ type pathClosure struct {
 }
 
 // closureOf returns the memoized closure index for pred, building it on
-// first use. Callers must only invoke it on a frozen store (the fact-set is
-// immutable from then on, so the memo can never go stale).
+// first use. The fact-set is immutable once frozen, so the memo can never
+// go stale; an unfrozen store reads as empty and memoizes nothing.
 func (s *Store) closureOf(pred vocab.TermID) *pathClosure {
+	if !s.frozen {
+		return &pathClosure{}
+	}
 	s.closeMu.RLock()
 	c := s.closures[pred]
 	s.closeMu.RUnlock()
@@ -59,33 +63,32 @@ func (s *Store) closureOf(pred vocab.TermID) *pathClosure {
 	return c
 }
 
-// buildClosure computes the reachability index of one predicate from its
-// stored facts. Cycles are tolerated (the walk is a seen-set BFS).
+// buildClosure computes the reachability index of one predicate, walking
+// its edges through the (S, P, O) and (O, P, S) runs. Cycles are tolerated
+// (the walk is a seen-set BFS).
 func (s *Store) buildClosure(pred vocab.TermID) *pathClosure {
-	adj := make(map[vocab.TermID][]vocab.TermID)
-	radj := make(map[vocab.TermID][]vocab.TermID)
-	for _, f := range s.byP[pred] {
-		adj[f.S] = append(adj[f.S], f.O)
-		radj[f.O] = append(radj[f.O], f.S)
-	}
+	next := func(x vocab.TermID) []vocab.TermID { return s.Objects(x, pred) }
+	prev := func(x vocab.TermID) []vocab.TermID { return s.Subjects(pred, x) }
 	c := &pathClosure{
-		fwd: make(map[vocab.TermID][]vocab.TermID, len(adj)),
-		bwd: make(map[vocab.TermID][]vocab.TermID, len(radj)),
+		fwd: make(map[vocab.TermID][]vocab.TermID),
+		bwd: make(map[vocab.TermID][]vocab.TermID),
 	}
-	for subj := range adj {
-		c.fwd[subj] = reachSet(adj, subj)
-	}
-	for obj := range radj {
-		c.bwd[obj] = reachSet(radj, obj)
-	}
-	for subj, l := range c.fwd {
-		for _, t := range l {
-			c.pairs = append(c.pairs, Edge{S: subj, O: t})
+	facts := s.FactsWithPredicate(pred) // sorted by subject
+	for i, f := range facts {
+		if i == 0 || f.S != facts[i-1].S {
+			l := reachSet(f.S, next)
+			c.fwd[f.S] = l
+			for _, t := range l {
+				c.pairs = append(c.pairs, Edge{S: f.S, O: t})
+			}
+		}
+		if _, ok := c.bwd[f.O]; !ok {
+			c.bwd[f.O] = reachSet(f.O, prev)
 		}
 	}
-	c.nodes = len(adj)
-	for obj := range radj {
-		if _, isSubj := adj[obj]; !isSubj {
+	c.nodes = len(c.fwd)
+	for obj := range c.bwd {
+		if _, isSubj := c.fwd[obj]; !isSubj {
 			c.pairs = append(c.pairs, Edge{S: obj, O: obj})
 			c.nodes++
 		}
@@ -99,60 +102,8 @@ func (s *Store) buildClosure(pred vocab.TermID) *pathClosure {
 	return c
 }
 
-// reachSet returns start plus everything reachable from it over adj, sorted.
-func reachSet(adj map[vocab.TermID][]vocab.TermID, start vocab.TermID) []vocab.TermID {
-	seen := map[vocab.TermID]bool{start: true}
-	stack := []vocab.TermID{start}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range adj[x] {
-			if !seen[n] {
-				seen[n] = true
-				stack = append(stack, n)
-			}
-		}
-	}
-	out := make([]vocab.TermID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// ForwardClosure returns subj plus everything reachable from it by zero or
-// more pred edges, sorted by ID — or nil when subj has no outgoing pred edge
-// (the closure is then exactly {subj}). On a frozen store the result is a
-// shared index slice; callers must not modify it.
-func (s *Store) ForwardClosure(subj, pred vocab.TermID) []vocab.TermID {
-	if s.frozen {
-		return s.closureOf(pred).fwd[subj]
-	}
-	if len(s.bySP[spKey{subj, pred}]) == 0 {
-		return nil
-	}
-	return bfsClosure(subj, func(x vocab.TermID) []vocab.TermID {
-		return s.bySP[spKey{x, pred}]
-	})
-}
-
-// BackwardClosure returns obj plus everything that reaches it by zero or
-// more pred edges, sorted by ID — or nil when obj has no incoming pred edge.
-// On a frozen store the result is a shared index slice; do not modify.
-func (s *Store) BackwardClosure(obj, pred vocab.TermID) []vocab.TermID {
-	if s.frozen {
-		return s.closureOf(pred).bwd[obj]
-	}
-	if len(s.byPO[spKey{pred, obj}]) == 0 {
-		return nil
-	}
-	return bfsClosure(obj, func(x vocab.TermID) []vocab.TermID {
-		return s.byPO[spKey{pred, x}]
-	})
-}
-
-func bfsClosure(start vocab.TermID, next func(vocab.TermID) []vocab.TermID) []vocab.TermID {
+// reachSet returns start plus everything reachable from it over next, sorted.
+func reachSet(start vocab.TermID, next func(vocab.TermID) []vocab.TermID) []vocab.TermID {
 	seen := map[vocab.TermID]bool{start: true}
 	stack := []vocab.TermID{start}
 	for len(stack) > 0 {
@@ -169,36 +120,48 @@ func bfsClosure(start vocab.TermID, next func(vocab.TermID) []vocab.TermID) []vo
 	for t := range seen {
 		out = append(out, t)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
+}
+
+// ForwardClosure returns subj plus everything reachable from it by zero or
+// more pred edges, sorted by ID — or nil when subj has no outgoing pred edge
+// (the closure is then exactly {subj}). The result is a shared index slice;
+// callers must not modify it.
+func (s *Store) ForwardClosure(subj, pred vocab.TermID) []vocab.TermID {
+	return s.closureOf(pred).fwd[subj]
+}
+
+// BackwardClosure returns obj plus everything that reaches it by zero or
+// more pred edges, sorted by ID — or nil when obj has no incoming pred edge.
+// The result is a shared index slice; do not modify.
+func (s *Store) BackwardClosure(obj, pred vocab.TermID) []vocab.TermID {
+	return s.closureOf(pred).bwd[obj]
 }
 
 // Reaches reports a path of zero or more pred edges from subj to obj. When
 // the predicate's closure index is already built this is a binary search;
-// otherwise it runs an early-exit BFS that stops the moment obj is found,
-// without materializing (or memoizing) the full closure.
+// otherwise it runs an early-exit BFS over the (S, P, O) runs that stops the
+// moment obj is found, without materializing (or memoizing) the full
+// closure.
 func (s *Store) Reaches(subj, pred, obj vocab.TermID) bool {
 	if subj == obj {
 		return true // zero-length path
 	}
-	if s.frozen {
-		s.closeMu.RLock()
-		c := s.closures[pred]
-		s.closeMu.RUnlock()
-		if c != nil {
-			s.closureWarm.Add(1)
-			l := c.fwd[subj]
-			i := sort.Search(len(l), func(i int) bool { return l[i] >= obj })
-			return i < len(l) && l[i] == obj
-		}
+	s.closeMu.RLock()
+	c := s.closures[pred]
+	s.closeMu.RUnlock()
+	if c != nil {
+		s.closureWarm.Add(1)
+		_, ok := slices.BinarySearch(c.fwd[subj], obj)
+		return ok
 	}
-	// Early-exit BFS: no sort, no closure materialization.
 	seen := map[vocab.TermID]bool{subj: true}
 	stack := []vocab.TermID{subj}
 	for len(stack) > 0 {
 		x := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, n := range s.bySP[spKey{x, pred}] {
+		for _, n := range s.Objects(x, pred) {
 			if n == obj {
 				return true
 			}
@@ -214,54 +177,16 @@ func (s *Store) Reaches(subj, pred, obj vocab.TermID) bool {
 // ClosurePairs returns every (s, o) pair with o reachable from s by zero or
 // more pred edges, over the nodes the predicate's facts mention: pure
 // objects contribute their zero-length pair, subjects their full forward
-// closure. Sorted by (S, O), duplicate-free. On a frozen store the result is
-// a shared index slice; do not modify.
+// closure. Sorted by (S, O), duplicate-free. The result is a shared index
+// slice; do not modify.
 func (s *Store) ClosurePairs(pred vocab.TermID) []Edge {
-	if s.frozen {
-		return s.closureOf(pred).pairs
-	}
-	// Unfrozen fallback: build a throwaway index.
-	return s.buildClosure(pred).pairs
+	return s.closureOf(pred).pairs
 }
 
 // StarStats returns the size of the predicate's reachability relation and
 // the number of nodes its facts mention — the selectivity statistics the
 // query planner uses to order `p*` patterns.
 func (s *Store) StarStats(pred vocab.TermID) (pairs, nodes int) {
-	if !s.frozen {
-		c := s.buildClosure(pred)
-		return len(c.pairs), c.nodes
-	}
 	c := s.closureOf(pred)
 	return len(c.pairs), c.nodes
 }
-
-// PredStats returns the fact count and the number of distinct subjects and
-// objects stored under a predicate — the planner's estimates for half-bound
-// triple patterns. Memoized on frozen stores.
-func (s *Store) PredStats(pred vocab.TermID) (facts, subjects, objects int) {
-	if s.frozen {
-		s.closeMu.RLock()
-		st, ok := s.predStats[pred]
-		s.closeMu.RUnlock()
-		if ok {
-			return st.facts, st.subjects, st.objects
-		}
-	}
-	subj := make(map[vocab.TermID]struct{})
-	obj := make(map[vocab.TermID]struct{})
-	fs := s.byP[pred]
-	for _, f := range fs {
-		subj[f.S] = struct{}{}
-		obj[f.O] = struct{}{}
-	}
-	facts, subjects, objects = len(fs), len(subj), len(obj)
-	if s.frozen {
-		s.closeMu.Lock()
-		s.predStats[pred] = predStat{facts: facts, subjects: subjects, objects: objects}
-		s.closeMu.Unlock()
-	}
-	return facts, subjects, objects
-}
-
-type predStat struct{ facts, subjects, objects int }

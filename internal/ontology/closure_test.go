@@ -1,16 +1,15 @@
 package ontology
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
 	"oassis/internal/vocab"
 )
 
-// chainStore builds a -sub-> b -sub-> c -sub-> d plus x -other-> a, frozen
-// unless told otherwise.
-func chainStore(t *testing.T, freeze bool) (*Store, *vocab.Vocabulary, map[string]vocab.TermID) {
+// chainStore builds a frozen store of a -sub-> b -sub-> c -sub-> d plus
+// x -other-> a.
+func chainStore(t *testing.T) (*Store, *vocab.Vocabulary, map[string]vocab.TermID) {
 	t.Helper()
 	v := vocab.New()
 	ids := map[string]vocab.TermID{}
@@ -28,83 +27,81 @@ func chainStore(t *testing.T, freeze bool) (*Store, *vocab.Vocabulary, map[strin
 	s.MustAdd(Fact{S: ids["c"], P: sub, O: ids["d"]})
 	s.MustAdd(Fact{S: ids["x"], P: other, O: ids["a"]})
 	ids["sub"], ids["other"] = sub, other
-	if freeze {
-		s.Freeze()
-	}
+	s.Freeze()
 	return s, v, ids
 }
 
 func TestClosureIndexes(t *testing.T) {
-	for _, frozen := range []bool{true, false} {
-		t.Run(fmt.Sprintf("frozen=%v", frozen), func(t *testing.T) {
-			s, _, ids := chainStore(t, frozen)
-			sub := ids["sub"]
+	// The subtest keeps the name it had when unfrozen stores were also
+	// checked; a store now answers closure reads only once frozen.
+	t.Run("frozen=true", func(t *testing.T) {
+		s, _, ids := chainStore(t)
+		sub := ids["sub"]
 
-			fwd := s.ForwardClosure(ids["a"], sub)
-			if len(fwd) != 4 { // a, b, c, d
-				t.Fatalf("forward closure of a = %v, want 4 nodes", fwd)
+		fwd := s.ForwardClosure(ids["a"], sub)
+		if len(fwd) != 4 { // a, b, c, d
+			t.Fatalf("forward closure of a = %v, want 4 nodes", fwd)
+		}
+		for i := 1; i < len(fwd); i++ {
+			if fwd[i-1] >= fwd[i] {
+				t.Fatalf("forward closure not sorted: %v", fwd)
 			}
-			for i := 1; i < len(fwd); i++ {
-				if fwd[i-1] >= fwd[i] {
-					t.Fatalf("forward closure not sorted: %v", fwd)
-				}
-			}
-			if got := s.ForwardClosure(ids["d"], sub); got != nil {
-				t.Fatalf("d has no outgoing sub edge, closure should be nil, got %v", got)
-			}
-			if got := s.ForwardClosure(ids["lone"], sub); got != nil {
-				t.Fatalf("lone node closure should be nil, got %v", got)
-			}
+		}
+		if got := s.ForwardClosure(ids["d"], sub); got != nil {
+			t.Fatalf("d has no outgoing sub edge, closure should be nil, got %v", got)
+		}
+		if got := s.ForwardClosure(ids["lone"], sub); got != nil {
+			t.Fatalf("lone node closure should be nil, got %v", got)
+		}
 
-			bwd := s.BackwardClosure(ids["d"], sub)
-			if len(bwd) != 4 {
-				t.Fatalf("backward closure of d = %v, want 4 nodes", bwd)
-			}
-			if got := s.BackwardClosure(ids["a"], sub); got != nil {
-				t.Fatalf("a has no incoming sub edge, closure should be nil, got %v", got)
-			}
+		bwd := s.BackwardClosure(ids["d"], sub)
+		if len(bwd) != 4 {
+			t.Fatalf("backward closure of d = %v, want 4 nodes", bwd)
+		}
+		if got := s.BackwardClosure(ids["a"], sub); got != nil {
+			t.Fatalf("a has no incoming sub edge, closure should be nil, got %v", got)
+		}
 
-			if !s.Reaches(ids["a"], sub, ids["d"]) {
-				t.Fatal("a should reach d")
-			}
-			if !s.Reaches(ids["a"], sub, ids["a"]) {
-				t.Fatal("zero-length path a->a should hold")
-			}
-			if s.Reaches(ids["d"], sub, ids["a"]) {
-				t.Fatal("d must not reach a")
-			}
-			if s.Reaches(ids["a"], ids["other"], ids["d"]) {
-				t.Fatal("a must not reach d over the other predicate")
-			}
+		if !s.Reaches(ids["a"], sub, ids["d"]) {
+			t.Fatal("a should reach d")
+		}
+		if !s.Reaches(ids["a"], sub, ids["a"]) {
+			t.Fatal("zero-length path a->a should hold")
+		}
+		if s.Reaches(ids["d"], sub, ids["a"]) {
+			t.Fatal("d must not reach a")
+		}
+		if s.Reaches(ids["a"], ids["other"], ids["d"]) {
+			t.Fatal("a must not reach d over the other predicate")
+		}
 
-			// pairs: a->{a,b,c,d}, b->{b,c,d}, c->{c,d}, d->d = 10.
-			pairs := s.ClosurePairs(sub)
-			if len(pairs) != 10 {
-				t.Fatalf("closure pairs = %d, want 10: %v", len(pairs), pairs)
+		// pairs: a->{a,b,c,d}, b->{b,c,d}, c->{c,d}, d->d = 10.
+		pairs := s.ClosurePairs(sub)
+		if len(pairs) != 10 {
+			t.Fatalf("closure pairs = %d, want 10: %v", len(pairs), pairs)
+		}
+		for i := 1; i < len(pairs); i++ {
+			a, b := pairs[i-1], pairs[i]
+			if a.S > b.S || (a.S == b.S && a.O >= b.O) {
+				t.Fatalf("pairs not sorted/deduped at %d: %v", i, pairs)
 			}
-			for i := 1; i < len(pairs); i++ {
-				a, b := pairs[i-1], pairs[i]
-				if a.S > b.S || (a.S == b.S && a.O >= b.O) {
-					t.Fatalf("pairs not sorted/deduped at %d: %v", i, pairs)
-				}
-			}
-			np, nn := s.StarStats(sub)
-			if np != 10 || nn != 4 {
-				t.Fatalf("StarStats = (%d, %d), want (10, 4)", np, nn)
-			}
-			f, subj, obj := s.PredStats(sub)
-			if f != 3 || subj != 3 || obj != 3 {
-				t.Fatalf("PredStats = (%d, %d, %d), want (3, 3, 3)", f, subj, obj)
-			}
-		})
-	}
+		}
+		np, nn := s.StarStats(sub)
+		if np != 10 || nn != 4 {
+			t.Fatalf("StarStats = (%d, %d), want (10, 4)", np, nn)
+		}
+		f, subj, obj := s.PredStats(sub)
+		if f != 3 || subj != 3 || obj != 3 {
+			t.Fatalf("PredStats = (%d, %d, %d), want (3, 3, 3)", f, subj, obj)
+		}
+	})
 }
 
 // TestClosureEarlyExitBeforeIndex pins that Reaches works before any closure
 // has been memoized (the early-exit BFS path) and agrees with the indexed
 // answer afterwards.
 func TestClosureEarlyExitBeforeIndex(t *testing.T) {
-	s, _, ids := chainStore(t, true)
+	s, _, ids := chainStore(t)
 	sub := ids["sub"]
 	// No ForwardClosure/ClosurePairs call yet: the index is cold.
 	if !s.Reaches(ids["b"], sub, ids["d"]) {
@@ -142,7 +139,7 @@ func TestClosureCycle(t *testing.T) {
 
 // TestClosureConcurrentBuild races many goroutines into the lazy memo.
 func TestClosureConcurrentBuild(t *testing.T) {
-	s, _, ids := chainStore(t, true)
+	s, _, ids := chainStore(t)
 	sub := ids["sub"]
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -167,7 +164,7 @@ func TestClosureConcurrentBuild(t *testing.T) {
 // predicate builds its index (cold), every later one is served memoized
 // (warm), and Reaches on an already-built index counts warm too.
 func TestClosureStats(t *testing.T) {
-	s, _, ids := chainStore(t, true)
+	s, _, ids := chainStore(t)
 	if st := s.ClosureStats(); st.Cold != 0 || st.Warm != 0 {
 		t.Fatalf("fresh store stats: %+v", st)
 	}

@@ -11,8 +11,8 @@ import (
 // witnessed by stored facts g with s ≤ℰ g.S, i.e. facts whose subject lies
 // in s's descendant cone (likewise for a bound object). Star queries bind
 // the same few anchors over and over, so a frozen store collects each small
-// cone once — through the bySP/byPO point indexes, sorted into byP order —
-// and hands the shared slice to every later caller.
+// cone once — through the (S, P, O) and (O, P, S) runs, sorted into
+// (P, S, O) order — and hands the shared slice to every later caller.
 
 // ConeCacheStats is a snapshot of the candidate-cone memo.
 type ConeCacheStats struct {
@@ -38,16 +38,16 @@ func coneKey(pred, term vocab.TermID, object bool) uint64 {
 
 // SemCone returns the stored facts under pred whose subject (object, when
 // object is true) has term as a generalization — exactly the g with
-// term ≤ℰ g.S (g.O) — in byP order (Fact.Less), as a shared slice callers
-// must not modify. ok is false when term's descendant cone holds more than
-// an eighth as many terms as pred has facts: collecting it through the
-// point indexes would not beat scanning FactsWithPredicate, so the caller
-// should scan. That verdict costs two length reads and is not stored; only
+// term ≤ℰ g.S (g.O) — in FactsWithPredicate order (Fact.Less), as a shared
+// slice callers must not modify. ok is false when term's descendant cone
+// holds more than an eighth as many terms as pred has facts: collecting it
+// through the point lookups would not beat scanning FactsWithPredicate, so
+// the caller should scan. That verdict costs two length reads and is not stored; only
 // cones that pass it are built, once, and kept for the store's lifetime.
 // Callers must only invoke SemCone on a frozen store.
 func (s *Store) SemCone(pred, term vocab.TermID, object bool) (cone []Fact, ok bool) {
 	desc := s.v.ElementDescendants(term)
-	if len(desc)*8 > len(s.byP[pred]) {
+	if len(desc)*8 > len(s.FactsWithPredicate(pred)) {
 		return nil, false
 	}
 	k := coneKey(pred, term, object)
@@ -77,11 +77,11 @@ func (s *Store) buildCone(pred vocab.TermID, desc []vocab.TermID, object bool) [
 	var out []Fact
 	for _, d := range desc {
 		if object {
-			for _, sb := range s.byPO[spKey{pred, d}] {
+			for _, sb := range s.Subjects(pred, d) {
 				out = append(out, Fact{S: sb, P: pred, O: d})
 			}
 		} else {
-			for _, ob := range s.bySP[spKey{d, pred}] {
+			for _, ob := range s.Objects(d, pred) {
 				out = append(out, Fact{S: d, P: pred, O: ob})
 			}
 		}

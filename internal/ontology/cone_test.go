@@ -8,10 +8,10 @@ import (
 )
 
 // TestSemConeStats pins the cone memo's contract and accounting: a cone is
-// the byP-ordered run of facts whose subject (object) specializes the term,
-// built once and then served shared; a cone too wide for the one-eighth
-// rule is refused without being built or counted; ConeStats moves only on
-// a build.
+// the (P, S, O)-ordered run of facts whose subject (object) specializes
+// the term, built once and then served shared; a cone too wide for the
+// one-eighth rule is refused without being built or counted; ConeStats
+// moves only on a build.
 func TestSemConeStats(t *testing.T) {
 	v := vocab.New()
 	root := v.MustElement("root")

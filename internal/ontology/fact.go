@@ -2,8 +2,11 @@
 // Section 2 of the OASSIS paper: a fact is a triple ⟨e1, r, e2⟩ over the
 // vocabulary, a fact-set is a set of facts, and both carry the semantic
 // partial order of Definition 2.5. The ontology itself is a fact-set holding
-// "universal truth", stored with indexes so the SPARQL substrate can match
-// triple patterns efficiently.
+// "universal truth". A frozen Store keeps it as three sorted permutations
+// of its facts, (S, P, O), (O, P, S) and (P, S, O), each with a dense
+// offset table indexed by TermID, so the SPARQL substrate can match triple
+// patterns with a bound subject, object or predicate through one offset
+// read and a short search.
 package ontology
 
 import (

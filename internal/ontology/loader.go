@@ -241,9 +241,9 @@ func Write(w io.Writer, s *Store) error {
 	}
 	// Vocabulary terms covered by no fact survive as declarations (e.g.
 	// relations that occur only in personal histories and queries).
-	coveredE := make(map[vocab.TermID]bool, len(s.facts))
-	coveredR := make(map[vocab.TermID]bool, len(s.byP))
-	for f := range s.facts {
+	coveredE := make(map[vocab.TermID]bool)
+	coveredR := make(map[vocab.TermID]bool)
+	for _, f := range s.pso {
 		coveredE[f.S] = true
 		coveredE[f.O] = true
 		coveredR[f.P] = true

@@ -29,17 +29,19 @@ import (
 //     interns in — and replaying order edges and errors at their exact
 //     lines. This phase touches only integer remap arrays plus one
 //     map lookup per *unique* term, so it is cheap relative to parsing.
-//  4. Facts are deduplicated in hash shards and the three store indexes
-//     (bySP/byPO/byP) plus the fact set are built by concurrent builders,
-//     overlapped with the vocabulary freeze; Store.Freeze then sorts the
-//     index slices with a parallel worker pool.
+//  4. The merged fact slice goes to the store as it is: Store.Freeze
+//     sorts it into the store's three permutations with counting sorts,
+//     dropping duplicates, while the vocabulary freezes on the calling
+//     goroutine.
 //
 // Determinism argument: provisional IDs are scheduling-dependent, but they
 // are resolved to final IDs only by the merge, which walks ops strictly in
 // input order and interns sub-line names in the exact sequence addNTriple
 // does. Order edges are replayed in the same sequence, so the vocabulary's
-// topological order is identical; store indexes are sets sorted at Freeze,
-// so their construction order is immaterial. See DESIGN.md §12.
+// topological order is identical. The store's layout is a function of the
+// set of facts alone (every permutation is fully sorted, duplicates
+// dropped), so neither the fact order nor duplicates change it. See
+// DESIGN.md §12.
 
 // LoadOptions tunes LoadNTriplesParallel. The zero value picks defaults.
 type LoadOptions struct {
@@ -48,8 +50,9 @@ type LoadOptions struct {
 	// ChunkBytes is the reader chunk size; <= 0 uses 1 MiB.
 	ChunkBytes int
 	// Obs, when set, feeds the ingest counters and records per-stage spans
-	// (ingest_parse, ingest_merge, ingest_index, ingest_freeze) on the
-	// trace. Nil disables observation.
+	// on the trace: ingest_parse, ingest_merge, then ingest_index (the
+	// store's counting sorts) overlapped with ingest_freeze (the
+	// vocabulary freeze). Nil disables observation.
 	Obs *obs.Observer
 }
 
@@ -100,24 +103,24 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 		return nil, nil, nil, err
 	}
 
-	// Stage 4: store build overlapped with the vocabulary freeze.
+	// Stage 4: the store's counting sorts overlapped with the vocabulary
+	// freeze. Store.Freeze reads only the vocabulary's term counts, which
+	// the vocabulary freeze leaves alone.
+	s.pending = facts
 	buildStart := tr.Begin()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		buildStoreIndexes(s, facts, workers)
+		s.Freeze()
+		tr.End("ingest_index", buildStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
 	}()
 	freezeErr := v.Freeze()
+	tr.End("ingest_freeze", buildStart)
 	<-done
 	if freezeErr != nil {
 		im.LoadFailed()
 		return nil, nil, nil, fmt.Errorf("ntriples: %w", freezeErr)
 	}
-	tr.End("ingest_index", buildStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
-
-	freezeStart := tr.Begin()
-	s.Freeze()
-	tr.End("ingest_freeze", freezeStart)
 
 	im.LoadDone(stats.Triples, stats.Facts, stats.Labels,
 		stats.SkippedLiterals, stats.SkippedBlank, (tr.Begin() - loadStart).Seconds())
@@ -446,106 +449,4 @@ func newRemap(bound uint32) []vocab.TermID {
 		m[i] = vocab.NoTerm
 	}
 	return m
-}
-
-// --- stage 4: parallel store construction ---
-
-// smallStoreThreshold is the fact-stream size below which fanning index
-// construction out to goroutines costs more than it saves.
-const smallStoreThreshold = 4096
-
-// buildStoreIndexes populates the store's fact set and the three
-// triple-pattern indexes from the merged fact stream. Duplicate facts are
-// dropped exactly as repeated Store.Add calls would drop them; the indexes
-// are sets whose slices Store.Freeze sorts, so build order is immaterial.
-func buildStoreIndexes(s *Store, facts []Fact, workers int) {
-	if len(facts) < smallStoreThreshold || workers <= 1 {
-		for _, f := range facts {
-			s.MustAdd(f)
-		}
-		return
-	}
-
-	// Deduplicate in hash shards, in parallel.
-	shards := workers
-	if shards > 16 {
-		shards = 16
-	}
-	uniq := make([][]Fact, shards)
-	var wg sync.WaitGroup
-	for p := 0; p < shards; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			seen := make(map[Fact]struct{}, len(facts)/shards+1)
-			var u []Fact
-			for _, f := range facts {
-				if factShard(f, shards) != p {
-					continue
-				}
-				if _, dup := seen[f]; dup {
-					continue
-				}
-				seen[f] = struct{}{}
-				u = append(u, f)
-			}
-			uniq[p] = u
-		}(p)
-	}
-	wg.Wait()
-	n := 0
-	for _, u := range uniq {
-		n += len(u)
-	}
-
-	// Build the fact set and each index concurrently: four independent
-	// passes over the deduplicated stream.
-	wg.Add(4)
-	go func() {
-		defer wg.Done()
-		m := make(map[Fact]struct{}, n)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[f] = struct{}{}
-			}
-		}
-		s.facts = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[spKey][]vocab.TermID, n/2+1)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[spKey{f.S, f.P}] = append(m[spKey{f.S, f.P}], f.O)
-			}
-		}
-		s.bySP = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[spKey][]vocab.TermID, n/2+1)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[spKey{f.P, f.O}] = append(m[spKey{f.P, f.O}], f.S)
-			}
-		}
-		s.byPO = m
-	}()
-	go func() {
-		defer wg.Done()
-		m := make(map[vocab.TermID][]Fact, 64)
-		for _, u := range uniq {
-			for _, f := range u {
-				m[f.P] = append(m[f.P], f)
-			}
-		}
-		s.byP = m
-	}()
-	wg.Wait()
-}
-
-// factShard hashes a fact to a dedup shard.
-func factShard(f Fact, shards int) int {
-	h := uint32(f.S)*2654435761 ^ uint32(f.P)*40503 ^ uint32(f.O)*2246822519
-	return int(h % uint32(shards))
 }

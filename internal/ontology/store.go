@@ -2,44 +2,57 @@ package ontology
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"oassis/internal/vocab"
 )
 
-// Store is the ontology: a fact-set of universal truths with indexes for
+// Store is the ontology: a fact-set of universal truths laid out for
 // triple-pattern matching, plus string labels attached to elements (used by
 // patterns such as `$x hasLabel "child-friendly"`).
 //
-// A Store is built incrementally and frozen together with its vocabulary
-// before query evaluation.
+// A Store has two phases. While it is built, Add queues facts and AddLabel
+// attaches labels. Freeze then sorts the queued facts, drops duplicates and
+// lays them out as three sorted permutations, each with a dense offset
+// table indexed by TermID:
+//
+//   - (S, P, O): P and O columns in per-subject runs. It serves Objects as a
+//     zero-copy sub-slice, and Has.
+//   - (O, P, S): P and S columns in per-object runs. It serves Subjects.
+//   - (P, S, O): whole facts in per-predicate runs. It serves
+//     FactsWithPredicate, Predicates, PredStats and the closure and cone
+//     builds.
+//
+// From then on the store is immutable. A store answers fact reads only
+// once frozen: until Freeze every fact read sees an empty store, whatever
+// Add has queued.
 type Store struct {
-	v     *vocab.Vocabulary
-	facts map[Fact]struct{}
-
-	// Indexes. The slices are sorted at Freeze time for determinism.
-	bySP map[spKey][]vocab.TermID // (subject, predicate) -> objects
-	byPO map[spKey][]vocab.TermID // (predicate, object) -> subjects
-	byP  map[vocab.TermID][]Fact  // predicate -> facts
+	v       *vocab.Vocabulary
+	pending []Fact // queued by Add, consumed by Freeze
 
 	labels map[vocab.TermID]map[string]bool // element -> label set
 
 	frozen bool
 
-	// Frozen-store memos. predList and labelIdx are built once at Freeze;
-	// the per-predicate closure indexes and stats are built lazily, on
-	// first use, under closeMu (see closure.go) so concurrent evaluators
-	// share one computation, and so are the semantic candidate cones
-	// below.
+	// The frozen permutations (see the type comment).
+	spo, ops column
+	psoOff   []int
+	pso      []Fact
+
+	// Built once at Freeze: predList lists the predicates with a non-empty
+	// run, stats holds each predicate's counts, labelIdx the elements of
+	// each label sorted by ID.
 	predList []vocab.TermID
+	stats    []predStat
 	labelIdx map[string][]vocab.TermID
 
-	closeMu   sync.RWMutex
-	closures  map[vocab.TermID]*pathClosure
-	predStats map[vocab.TermID]predStat
+	// The per-predicate closure indexes are built lazily, on first use,
+	// under closeMu (see closure.go) so concurrent evaluators share one
+	// computation, and so are the semantic candidate cones below.
+	closeMu  sync.RWMutex
+	closures map[vocab.TermID]*pathClosure
 
 	// Closure index temperature, readable lock-free via ClosureStats():
 	// cold counts index builds, warm counts lookups served memoized.
@@ -61,6 +74,55 @@ type Store struct {
 	planMemo sync.Map
 }
 
+// column is one sorted fact permutation keyed by its leading position: the
+// facts whose key is k are rows off[k]:off[k+1] of the mid and last
+// columns, sorted by (mid, last).
+type column struct {
+	off       []int
+	mid, last []vocab.TermID
+}
+
+// find returns the rows of key k whose mid value is m. A key outside the
+// offset table (negative, or beyond the vocabulary the store was frozen
+// over) has no rows.
+func (c *column) find(k, m vocab.TermID) (lo, hi int) {
+	if k < 0 || int(k) >= len(c.off)-1 {
+		return 0, 0
+	}
+	lo, hi = c.off[k], c.off[k+1]
+	lo = gallop(c.mid, lo, hi, int64(m))
+	return lo, gallop(c.mid, lo, hi, int64(m)+1)
+}
+
+// gallop returns the first row in [lo, hi) of the sorted xs whose value is
+// not below x, or hi. It probes lo, lo+1, lo+3, lo+7, ... and then
+// binary-searches the last gap, so the cost grows with the log of the
+// distance skipped: a short run costs a few sequential reads, a long one
+// no more than a binary search.
+func gallop(xs []vocab.TermID, lo, hi int, x int64) int {
+	for step := 1; lo < hi && int64(xs[lo]) < x; step *= 2 {
+		next := lo + step
+		if next >= hi || int64(xs[next]) >= x {
+			// The answer is in (lo, min(next, hi)].
+			lo++
+			next = min(next, hi)
+			for lo < next {
+				h := int(uint(lo+next) >> 1)
+				if int64(xs[h]) < x {
+					lo = h + 1
+				} else {
+					next = h
+				}
+			}
+			return lo
+		}
+		lo = next
+	}
+	return lo
+}
+
+type predStat struct{ facts, subjects, objects int }
+
 // PlanMemo exposes the store's consumer memo slot (see the field comment).
 // Entries should only be added once the store is frozen.
 func (s *Store) PlanMemo() *sync.Map { return &s.planMemo }
@@ -77,38 +139,36 @@ func (s *Store) ClosureStats() ClosureCacheStats {
 	return ClosureCacheStats{Cold: s.closureCold.Load(), Warm: s.closureWarm.Load()}
 }
 
-type spKey struct{ a, b vocab.TermID }
-
 // NewStore returns an empty ontology over the given vocabulary.
 func NewStore(v *vocab.Vocabulary) *Store {
 	return &Store{
-		v:         v,
-		facts:     make(map[Fact]struct{}),
-		bySP:      make(map[spKey][]vocab.TermID),
-		byPO:      make(map[spKey][]vocab.TermID),
-		byP:       make(map[vocab.TermID][]Fact),
-		labels:    make(map[vocab.TermID]map[string]bool),
-		closures:  make(map[vocab.TermID]*pathClosure),
-		predStats: make(map[vocab.TermID]predStat),
-		cones:     make(map[uint64][]Fact),
+		v:        v,
+		labels:   make(map[vocab.TermID]map[string]bool),
+		closures: make(map[vocab.TermID]*pathClosure),
+		cones:    make(map[uint64][]Fact),
 	}
 }
 
 // Vocabulary returns the vocabulary the store is defined over.
 func (s *Store) Vocabulary() *vocab.Vocabulary { return s.v }
 
-// Add inserts a fact. Duplicate inserts are ignored.
+// Add queues a fact for Freeze; duplicates are dropped there. Every term
+// must already be in the vocabulary: a fact naming NoTerm, the Any
+// wildcard or an ID the vocabulary has not issued is rejected.
 func (s *Store) Add(f Fact) error {
 	if s.frozen {
 		return fmt.Errorf("ontology: Add after Freeze")
 	}
-	if _, ok := s.facts[f]; ok {
-		return nil
+	ne, nr := s.v.NumElements(), s.v.NumRelations()
+	switch {
+	case f.S < 0 || int(f.S) >= ne:
+		return fmt.Errorf("ontology: subject %d is not one of the %d vocabulary elements", f.S, ne)
+	case f.P < 0 || int(f.P) >= nr:
+		return fmt.Errorf("ontology: predicate %d is not one of the %d vocabulary relations", f.P, nr)
+	case f.O < 0 || int(f.O) >= ne:
+		return fmt.Errorf("ontology: object %d is not one of the %d vocabulary elements", f.O, ne)
 	}
-	s.facts[f] = struct{}{}
-	s.bySP[spKey{f.S, f.P}] = append(s.bySP[spKey{f.S, f.P}], f.O)
-	s.byPO[spKey{f.P, f.O}] = append(s.byPO[spKey{f.P, f.O}], f.S)
-	s.byP[f.P] = append(s.byP[f.P], f)
+	s.pending = append(s.pending, f)
 	return nil
 }
 
@@ -138,121 +198,143 @@ func (s *Store) HasLabel(e vocab.TermID, label string) bool {
 	return s.labels[e][label]
 }
 
-// LabeledElements returns all elements carrying the label, sorted by ID.
-// On a frozen store the result is a shared index slice; do not modify it.
+// LabeledElements returns all elements carrying the label, sorted by ID,
+// as a shared index slice; do not modify it.
 func (s *Store) LabeledElements(label string) []vocab.TermID {
-	if s.frozen {
-		return s.labelIdx[label]
-	}
-	var out []vocab.TermID
-	for e, m := range s.labels {
-		if m[label] {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return s.labelIdx[label]
 }
 
-// freezeSortParallelThreshold is the fact count above which Freeze fans the
-// per-key index sorts out to a worker pool. Sorting is deterministic either
-// way; the threshold only avoids goroutine overhead on small stores.
-const freezeSortParallelThreshold = 1 << 16
+// Fact positions, as counting-sort keys.
+const (
+	bySubject = iota
+	byPredicate
+	byObject
+)
 
-// Freeze sorts all indexes; the store becomes immutable. On large stores
-// the independent per-key sorts run on a GOMAXPROCS-wide worker pool (the
-// result is identical — every slice is sorted with the same comparator).
+func keyOf(f *Fact, pos int) vocab.TermID {
+	switch pos {
+	case bySubject:
+		return f.S
+	case byPredicate:
+		return f.P
+	}
+	return f.O
+}
+
+// countingSort stably sorts src into dst by the key at pos, whose values
+// lie in [0, n), and returns the offsets of each key's run in dst.
+func countingSort(dst, src []Fact, pos, n int) []int {
+	off := make([]int, n+2)
+	for i := range src {
+		off[keyOf(&src[i], pos)+2]++
+	}
+	for k := 2; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	// off[k+1] is now the start of key k's run; scattering advances it to
+	// the run's end, which is the start of key k+1's.
+	for i := range src {
+		k := keyOf(&src[i], pos) + 1
+		dst[off[k]] = src[i]
+		off[k]++
+	}
+	return off[:n+1]
+}
+
+// newColumn splits a permutation sorted by (pos, mid, last) into its
+// offset table over n keys and its mid and last columns.
+func newColumn(sorted []Fact, pos, mid, last, n int) column {
+	c := column{
+		off:  make([]int, n+1),
+		mid:  make([]vocab.TermID, len(sorted)),
+		last: make([]vocab.TermID, len(sorted)),
+	}
+	for i := range sorted {
+		f := &sorted[i]
+		c.off[keyOf(f, pos)+1]++
+		c.mid[i] = keyOf(f, mid)
+		c.last[i] = keyOf(f, last)
+	}
+	for k := 1; k <= n; k++ {
+		c.off[k] += c.off[k-1]
+	}
+	return c
+}
+
+// Freeze lays the queued facts out as the three sorted permutations; the
+// store becomes immutable. Three stable counting sorts on TermID (O, then
+// P, then S) give (S, P, O) order, where duplicates are adjacent and
+// dropped. A P-stable pass over that gives (P, S, O), and an O-stable pass
+// over (P, S, O) gives (O, P, S). The layout depends only on the set of
+// facts, never on the order they were added in.
 func (s *Store) Freeze() {
 	if s.frozen {
 		return
 	}
-	if workers := runtime.GOMAXPROCS(0); len(s.facts) >= freezeSortParallelThreshold && workers > 1 {
-		s.sortIndexesParallel(workers)
-	} else {
-		for k := range s.bySP {
-			ids := s.bySP[k]
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		for k := range s.byPO {
-			ids := s.byPO[k]
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		}
-		for p := range s.byP {
-			fs := s.byP[p]
-			sort.Slice(fs, func(i, j int) bool { return fs[i].Less(fs[j]) })
+	ne, nr := s.v.NumElements(), s.v.NumRelations()
+	facts := s.pending
+	s.pending = nil
+	tmp := make([]Fact, len(facts))
+	countingSort(tmp, facts, byObject, ne)
+	countingSort(facts, tmp, byPredicate, nr)
+	countingSort(tmp, facts, bySubject, ne)
+	spo := tmp[:0]
+	for i, f := range tmp {
+		if i == 0 || f != tmp[i-1] {
+			spo = append(spo, f)
 		}
 	}
-	s.predList = make([]vocab.TermID, 0, len(s.byP))
-	for p := range s.byP {
-		s.predList = append(s.predList, p)
+	s.spo = newColumn(spo, bySubject, byPredicate, byObject, ne)
+	s.pso = make([]Fact, len(spo))
+	s.psoOff = countingSort(s.pso, spo, byPredicate, nr)
+	ops := facts[:len(spo)]
+	countingSort(ops, s.pso, byObject, ne)
+	s.ops = newColumn(ops, byObject, byPredicate, bySubject, ne)
+
+	// Per-predicate counts: a predicate's distinct subjects are its
+	// distinct (S, P) groups of the (S, P, O) run, and likewise for
+	// objects over (O, P, S).
+	s.stats = make([]predStat, nr)
+	for p := range s.stats {
+		if n := s.psoOff[p+1] - s.psoOff[p]; n > 0 {
+			s.stats[p].facts = n
+			s.predList = append(s.predList, vocab.TermID(p))
+		}
 	}
-	sort.Slice(s.predList, func(i, j int) bool { return s.predList[i] < s.predList[j] })
+	countGroups(&s.spo, func(p vocab.TermID) { s.stats[p].subjects++ })
+	countGroups(&s.ops, func(p vocab.TermID) { s.stats[p].objects++ })
+
 	s.labelIdx = make(map[string][]vocab.TermID)
 	for e, m := range s.labels {
 		for label := range m {
 			s.labelIdx[label] = append(s.labelIdx[label], e)
 		}
 	}
-	for label := range s.labelIdx {
-		ids := s.labelIdx[label]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	for _, ids := range s.labelIdx {
+		slices.Sort(ids)
 	}
 	s.frozen = true
 }
 
-// sortIndexesParallel distributes the per-key sorts of bySP/byPO/byP over a
-// worker pool. Each slice is independent, so workers pull them off shared
-// work lists with an atomic cursor.
-func (s *Store) sortIndexesParallel(workers int) {
-	idSlices := make([][]vocab.TermID, 0, len(s.bySP)+len(s.byPO))
-	for k := range s.bySP {
-		idSlices = append(idSlices, s.bySP[k])
-	}
-	for k := range s.byPO {
-		idSlices = append(idSlices, s.byPO[k])
-	}
-	factSlices := make([][]Fact, 0, len(s.byP))
-	for p := range s.byP {
-		factSlices = append(factSlices, s.byP[p])
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const batch = 256
-	total := int64(len(idSlices) + len(factSlices))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := next.Add(batch) - batch
-				if lo >= total {
-					return
-				}
-				hi := lo + batch
-				if hi > total {
-					hi = total
-				}
-				for i := lo; i < hi; i++ {
-					if i < int64(len(idSlices)) {
-						ids := idSlices[i]
-						sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-					} else {
-						fs := factSlices[i-int64(len(idSlices))]
-						sort.Slice(fs, func(a, b int) bool { return fs[a].Less(fs[b]) })
-					}
-				}
+// countGroups calls add with the mid value of every distinct (key, mid)
+// group of the column.
+func countGroups(c *column, add func(vocab.TermID)) {
+	for k := 0; k+1 < len(c.off); k++ {
+		for i := c.off[k]; i < c.off[k+1]; i++ {
+			if i == c.off[k] || c.mid[i] != c.mid[i-1] {
+				add(c.mid[i])
 			}
-		}()
+		}
 	}
-	wg.Wait()
 }
 
 // Size returns the number of stored facts.
-func (s *Store) Size() int { return len(s.facts) }
+func (s *Store) Size() int { return len(s.pso) }
 
 // Has reports exact membership of a fact.
 func (s *Store) Has(f Fact) bool {
-	_, ok := s.facts[f]
+	lo, hi := s.spo.find(f.S, f.P)
+	_, ok := slices.BinarySearch(s.spo.last[lo:hi], f.O)
 	return ok
 }
 
@@ -267,7 +349,7 @@ func (s *Store) ImpliesFact(f Fact) bool {
 		if !s.v.LeqR(f.P, p) {
 			continue
 		}
-		for _, g := range s.byP[p] {
+		for _, g := range s.FactsWithPredicate(p) {
 			if s.v.LeqE(f.S, g.S) && s.v.LeqE(f.O, g.O) {
 				return true
 			}
@@ -279,38 +361,55 @@ func (s *Store) ImpliesFact(f Fact) bool {
 // Objects returns the objects o such that ⟨s, p, o⟩ is stored, sorted.
 // The returned slice is shared; callers must not modify it.
 func (s *Store) Objects(subj, pred vocab.TermID) []vocab.TermID {
-	return s.bySP[spKey{subj, pred}]
+	lo, hi := s.spo.find(subj, pred)
+	if lo == hi {
+		return nil
+	}
+	return s.spo.last[lo:hi:hi]
 }
 
 // Subjects returns the subjects x such that ⟨x, p, o⟩ is stored, sorted.
+// The returned slice is shared; callers must not modify it.
 func (s *Store) Subjects(pred, obj vocab.TermID) []vocab.TermID {
-	return s.byPO[spKey{pred, obj}]
+	lo, hi := s.ops.find(obj, pred)
+	if lo == hi {
+		return nil
+	}
+	return s.ops.last[lo:hi:hi]
 }
 
 // FactsWithPredicate returns all stored facts with the given predicate,
 // sorted. The returned slice is shared; callers must not modify it.
-func (s *Store) FactsWithPredicate(p vocab.TermID) []Fact { return s.byP[p] }
+func (s *Store) FactsWithPredicate(p vocab.TermID) []Fact {
+	if p < 0 || int(p) >= len(s.psoOff)-1 || s.psoOff[p] == s.psoOff[p+1] {
+		return nil
+	}
+	lo, hi := s.psoOff[p], s.psoOff[p+1]
+	return s.pso[lo:hi:hi]
+}
 
 // Predicates returns the relations that appear in at least one stored fact,
-// sorted by ID. On a frozen store the result is a shared index slice; do not
-// modify it.
-func (s *Store) Predicates() []vocab.TermID {
-	if s.frozen {
-		return s.predList
-	}
-	out := make([]vocab.TermID, 0, len(s.byP))
-	for p := range s.byP {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// sorted by ID, as a shared index slice; do not modify it.
+func (s *Store) Predicates() []vocab.TermID { return s.predList }
 
 // AllFacts returns every stored fact as a canonical fact-set.
 func (s *Store) AllFacts() FactSet {
-	out := make([]Fact, 0, len(s.facts))
-	for f := range s.facts {
-		out = append(out, f)
+	out := make(FactSet, 0, len(s.pso))
+	for k := 0; k+1 < len(s.spo.off); k++ {
+		for i := s.spo.off[k]; i < s.spo.off[k+1]; i++ {
+			out = append(out, Fact{S: vocab.TermID(k), P: s.spo.mid[i], O: s.spo.last[i]})
+		}
 	}
-	return NewFactSet(out...)
+	return out
+}
+
+// PredStats returns the fact count and the number of distinct subjects and
+// objects stored under a predicate — the planner's estimates for half-bound
+// triple patterns.
+func (s *Store) PredStats(pred vocab.TermID) (facts, subjects, objects int) {
+	if pred < 0 || int(pred) >= len(s.stats) {
+		return 0, 0, 0
+	}
+	st := s.stats[pred]
+	return st.facts, st.subjects, st.objects
 }

@@ -35,18 +35,20 @@ import (
 // concurrent use. Obtain a per-store shared instance with SharedPlanCache or
 // wire one into an Evaluator with UseSharedCache.
 type PlanCache struct {
-	entries sync.Map // shape key (string) -> *Plan (shape-canonical names)
+	mu      sync.RWMutex
+	entries map[string]*Plan // shape key -> plan (shape-canonical names)
 	hits    atomic.Int64
 	misses  atomic.Int64
-	size    atomic.Int64
 }
 
 // NewPlanCache returns an empty plan cache.
-func NewPlanCache() *PlanCache { return &PlanCache{} }
+func NewPlanCache() *PlanCache { return &PlanCache{entries: make(map[string]*Plan)} }
 
 // Stats reports cache traffic: hits, misses, and resident entries.
 func (c *PlanCache) Stats() (hits, misses, entries int64) {
-	return c.hits.Load(), c.misses.Load(), c.size.Load()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.hits.Load(), c.misses.Load(), int64(len(c.entries))
 }
 
 // sharedCacheKey is the PlanMemo key under which a store's PlanCache lives.
@@ -73,45 +75,42 @@ func (e *Evaluator) UseSharedCache() *Evaluator {
 	return e
 }
 
-// shapeKey renders the BGP's normalized shape: the evaluation mode, then
-// each pattern in BGP order with constants as C<id>, variables as V<slot>
-// (slots from bgpVars, exactly as compile assigns them), wildcards as W,
-// and literals length-prefixed so no literal byte sequence can collide
-// with the key's own separators. It returns the variable slots alongside
-// so a cache hit can rebind them onto the cached plan.
-func shapeKey(bgp BGP, semantic bool) (string, []PlanVar) {
-	vars := bgpVars(bgp)
-	buf := make([]byte, 0, 16+24*len(bgp))
+// appendShapeKey appends the BGP's normalized shape to dst: the evaluation
+// mode, then each pattern in BGP order with constants as C<id>, variables
+// as V<slot> (slots from vars, exactly as compile assigns them), wildcards
+// as W, and literals length-prefixed so no literal byte sequence can
+// collide with the key's own separators.
+func appendShapeKey(dst []byte, bgp BGP, semantic bool, vars []PlanVar) []byte {
 	if semantic {
-		buf = append(buf, 'S')
+		dst = append(dst, 'S')
 	} else {
-		buf = append(buf, 'E')
+		dst = append(dst, 'E')
 	}
 	for _, p := range bgp {
-		buf = append(buf, '|')
+		dst = append(dst, '|')
 		if p.Star {
-			buf = append(buf, '*')
+			dst = append(dst, '*')
 		}
-		for _, t := range []Term{p.S, p.P, p.O} {
+		for _, t := range [3]Term{p.S, p.P, p.O} {
 			switch t.Kind {
 			case Const:
-				buf = append(buf, 'C')
-				buf = strconv.AppendInt(buf, int64(t.ID), 10)
+				dst = append(dst, 'C')
+				dst = strconv.AppendInt(dst, int64(t.ID), 10)
 			case Var:
-				buf = append(buf, 'V')
-				buf = strconv.AppendInt(buf, int64(varSlot(vars, t.Name)), 10)
+				dst = append(dst, 'V')
+				dst = strconv.AppendInt(dst, int64(varSlot(vars, t.Name)), 10)
 			case Literal:
-				buf = append(buf, 'L')
-				buf = strconv.AppendInt(buf, int64(len(t.Lit)), 10)
-				buf = append(buf, ':')
-				buf = append(buf, t.Lit...)
+				dst = append(dst, 'L')
+				dst = strconv.AppendInt(dst, int64(len(t.Lit)), 10)
+				dst = append(dst, ':')
+				dst = append(dst, t.Lit...)
 			default:
-				buf = append(buf, 'W')
+				dst = append(dst, 'W')
 			}
-			buf = append(buf, ',')
+			dst = append(dst, ',')
 		}
 	}
-	return string(buf), vars
+	return dst
 }
 
 // rebind clones the plan for a query that shares its shape but may name its
@@ -129,12 +128,20 @@ func (pl *Plan) rebind(vars []PlanVar) *Plan {
 // the plan under its shape, and reports compile time as usual. Compile
 // errors are returned without caching (the next lookup re-compiles).
 func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
-	key, vars := shapeKey(bgp, e.Semantic)
-	if v, ok := c.entries.Load(key); ok {
+	vars := bgpVars(bgp)
+	// The key is built on the stack and the map is indexed with
+	// string(key), which the compiler does without allocating, so a hit
+	// allocates only vars and the rebound plan.
+	var buf [256]byte
+	key := appendShapeKey(buf[:0], bgp, e.Semantic, vars)
+	c.mu.RLock()
+	cached := c.entries[string(key)]
+	c.mu.RUnlock()
+	if cached != nil {
 		c.hits.Add(1)
 		e.lastHit.Store(true)
 		e.Metrics.CacheHit()
-		pl := v.(*Plan).rebind(vars)
+		pl := cached.rebind(vars)
 		if e.Metrics != nil {
 			pl.Observe(e.Metrics)
 		}
@@ -147,8 +154,10 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, loaded := c.entries.LoadOrStore(key, pl.rebind(pl.vars)); !loaded {
-		c.size.Add(1)
+	c.mu.Lock()
+	if c.entries[string(key)] == nil {
+		c.entries[string(key)] = pl.rebind(pl.vars)
 	}
+	c.mu.Unlock()
 	return pl, nil
 }

@@ -143,9 +143,9 @@ func (pl *Plan) Observe(m *obs.PlanMetrics) {
 }
 
 // Compile validates the BGP and lowers it to a Plan. The evaluator's
-// Semantic mode is captured at compile time. The store's contents must be
-// final (normally: frozen) before compiling — selectivity estimates and the
-// closure indexes snapshot it. When the evaluator carries a Metrics set the
+// Semantic mode is captured at compile time. The store must be frozen
+// before compiling (an unfrozen store reads as empty) — selectivity
+// estimates and the closure indexes snapshot it. When the evaluator carries a Metrics set the
 // compile is timed and the plan comes back with observation enabled. When
 // the evaluator carries a Cache, the lookup happens here: a cached shape
 // skips compilation (and the Compiles counter) entirely.
@@ -979,8 +979,8 @@ const (
 )
 
 // semCandidates returns the facts runSemTriple must consider for a pattern
-// with the given bound sides, in byP order (Fact.Less, i.e. (S, O) within
-// one predicate), and the side those candidates are exact for. sVar says
+// with the given bound sides, in FactsWithPredicate order (Fact.Less, i.e.
+// (S, O) within one predicate), and the side those candidates are exact for. sVar says
 // the bound subject is a variable bound by an earlier operator: trySet then
 // requires the stored subject to equal it, which is stricter than ≤, so the
 // candidates are just the predicate's run of facts with that subject. When
@@ -988,8 +988,8 @@ const (
 // fact list, the candidates are the store's memoized cone for that side
 // (ontology.Store.SemCone) — exactly the subsequence of the full scan that
 // survives that side's ≤ filter. Either way the caller skips the exact
-// side's filter. Otherwise it returns the shared byP slice and the caller's
-// per-fact filters do the work.
+// side's filter. Otherwise it returns the predicate's shared
+// FactsWithPredicate run and the caller's per-fact filters do the work.
 func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK, sVar bool, obj vocab.TermID, oOK bool) ([]ontology.Fact, semSide) {
 	st := pl.store
 	all := st.FactsWithPredicate(pred)
@@ -1013,7 +1013,7 @@ func (pl *Plan) semCandidates(pred vocab.TermID, s vocab.TermID, sOK, sVar bool,
 }
 
 // subjectRun returns the contiguous run of facts with subject s in a
-// predicate's byP slice, which is sorted by (S, O).
+// predicate's FactsWithPredicate run, which is sorted by (S, O).
 func subjectRun(all []ontology.Fact, s vocab.TermID) []ontology.Fact {
 	lo := sort.Search(len(all), func(i int) bool { return all[i].S >= s })
 	hi := sort.Search(len(all), func(i int) bool { return all[i].S > s })

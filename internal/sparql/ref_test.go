@@ -382,9 +382,11 @@ func randomStore(rng *rand.Rand) *caseStore {
 			panic(err)
 		}
 	}
-	if rng.Float64() < 0.9 {
-		s.Freeze()
-	}
+	// A store answers reads only once frozen. The draw that used to leave
+	// a tenth of the stores unfrozen stays, so each seed builds the same
+	// case as before.
+	_ = rng.Float64()
+	s.Freeze()
 	return &caseStore{s: s, elems: elems, rels: rels, hasLabel: hasLabel}
 }
 

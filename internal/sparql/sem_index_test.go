@@ -4,7 +4,7 @@ package sparql_test
 // ref_test.go stay under semScanFloor, so the index-driven candidate path
 // of runSemTriple never engages there. These cases use hundreds of facts
 // per predicate and a deep element taxonomy, making bound-side patterns
-// take the bySP/byPO point-index route, and pin the planned evaluator to
+// take the point-lookup route, and pin the planned evaluator to
 // the naive reference on exactly those shapes.
 
 import (

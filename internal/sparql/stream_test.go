@@ -236,6 +236,26 @@ func TestPlanCacheNearMisses(t *testing.T) {
 	}
 }
 
+// TestPlanCacheHitAllocs pins the cost of a plan-cache hit: the shape key
+// is built on the stack and looked up without converting it to a string,
+// so a hit allocates only the query's variable table and the rebound plan.
+func TestPlanCacheHitAllocs(t *testing.T) {
+	v, s := paperdata.Build()
+	bgp := benchBGP(v)
+	e := sparql.NewEvaluator(s).UseSharedCache()
+	if _, err := e.Compile(bgp); err != nil { // warm the shared entry
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Compile(bgp); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("a plan-cache hit allocates %.0f times, want at most 2", allocs)
+	}
+}
+
 // TestSemanticStreamAllocsFlat guards the allocation-free semantic path: a
 // warm semantic Stream allocates the same fixed per-run scratch whether
 // its anchor yields a few rows or ten times as many — no per-fact
