@@ -106,6 +106,16 @@ type kernel struct {
 	// border node costs O(its newly insignificant successors), not
 	// O(successor list), per settle.
 	confirmWit []int32
+
+	// single, when set, makes this a single-member run: one of the
+	// Section 6.4 strategies (single.go) replaces selectMining. Nil for
+	// multi-user runs.
+	single *singlePolicy
+
+	// watch lists ground-truth assignments; watchAt records the question
+	// count at which each became classified significant (-1 = never).
+	watch   []*assign.Assignment
+	watchAt []int
 }
 
 // userState tracks one member's session. answers records the member's
@@ -342,6 +352,9 @@ func (k *kernel) selectAsk(u *userState) *crowd.Ask {
 	if !k.eligible(u) {
 		return nil
 	}
+	if k.single != nil {
+		return k.selectSingle(u)
+	}
 	if k.checker != nil && k.cfg.CalibrationQuestions > 0 {
 		if ask := k.selectProbe(u); ask != nil {
 			return ask
@@ -368,7 +381,7 @@ func (k *kernel) selectProbe(u *userState) *crowd.Ask {
 			continue
 		}
 		if k.assignmentPruned(u, p) {
-			k.recordAnswer(u, p, 0, true)
+			k.inferPruned(u, p)
 			u.probeIdx++
 			continue
 		}
@@ -433,7 +446,7 @@ func (k *kernel) selectMining(u *userState) *crowd.Ask {
 		if !u.answered.has(a.ID()) {
 			if k.assignmentPruned(u, a) {
 				// Auto-answer 0 from an earlier pruning click.
-				k.recordAnswer(u, a, 0, true)
+				k.inferPruned(u, a)
 				continue
 			}
 			if k.coveredInFlight(a) {
@@ -478,23 +491,34 @@ func (k *kernel) maybeSpecialize(u *userState, base *assign.Assignment) *crowd.A
 	if k.cfg.SpecializationRatio <= 0 || k.rng.Float64() >= k.cfg.SpecializationRatio {
 		return nil
 	}
+	open := k.openSuccessors(u, base)
+	if len(open) < 2 {
+		return nil
+	}
+	return k.emitSpecialize(u, base, open)
+}
+
+// openSuccessors lists the successors of base the member can still be
+// asked about: globally undecided and not yet answered by them. Those the
+// member's pruning clicks cover are auto-answered on the way.
+func (k *kernel) openSuccessors(u *userState, base *assign.Assignment) []*assign.Assignment {
 	var open []*assign.Assignment
 	for _, succ := range k.successors(base) {
-		if k.globalStatus(succ) != assign.Unknown {
-			continue
-		}
-		if u.answered.has(succ.ID()) {
+		if k.globalStatus(succ) != assign.Unknown || u.answered.has(succ.ID()) {
 			continue
 		}
 		if k.assignmentPruned(u, succ) {
-			k.recordAnswer(u, succ, 0, true)
+			k.inferPruned(u, succ)
 			continue
 		}
 		open = append(open, succ)
 	}
-	if len(open) < 2 {
-		return nil
-	}
+	return open
+}
+
+// emitSpecialize builds the Ask event for one specialization question
+// over the open successors of base.
+func (k *kernel) emitSpecialize(u *userState, base *assign.Assignment, open []*assign.Assignment) *crowd.Ask {
 	cands := make([]ontology.FactSet, len(open))
 	for i, o := range open {
 		cands[i] = k.space.Instantiate(o)
@@ -590,6 +614,11 @@ func (k *kernel) apply(r crowd.Reply) {
 			k.km.Departures.Inc()
 			k.sb.Departure(u.id)
 		}
+		if k.single != nil {
+			// The only member left: the run ends with the MSPs
+			// confirmed so far, as a top-k stop does.
+			k.stopped = true
+		}
 		return
 	}
 	deadline := k.cfg.AnswerDeadline
@@ -632,6 +661,7 @@ func (k *kernel) apply(r crowd.Reply) {
 			r.Support, r.Choice, prunedInts(r.Pruned), int64(r.Elapsed), "")
 	}
 	k.sb.Reply(u.id, r.Support, r.Elapsed.Seconds())
+	var answered *assign.Assignment // the node whose support came back
 	switch p.ask.Kind {
 	case crowd.ConcreteAsk:
 		k.stats.ConcreteQ++
@@ -645,11 +675,14 @@ func (k *kernel) apply(r crowd.Reply) {
 			k.transcribe(u, "concrete "+p.target.Key())
 		}
 		k.recordAnswer(u, p.target, r.Support, false)
+		answered = p.target
 	case crowd.SpecializeAsk:
 		k.stats.SpecialQ++
 		if r.Choice < 0 || r.Choice >= len(p.open) {
+			// "None of these" settles every option at the cost of one
+			// question: the other len(open)-1 answers are free.
 			k.stats.NoneOfThese++
-			k.stats.AutoAnswers += len(p.open) - 1
+			k.countInferred(len(p.open) - 1)
 			if k.cfg.RecordTranscript {
 				k.transcribe(u, "specialize "+p.base.Key()+" -> none")
 			}
@@ -660,8 +693,12 @@ func (k *kernel) apply(r crowd.Reply) {
 			if k.cfg.RecordTranscript {
 				k.transcribe(u, "specialize "+p.base.Key()+" -> "+p.open[r.Choice].Key())
 			}
-			k.recordAnswer(u, p.open[r.Choice], r.Support, false)
+			answered = p.open[r.Choice]
+			k.recordAnswer(u, answered, r.Support, false)
 		}
+	}
+	if k.single != nil && answered != nil && r.Support >= k.cfg.Theta {
+		k.singleSignificant(answered)
 	}
 	k.tracker.sample(&k.stats)
 	k.reviewBan(u)
@@ -686,20 +723,35 @@ func (k *kernel) reviewBan(u *userState) {
 	}
 }
 
+// countInferred counts n answers obtained without a question.
+func (k *kernel) countInferred(n int) {
+	k.stats.AutoAnswers += n
+	k.km.Inferred.Add(int64(n))
+}
+
+// inferPruned auto-answers 0 for an assignment the member's pruning clicks
+// cover.
+func (k *kernel) inferPruned(u *userState, a *assign.Assignment) {
+	k.countInferred(1)
+	k.recordAnswer(u, a, 0, true)
+}
+
 // recordAnswer feeds one member answer into the member's answer log, the
 // aggregator, the consistency checker and — when the aggregator reaches a
 // verdict — the global classifier. auto marks answers obtained without a
-// question (pruning inference, none-of-these fan-out).
+// question (pruning inference, none-of-these fan-out); callers count them.
 func (k *kernel) recordAnswer(u *userState, a *assign.Assignment, support float64, auto bool) {
 	u.setAnswer(a.ID(), support, k.cfg.Theta)
-	if auto {
-		k.stats.AutoAnswers++
-		k.km.Inferred.Inc()
-	}
 	if k.checker != nil && !auto {
 		k.checker.Record(u.id, k.space.Instantiate(a), support)
 	}
 	if _, settled := k.decided[a.ID()]; settled {
+		return
+	}
+	if auto && k.single != nil {
+		// A lone member's inferred no is the verdict itself. It stays out
+		// of the aggregator, whose supports are the asked answers.
+		k.settle(a, crowd.OverallInsignificant)
 		return
 	}
 	k.agg.Add(a.ID(), u.id, support)
@@ -732,6 +784,11 @@ func (k *kernel) settle(a *assign.Assignment, d crowd.Decision) {
 		if k.global.Status(a) != assign.Significant {
 			k.global.MarkSignificant(a)
 			k.tracker.onMark(a, true)
+			for i, w := range k.watch {
+				if k.watchAt[i] < 0 && k.space.Leq(w, a) {
+					k.watchAt[i] = k.stats.Questions
+				}
+			}
 			// A significant mark only flips statuses Unknown →
 			// Significant, so no existing border node's "all successors
 			// insignificant" condition can newly hold; the only node
@@ -763,9 +820,11 @@ func (k *kernel) settle(a *assign.Assignment, d crowd.Decision) {
 // quota: with at least one answer the mean decides; untouched assignments
 // reachable from the roots are conservatively insignificant.
 func (k *kernel) finalize() {
-	if k.stopped {
+	if k.stopped || k.single != nil {
 		// A top-k run ends as soon as k MSPs are confirmed; the
-		// unexplored remainder stays unclassified by design.
+		// unexplored remainder stays unclassified by design. A
+		// single-member run has no pending answers: its strategy decides
+		// what stays unexplored.
 		return
 	}
 	// Deterministic finalization order: by canonical key, matching the
@@ -918,6 +977,7 @@ func (k *kernel) result() *Result {
 	// and the HTTP wire format; the translation from NodeIDs happens
 	// once here, off the hot path.
 	res := &Result{Stats: k.stats, Supports: make(map[string]float64)}
+	res.Stats.WatchDiscoveredAt = k.watchAt
 	if t := k.cfg.Obs.Trace(); t != nil {
 		res.Trace = t.Summary()
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand"
 	"sort"
 
 	"oassis/internal/assign"
@@ -67,396 +66,182 @@ type SingleUser struct {
 }
 
 // Run executes the strategy until the space is fully classified and returns
-// the mining result.
+// the mining result. The run is the mining kernel with one member whose
+// every answer is the verdict, driven by Engine.Run; the strategy replaces
+// the multi-user traversal as the kernel's question selection.
 func (r *SingleUser) Run() *Result {
-	s := newSession(r.Space, r.Theta, r.Watch)
-	s.rng = rand.New(rand.NewSource(r.Seed))
-	s.maxMSPs = r.MaxMSPs
-	s.onMSP = r.OnMSP
-	s.obsv = r.Obs
-	s.km = r.Obs.KernelSet().OrNop()
-	switch r.Strategy {
+	e := NewEngine(r.Space, []crowd.Member{r.Member}, EngineConfig{
+		Theta:               r.Theta,
+		Aggregator:          crowd.NewMeanAggregator(1, r.Theta),
+		SpecializationRatio: r.SpecializationRatio,
+		MaxMSPs:             r.MaxMSPs,
+		OnMSP:               r.OnMSP,
+		Seed:                r.Seed,
+		Obs:                 r.Obs,
+	})
+	e.k.single = &singlePolicy{strategy: r.Strategy}
+	e.k.watch = r.Watch
+	e.k.watchAt = make([]int, len(r.Watch))
+	for i := range e.k.watchAt {
+		e.k.watchAt[i] = -1
+	}
+	return e.Run()
+}
+
+// singlePolicy is the selection state of a single-member strategy. A
+// single-member run differs from a multi-user one only here and in three
+// kernel rules: inferred answers settle directly (Supports lists asked
+// answers only), the member's departure ends the run with the MSPs
+// confirmed so far, and nothing is finalized — every answer is already the
+// verdict, and what the strategy never reached stays unclassified.
+type singlePolicy struct {
+	strategy Strategy
+	started  bool
+
+	// cur is Vertical's dive position: the significant assignment whose
+	// successors the inner loop of Algorithm 1 asks next (nil runs the
+	// outer loop).
+	cur *assign.Assignment
+
+	// level is Horizontal's queue, sorted by ascending depth then key;
+	// queued marks every assignment ever pushed.
+	level  []levelItem
+	queued idSet
+
+	// order is Naive's shuffled copy of 𝒜valid; next is its cursor.
+	order []*assign.Assignment
+	next  int
+}
+
+type levelItem struct {
+	a     *assign.Assignment
+	depth int
+}
+
+// selectSingle picks the lone member's next question under the run's
+// strategy. Auto-answers found on the way are folded in at once, and the
+// stop flag is honored exactly where the strategies' loops check it.
+func (k *kernel) selectSingle(u *userState) *crowd.Ask {
+	switch k.single.strategy {
 	case Horizontal:
-		s.runHorizontal(r.Member)
+		return k.selectHorizontal(u)
 	case Naive:
-		s.runNaive(r.Member)
+		return k.selectNaive(u)
 	default:
-		s.runVertical(r.Member, r.SpecializationRatio)
-	}
-	return s.result()
-}
-
-// session holds the shared machinery of all strategies: the classifier, the
-// lazy successor cache, pruning state, statistics and MSP confirmation.
-type session struct {
-	space   *assign.Space
-	theta   float64
-	cls     *assign.Classifier
-	tracker *progressTracker
-	stats   Stats
-	rng     *rand.Rand
-
-	// tracked lists the lattice nodes this run has materialized, in
-	// first-seen order (the Space and its edge cache are shared across
-	// runs; the per-run Generated accounting lives here). gen is its
-	// membership set, indexed by NodeID.
-	tracked []*assign.Assignment
-	gen     idSet
-
-	// prunedE holds element terms the user marked irrelevant.
-	prunedE map[vocab.TermID]bool
-
-	// watch lists ground-truth assignments; watchAt records the question
-	// count at which each became classified significant (-1 = never).
-	watch   []*assign.Assignment
-	watchAt []int
-
-	// supports records the member's answered support per assignment.
-	supports map[assign.NodeID]float64
-
-	confirmed map[assign.NodeID]bool // assignments confirmed as MSPs
-	maxMSPs   int
-	onMSP     func(*assign.Assignment)
-	stopped   bool
-
-	// obsv/km mirror the Stats counters into an Observer as events
-	// happen; both are nil (no-op) unless SingleUser.Obs is set.
-	obsv *obs.Observer
-	km   *obs.KernelMetrics
-}
-
-func newSession(sp *assign.Space, theta float64, watch []*assign.Assignment) *session {
-	s := &session{
-		space:     sp,
-		theta:     theta,
-		cls:       assign.NewClassifier(sp),
-		tracker:   newProgressTracker(sp),
-		prunedE:   make(map[vocab.TermID]bool),
-		supports:  make(map[assign.NodeID]float64),
-		watch:     watch,
-		watchAt:   make([]int, len(watch)),
-		confirmed: make(map[assign.NodeID]bool),
-	}
-	for i := range s.watchAt {
-		s.watchAt[i] = -1
-	}
-	return s
-}
-
-// track registers a materialized assignment for the laziness statistics.
-func (s *session) track(a *assign.Assignment) {
-	if s.gen.add(a.ID()) {
-		s.tracked = append(s.tracked, a)
-		s.stats.Generated++
+		return k.selectVertical(u)
 	}
 }
 
-// successors returns the node's successors from the space's shared edge
-// cache (shared slice, read-only).
-func (s *session) successors(a *assign.Assignment) []*assign.Assignment {
-	out := s.space.Successors(a)
-	for _, x := range out {
-		s.track(x)
-	}
-	return out
-}
-
-// roots returns the space's memoized roots (shared slice, read-only).
-func (s *session) roots() []*assign.Assignment {
-	rs := s.space.Roots()
-	for _, r := range rs {
-		s.track(r)
-	}
-	return rs
-}
-
-// pruned reports whether the user's pruning clicks cover the assignment: it
-// involves a pruned value or a more specific one.
-func (s *session) pruned(a *assign.Assignment) bool {
-	if len(s.prunedE) == 0 {
-		return false
-	}
-	v := s.space.Vocabulary()
-	for _, vs := range s.space.Vars() {
-		if vs.Kind != vocab.Element {
-			continue
+// singleSignificant hears that the member's reply found a significant
+// assignment: Vertical dives below it, Horizontal queues its successors.
+func (k *kernel) singleSignificant(a *assign.Assignment) {
+	switch k.single.strategy {
+	case Vertical:
+		k.single.cur = a
+	case Horizontal:
+		for _, succ := range k.successors(a) {
+			k.pushLevel(succ)
 		}
-		for _, val := range a.Values(vs.Name) {
-			for p := range s.prunedE {
-				if v.LeqE(p, val) {
-					return true
-				}
+	}
+}
+
+// selectVertical is Algorithm 1 with the lazy generation of Section 5 and
+// the optional specialization questions of Section 4.1: the inner loop
+// asks the open successors of cur, and once none is left the outer loop
+// restarts from the most general unclassified assignment.
+func (k *kernel) selectVertical(u *userState) *crowd.Ask {
+	p := k.single
+	if p.cur != nil {
+		if open := k.openSuccessors(u, p.cur); len(open) > 0 {
+			if ratio := k.cfg.SpecializationRatio; ratio > 0 && len(open) > 1 && k.rng.Float64() < ratio {
+				return k.emitSpecialize(u, p.cur, open)
 			}
+			return k.emitConcrete(u, open[0], false)
+		}
+		p.cur = nil
+		if k.stopped {
+			return nil
 		}
 	}
-	for _, f := range a.More() {
-		for p := range s.prunedE {
-			if (f.S != ontology.Any && v.LeqE(p, f.S)) ||
-				(f.O != ontology.Any && v.LeqE(p, f.O)) {
-				return true
-			}
-		}
+	if phi := k.minimalUnclassified(u); phi != nil {
+		return k.emitConcrete(u, phi, false)
 	}
-	return false
-}
-
-// markSignificant records a significant classification and its side effects.
-func (s *session) markSignificant(a *assign.Assignment) {
-	if s.cls.Status(a) == assign.Significant {
-		return
-	}
-	s.cls.MarkSignificant(a)
-	s.tracker.onMark(a, true)
-	for i, w := range s.watch {
-		if s.watchAt[i] < 0 && s.space.Leq(w, a) {
-			s.watchAt[i] = s.stats.Questions
-		}
-	}
-	s.checkConfirmations()
-}
-
-// markInsignificant records an insignificant classification.
-func (s *session) markInsignificant(a *assign.Assignment) {
-	if s.cls.Status(a) == assign.Insignificant {
-		return
-	}
-	s.cls.MarkInsignificant(a)
-	s.tracker.onMark(a, false)
-	s.checkConfirmations()
-}
-
-// checkConfirmations promotes significant-border members all of whose
-// successors are classified insignificant to confirmed MSPs.
-func (s *session) checkConfirmations() {
-	for _, b := range s.cls.SignificantBorder() {
-		if s.confirmed[b.ID()] {
-			continue
-		}
-		done := true
-		for _, succ := range s.successors(b) {
-			if s.cls.Status(succ) != assign.Insignificant {
-				done = false
-				break
-			}
-		}
-		if done {
-			s.confirmed[b.ID()] = true
-			s.tracker.onMSP(b)
-			s.km.MSPs.Inc()
-			if s.onMSP != nil {
-				s.onMSP(b)
-			}
-			if s.maxMSPs > 0 && len(s.confirmed) >= s.maxMSPs {
-				s.stopped = true
-			}
-		}
-	}
-}
-
-// askConcrete poses one concrete question and classifies the assignment.
-// It returns true when the member's support meets the threshold. Pruned
-// assignments are auto-answered without a question.
-func (s *session) askConcrete(m crowd.Member, a *assign.Assignment) bool {
-	if s.pruned(a) {
-		s.stats.AutoAnswers++
-		s.km.Inferred.Inc()
-		s.markInsignificant(a)
-		return false
-	}
-	resp := m.AskConcrete(s.space.Instantiate(a))
-	if resp.Departed {
-		// The only member left; end the run with what is confirmed so far
-		// (the same early-termination semantics as top-k).
-		s.stats.Departures++
-		s.km.Departures.Inc()
-		s.stopped = true
-		return false
-	}
-	s.stats.Questions++
-	s.stats.ConcreteQ++
-	s.km.Questions.Inc()
-	if len(resp.Pruned) > 0 {
-		s.stats.PruneClicks++
-		for _, t := range resp.Pruned {
-			s.prunedE[t] = true
-		}
-	}
-	s.supports[a.ID()] = resp.Support
-	sig := resp.Support >= s.theta
-	if sig {
-		s.markSignificant(a)
-	} else {
-		s.markInsignificant(a)
-	}
-	s.tracker.sample(&s.stats)
-	return sig
-}
-
-// unclassifiedSuccessors filters the successors of a to the ones the
-// classifier cannot decide yet, auto-answering pruned ones.
-func (s *session) unclassifiedSuccessors(a *assign.Assignment) []*assign.Assignment {
-	var out []*assign.Assignment
-	for _, succ := range s.successors(a) {
-		if s.cls.Status(succ) != assign.Unknown {
-			continue
-		}
-		if s.pruned(succ) {
-			s.stats.AutoAnswers++
-			s.km.Inferred.Inc()
-			s.markInsignificant(succ)
-			continue
-		}
-		out = append(out, succ)
-	}
-	return out
-}
-
-// runVertical is Algorithm 1 with the lazy generation of Section 5 and the
-// optional specialization questions of Section 4.1.
-func (s *session) runVertical(m crowd.Member, specRatio float64) {
-	for !s.stopped {
-		phi := s.minimalUnclassified()
-		if phi == nil {
-			return
-		}
-		if !s.askConcrete(m, phi) {
-			continue
-		}
-		cur := phi
-		for !s.stopped {
-			open := s.unclassifiedSuccessors(cur)
-			if len(open) == 0 {
-				break
-			}
-			if specRatio > 0 && len(open) > 1 && s.rng.Float64() < specRatio {
-				if next, ok := s.askSpecialization(m, cur, open); ok {
-					cur = next
-				}
-				continue
-			}
-			if s.askConcrete(m, open[0]) {
-				cur = open[0]
-			}
-		}
-	}
-}
-
-// askSpecialization poses one specialization question over the open
-// successors. It returns the chosen significant successor, if any.
-func (s *session) askSpecialization(m crowd.Member, base *assign.Assignment, open []*assign.Assignment) (*assign.Assignment, bool) {
-	cands := make([]ontology.FactSet, len(open))
-	for i, o := range open {
-		cands[i] = s.space.Instantiate(o)
-	}
-	idx, resp := m.AskSpecialize(s.space.Instantiate(base), cands)
-	if resp.Departed {
-		s.stats.Departures++
-		s.km.Departures.Inc()
-		s.stopped = true
-		return nil, false
-	}
-	s.stats.Questions++
-	s.stats.SpecialQ++
-	s.km.Questions.Inc()
-	if idx < 0 {
-		// "None of these": support 0 for every proposed successor at
-		// the cost of a single question (Section 6.2).
-		s.stats.NoneOfThese++
-		s.stats.AutoAnswers += len(open) - 1
-		s.km.Inferred.Add(int64(len(open) - 1))
-		for _, o := range open {
-			s.markInsignificant(o)
-		}
-		s.tracker.sample(&s.stats)
-		return nil, false
-	}
-	chosen := open[idx]
-	s.supports[chosen.ID()] = resp.Support
-	sig := resp.Support >= s.theta
-	if sig {
-		s.markSignificant(chosen)
-	} else {
-		s.markInsignificant(chosen)
-	}
-	s.tracker.sample(&s.stats)
-	return chosen, sig
+	return nil
 }
 
 // minimalUnclassified descends from the roots through significant
 // assignments to the first unclassified one (the outer-loop pick of
-// Algorithm 1, in the refined start-at-the-top form of Section 4.2).
-func (s *session) minimalUnclassified() *assign.Assignment {
-	queue := append([]*assign.Assignment{}, s.roots()...)
-	seen := make(map[assign.NodeID]bool, len(queue))
-	for len(queue) > 0 {
-		a := queue[0]
-		queue = queue[1:]
-		if seen[a.ID()] {
+// Algorithm 1, in the refined start-at-the-top form of Section 4.2). It
+// shares selectMining's epoch-stamped traversal scratch.
+func (k *kernel) minimalUnclassified(u *userState) *assign.Assignment {
+	k.epoch++
+	queue := append(k.queueBuf[:0], k.roots()...)
+	defer func() { k.queueBuf = queue[:0] }()
+	for head := 0; head < len(queue); head++ {
+		a := queue[head]
+		if k.alreadyVisited(a.ID()) {
 			continue
 		}
-		seen[a.ID()] = true
-		switch s.cls.Status(a) {
+		switch k.global.Status(a) {
 		case assign.Unknown:
-			if s.pruned(a) {
-				s.stats.AutoAnswers++
-				s.km.Inferred.Inc()
-				s.markInsignificant(a)
+			if k.assignmentPruned(u, a) {
+				k.inferPruned(u, a)
 				continue
 			}
 			return a
 		case assign.Significant:
-			queue = append(queue, s.successors(a)...)
+			queue = append(queue, k.successors(a)...)
 		}
 	}
 	return nil
 }
 
-// runHorizontal processes assignments levelwise by ascending depth, asking
-// an assignment only when every immediate predecessor is significant.
-func (s *session) runHorizontal(m crowd.Member) {
-	type item struct {
-		a     *assign.Assignment
-		depth int
-	}
-	var heap []item
-	push := func(a *assign.Assignment) {
-		heap = append(heap, item{a: a, depth: s.depthOf(a)})
-		sort.SliceStable(heap, func(i, j int) bool {
-			if heap[i].depth != heap[j].depth {
-				return heap[i].depth < heap[j].depth
-			}
-			return heap[i].a.Key() < heap[j].a.Key()
-		})
-	}
-	seen := map[assign.NodeID]bool{}
-	for _, r := range s.roots() {
-		if !seen[r.ID()] {
-			seen[r.ID()] = true
-			push(r)
+// selectHorizontal processes assignments levelwise by ascending depth,
+// asking an assignment only when every immediate predecessor is
+// significant. A significant assignment's successors join the queue.
+func (k *kernel) selectHorizontal(u *userState) *crowd.Ask {
+	p := k.single
+	if !p.started {
+		p.started = true
+		for _, r := range k.roots() {
+			k.pushLevel(r)
 		}
 	}
-	for len(heap) > 0 && !s.stopped {
-		a := heap[0].a
-		heap = heap[1:]
-		st := s.cls.Status(a)
-		if st == assign.Insignificant {
+	for len(p.level) > 0 && !k.stopped {
+		a := p.level[0].a
+		p.level = p.level[1:]
+		switch k.global.Status(a) {
+		case assign.Insignificant:
 			continue
-		}
-		if st == assign.Unknown {
-			if !s.allPredecessorsSignificant(a) {
+		case assign.Unknown:
+			if !k.allPredecessorsSignificant(a) {
 				continue
 			}
-			if !s.askConcrete(m, a) {
+			if k.assignmentPruned(u, a) {
+				k.inferPruned(u, a)
 				continue
 			}
+			return k.emitConcrete(u, a, false)
 		}
-		for _, succ := range s.successors(a) {
-			if !seen[succ.ID()] {
-				seen[succ.ID()] = true
-				push(succ)
-			}
-		}
+		// Already significant: queue its successors without asking.
+		k.singleSignificant(a)
 	}
+	return nil
+}
+
+// pushLevel queues an assignment for the levelwise traversal, once.
+func (k *kernel) pushLevel(a *assign.Assignment) {
+	p := k.single
+	if !p.queued.add(a.ID()) {
+		return
+	}
+	p.level = append(p.level, levelItem{a: a, depth: k.depthOf(a)})
+	sort.SliceStable(p.level, func(i, j int) bool {
+		if p.level[i].depth != p.level[j].depth {
+			return p.level[i].depth < p.level[j].depth
+		}
+		return p.level[i].a.Key() < p.level[j].a.Key()
+	})
 }
 
 // depthOf is a level measure for the levelwise traversal: the summed
@@ -464,8 +249,8 @@ func (s *session) runHorizontal(m crowd.Member) {
 // constant per value/fact. Specialization and extension edges increase it;
 // the one exception is multiplicity absorption (specializing a value so
 // that it swallows a sibling), which the traversal's deferral loop absorbs.
-func (s *session) depthOf(a *assign.Assignment) int {
-	v := s.space.Vocabulary()
+func (k *kernel) depthOf(a *assign.Assignment) int {
+	v := k.space.Vocabulary()
 	elemDepth := func(id vocab.TermID) int {
 		if id == ontology.Any {
 			return 0
@@ -479,7 +264,7 @@ func (s *session) depthOf(a *assign.Assignment) int {
 			d += v.RelationDepth(f.P)
 		}
 	}
-	for _, vs := range s.space.Vars() {
+	for _, vs := range k.space.Vars() {
 		for _, val := range a.Values(vs.Name) {
 			if vs.Kind == vocab.Element {
 				d += v.ElementDepth(val) + 100
@@ -491,69 +276,36 @@ func (s *session) depthOf(a *assign.Assignment) int {
 	return d
 }
 
-func (s *session) allPredecessorsSignificant(a *assign.Assignment) bool {
-	for _, p := range s.space.Predecessors(a) {
-		if s.cls.Status(p) != assign.Significant {
+func (k *kernel) allPredecessorsSignificant(a *assign.Assignment) bool {
+	for _, p := range k.space.Predecessors(a) {
+		if k.global.Status(p) != assign.Significant {
 			return false
 		}
 	}
 	return true
 }
 
-// runNaive asks randomly ordered valid assignments, reusing the inference
-// scheme.
-func (s *session) runNaive(m crowd.Member) {
-	order := make([]*assign.Assignment, len(s.space.Valid()))
-	copy(order, s.space.Valid())
-	s.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	for _, a := range order {
-		if s.stopped {
-			break
-		}
-		s.track(a)
-		if s.cls.Status(a) != assign.Unknown {
+// selectNaive asks the valid assignments in one random order, skipping
+// those the inference scheme has already classified.
+func (k *kernel) selectNaive(u *userState) *crowd.Ask {
+	p := k.single
+	if !p.started {
+		p.started = true
+		p.order = append([]*assign.Assignment(nil), k.space.Valid()...)
+		k.rng.Shuffle(len(p.order), func(i, j int) { p.order[i], p.order[j] = p.order[j], p.order[i] })
+	}
+	for p.next < len(p.order) && !k.stopped {
+		a := p.order[p.next]
+		p.next++
+		k.track(a)
+		if k.global.Status(a) != assign.Unknown {
 			continue
 		}
-		s.askConcrete(m, a)
-	}
-}
-
-// result finalizes the run. Supports is translated to the string-keyed
-// public form here, once, off the hot path.
-func (s *session) result() *Result {
-	res := &Result{Stats: s.stats, Supports: make(map[string]float64, len(s.supports))}
-	if t := s.obsv.Trace(); t != nil {
-		res.Trace = t.Summary()
-	}
-	for _, a := range s.tracked {
-		if sup, ok := s.supports[a.ID()]; ok {
-			res.Supports[a.Key()] = sup
+		if k.assignmentPruned(u, a) {
+			k.inferPruned(u, a)
+			continue
 		}
+		return k.emitConcrete(u, a, false)
 	}
-	res.Stats.WatchDiscoveredAt = s.watchAt
-	border := append([]*assign.Assignment{}, s.cls.SignificantBorder()...)
-	if s.stopped {
-		border = border[:0]
-		for _, b := range s.cls.SignificantBorder() {
-			if s.confirmed[b.ID()] {
-				border = append(border, b)
-			}
-		}
-	}
-	sort.Slice(border, func(i, j int) bool { return border[i].Key() < border[j].Key() })
-	res.MSPs = border
-	for _, b := range border {
-		if s.space.IsValid(b) {
-			res.ValidMSPs = append(res.ValidMSPs, b)
-		}
-	}
-	for _, a := range s.tracked {
-		if s.cls.Status(a) == assign.Significant {
-			res.Significant = append(res.Significant, a)
-		}
-	}
-	sort.Slice(res.Significant, func(i, j int) bool {
-		return res.Significant[i].Key() < res.Significant[j].Key()
-	})
-	return res
+	return nil
 }

@@ -1,8 +1,12 @@
-// Package core implements the OASSIS query evaluation engine: the vertical
-// algorithm of Section 4.1 (Algorithm 1), the multi-user evaluation of
-// Section 4.2 with a pluggable black-box aggregator, the horizontal
-// (Apriori-style) and naive baselines of Section 6.4. Answers are replayed
-// across thresholds (Section 6.3) by internal/platform at the broker layer.
+// Package core implements the OASSIS query evaluation engine: one
+// event-driven mining kernel (kernel.go) that runs the multi-user
+// evaluation of Section 4.2 with a pluggable black-box aggregator, and —
+// with one member whose every answer is the verdict — the vertical
+// algorithm of Section 4.1 (Algorithm 1) and the horizontal
+// (Apriori-style) and naive baselines of Section 6.4. Those three are
+// selection policies of the kernel (single.go), not separate engines.
+// Answers are replayed across thresholds (Section 6.3) by
+// internal/platform at the broker layer.
 package core
 
 import (
