@@ -6,7 +6,7 @@
 //	oassis-bench -fig all                  # everything (minutes)
 //	oassis-bench -fig 4a                   # one figure
 //	oassis-bench -fig 5b -quick            # scaled-down configuration
-//	oassis-bench -fig 5a -trace out.jsonl  # + per-phase trace spans
+//	oassis-bench -fig 5a -journal out.jsonl # + spans and crowd-run events
 //	oassis-bench -fig chaos -metrics       # + Prometheus metrics dump
 //	oassis-bench -fig none -explain        # query plans only, no figures
 //
@@ -17,10 +17,11 @@
 // sweep on a virtual clock). The paper's figure numbers 9/10/11 are
 // accepted as aliases for 5a/5b/5c.
 //
-// -metrics, -trace and -explain attach an Observer to the harness: every
-// engine run feeds the kernel/broker metric families, every synth query
-// pipeline feeds the sparql family, and each figure's build/mine/round
-// spans land in the trace under the figure ID as phase.
+// -metrics, -journal and -explain attach an Observer to the harness: every
+// engine run feeds the kernel/broker metric families and journals its
+// events, every synth query pipeline feeds the sparql family, and each
+// figure's build/mine/round spans land in the journal under the figure ID
+// as phase.
 package main
 
 import (
@@ -58,8 +59,7 @@ func main() {
 		members    = flag.Int("members", 0, "override the synthetic crowd size (0 = figure default: 248, or 40 with -quick)")
 		seed       = flag.Int64("seed", 1, "random seed")
 		metrics    = flag.Bool("metrics", false, "print a Prometheus-text metrics dump after the run")
-		traceOut   = flag.String("trace", "", "write per-phase trace spans to this JSONL `file`")
-		journalOut = flag.String("journal", "", "record the kernel flight-recorder event stream as JSONL to this `file` (implies an observer)")
+		journalOut = flag.String("journal", "", "write the journal — per-phase spans and crowd-run events — as JSONL to this `file` (implies an observer)")
 		explain    = flag.Bool("explain", false, "print the compiled WHERE plans of the three evaluation domains")
 
 		fleet        = flag.Bool("fleet", false, "run the ingestion + query-fleet benchmark instead of paper figures")
@@ -67,7 +67,7 @@ func main() {
 		fleetQueries = flag.Int("fleet-queries", 1200, "distinct queries in the fleet")
 		fleetExecs   = flag.Int("fleet-execs", 5000, "total query executions (Zipf-skewed over the fleet)")
 		fleetWorkers = flag.Int("fleet-workers", 0, "fleet execution workers (0 = GOMAXPROCS)")
-		fleetMine    = flag.Int("fleet-mine", 0, "follow each fleet execution with a mining pass served by this many synthetic members (with -journal: per-query question attribution in the report)")
+		fleetMine    = flag.Int("fleet-mine", 0, "follow each fleet execution with a mining pass served by this many synthetic members (with an observer, e.g. -journal: per-query question attribution in the report)")
 		fleetOut     = flag.String("fleet-out", "", "write the fleet benchmark report as JSON to this `file`")
 	)
 	flag.Parse()
@@ -76,9 +76,9 @@ func main() {
 		cfg.members = *members
 	}
 	var o *obs.Observer
-	if *metrics || *traceOut != "" || *explain || *journalOut != "" {
-		// -journal implies the observer like -metrics/-trace do, so the
-		// flag works standalone instead of silently recording nothing.
+	if *metrics || *explain || *journalOut != "" {
+		// -journal implies the observer like -metrics does, so the flag
+		// works standalone instead of silently recording nothing.
 		o = obs.New()
 		exp.SetObserver(o)
 	}
@@ -90,14 +90,14 @@ func main() {
 			os.Exit(1)
 		}
 		journalFile = f
-		o.EnableJournal(0).SetSink(f)
+		o.Journal.SetSink(f)
 	}
 	if *fleet {
 		if err := runFleetBench(*fleetScale, *fleetQueries, *fleetExecs, *fleetWorkers, *fleetMine, *seed, *fleetOut, o); err != nil {
 			fmt.Fprintln(os.Stderr, "oassis-bench:", err)
 			os.Exit(1)
 		}
-		if err := emit(o, *metrics, *traceOut, *journalOut, journalFile); err != nil {
+		if err := emit(o, *metrics, *journalOut, journalFile); err != nil {
 			fmt.Fprintln(os.Stderr, "oassis-bench:", err)
 			os.Exit(1)
 		}
@@ -107,29 +107,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, "oassis-bench:", err)
 		os.Exit(1)
 	}
-	if err := emit(o, *metrics, *traceOut, *journalOut, journalFile); err != nil {
+	if err := emit(o, *metrics, *journalOut, journalFile); err != nil {
 		fmt.Fprintln(os.Stderr, "oassis-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// emit writes the observer's trace, journal and metrics after the figures
-// ran.
-func emit(o *obs.Observer, metrics bool, traceOut, journalOut string, journalFile *os.File) error {
-	if traceOut != "" {
-		f, err := os.Create(traceOut)
-		if err != nil {
-			return err
-		}
-		if err := o.Trace().WriteJSONL(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace: %s\n", traceOut)
-	}
+// emit flushes the observer's journal and writes its metrics after the
+// figures ran.
+func emit(o *obs.Observer, metrics bool, journalOut string, journalFile *os.File) error {
 	if journalFile != nil {
 		j := o.JournalSet()
 		if err := j.Flush(); err != nil {
@@ -159,7 +145,7 @@ func run(fig string, cfg config, o *obs.Observer, explain bool) error {
 		fig = "5c"
 	}
 	if explain {
-		o.Trace().SetPhase("explain")
+		o.JournalSet().SetPhase("explain")
 		if err := explainDomains(cfg, o); err != nil {
 			return err
 		}
@@ -182,7 +168,7 @@ func run(fig string, cfg config, o *obs.Observer, explain bool) error {
 	} {
 		if all || fig == f.id {
 			ran = true
-			o.Trace().SetPhase(f.id)
+			o.JournalSet().SetPhase(f.id)
 			fmt.Printf("==== %s ====\n", f.id)
 			if err := f.fn(cfg); err != nil {
 				return fmt.Errorf("fig %s: %w", f.id, err)

@@ -45,7 +45,7 @@ func main() {
 		sharedStore  = flag.Bool("shared-store", false, "share a cross-query answer store: repeated questions are served from cached crowd answers instead of re-asked, across every run this process serves")
 		storeTTL     = flag.Duration("store-ttl", 0, "shared-store answer freshness window; stale answers are re-asked (0 = answers never expire)")
 		storeMax     = flag.Int("store-max", 0, "shared-store size bound with LRU eviction (0 = unbounded)")
-		journalPath  = flag.String("journal", "", "record the kernel's flight-recorder event stream as JSONL to this file (also serves GET /journal; implies an observer)")
+		journalPath  = flag.String("journal", "", "write the journal (crowd-run events and program spans) as JSONL to this file (implies an observer; every observer serves GET /journal)")
 		scorecards   = flag.Bool("scorecards", false, "track per-member scorecards, served on GET /members and as oassis_member_* metrics (implies an observer)")
 	)
 	flag.Parse()
@@ -112,7 +112,7 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		// The journal flushes its sink at every run end, so the JSONL file
 		// is replayable after each completed run even though the process
 		// normally exits via signal.
-		o.EnableJournal(0).SetSink(f)
+		o.Journal.SetSink(f)
 	}
 	if cfg.scorecards {
 		o.EnableScorecards()
@@ -195,8 +195,9 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		if cfg.metrics {
 			feats = append(feats, "metrics on /metrics")
 		}
+		feats = append(feats, "journal tail on /journal")
 		if cfg.journal != "" {
-			feats = append(feats, fmt.Sprintf("journal to %s (tail on /journal)", cfg.journal))
+			feats = append(feats, fmt.Sprintf("journal to %s", cfg.journal))
 		}
 		if cfg.scorecards {
 			feats = append(feats, "member scorecards on /members")

@@ -978,10 +978,8 @@ func (k *kernel) result() *Result {
 	// once here, off the hot path.
 	res := &Result{Stats: k.stats, Supports: make(map[string]float64)}
 	res.Stats.WatchDiscoveredAt = k.watchAt
-	if t := k.cfg.Obs.Trace(); t != nil {
-		res.Trace = t.Summary()
-	}
 	if k.jr != nil {
+		res.Trace = k.jr.Summary()
 		res.Curve = k.jr.Curve(k.jrRun)
 		res.JournalRun = k.jrRun
 	}

@@ -62,9 +62,10 @@ type EngineConfig struct {
 	// RecordTranscript collects a per-member interview log into
 	// Result.Transcripts, for differential testing across drivers.
 	RecordTranscript bool
-	// Obs, when set, receives kernel metrics, per-round trace spans and
-	// (for Run/RunParallel) broker metrics. Nil disables observability:
-	// the kernel pays one nil check per event, nothing more.
+	// Obs, when set, receives kernel metrics, the run's journal events
+	// and per-round spans, and (for Run/RunParallel) broker metrics. Nil
+	// disables observability: the kernel pays one nil check per event,
+	// nothing more.
 	Obs *obs.Observer
 }
 
@@ -152,16 +153,16 @@ func (e *Engine) RunWith(b crowd.Broker) *Result {
 // Replies are applied in ask order regardless of arrival order, which is
 // what makes the drivers behaviorally identical.
 //
-// When the config carries an Observer, each round becomes one trace span
-// ("round", with ask/reply/border attributes) timed on the engine clock —
-// chaos runs with a virtual clock therefore trace virtual durations, the
-// same ones their deadlines are judged by.
+// When the config carries an Observer, each round journals two span
+// events under the run's ID — "selection", then "round" with
+// ask/reply/border attributes — timed on the engine clock: chaos runs
+// with a virtual clock therefore record virtual durations, the same ones
+// their deadlines are judged by.
 func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 	observed := e.k.cfg.Obs != nil
 	km := e.k.km // non-nil; all fields no-ops when unobserved
-	tr := e.k.cfg.Obs.Trace()
-	runStart := e.clock.Now()
-	if jr := e.k.jr; jr != nil {
+	jr := e.k.jr
+	if jr != nil {
 		// The journal records on the engine clock: a chaos VirtualClock
 		// run journals deterministic timestamps. The run scope opens here
 		// so every kernel emission below carries this run's ID.
@@ -170,7 +171,11 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 		for i, u := range e.k.users {
 			ids[i] = u.id
 		}
-		e.k.jrRun = jr.StartRun(ids, e.k.cfg.Seed, e.k.cfg.Theta)
+		strategy := ""
+		if e.k.single != nil {
+			strategy = e.k.single.strategy.String()
+		}
+		e.k.jrRun = jr.StartRun(ids, e.k.cfg.Seed, e.k.cfg.Theta, strategy)
 	}
 	for {
 		roundStart := e.clock.Now()
@@ -178,8 +183,8 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 		if len(asks) == 0 {
 			break
 		}
-		if observed {
-			tr.Record("selection", roundStart.Sub(runStart), e.clock.Now().Sub(roundStart),
+		if jr != nil {
+			jr.Span(e.k.jrRun, "selection", e.clock.Now().Sub(roundStart),
 				obs.Attr{Key: "asks", Val: int64(len(asks))})
 		}
 		km.InFlight.Set(int64(len(asks)))
@@ -195,22 +200,19 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 		km.InFlight.Set(0)
 		if observed {
 			border := e.k.global.SignificantBorderSize()
-			now := e.clock.Now()
-			dur := now.Sub(roundStart)
+			dur := e.clock.Now().Sub(roundStart)
 			km.RoundComplete(len(asks), border, dur)
-			tr.Record("round", roundStart.Sub(runStart), dur,
+			jr.Span(e.k.jrRun, "round", dur,
 				obs.Attr{Key: "asks", Val: int64(len(asks))},
 				obs.Attr{Key: "replies", Val: int64(len(replies))},
 				obs.Attr{Key: "border", Val: int64(border)})
-			e.k.jr.RoundEnd(e.k.jrRun, e.k.stats.Rounds, len(asks), len(replies),
+			jr.RoundEnd(e.k.jrRun, e.k.stats.Rounds, len(asks), len(replies),
 				border, int64(e.k.stats.Questions))
 		}
 	}
 	e.k.finalize()
-	if e.k.jr != nil {
-		// finalize-time settles land in the curve's final bucket.
-		e.k.jr.EndRun(e.k.jrRun, e.k.stats.Rounds, int64(e.k.stats.Questions))
-	}
+	// finalize-time settles land in the curve's final bucket.
+	jr.EndRun(e.k.jrRun, e.k.stats.Rounds, int64(e.k.stats.Questions))
 	return e.k.result()
 }
 

@@ -60,8 +60,9 @@ type SingleUser struct {
 	MaxMSPs int
 	// OnMSP streams each confirmed MSP.
 	OnMSP func(*assign.Assignment)
-	// Obs, when set, receives question/departure/MSP counters and the
-	// run's trace summary. Nil disables observability.
+	// Obs, when set, receives question/departure/MSP counters, journals
+	// the run (its run_start names the strategy) and attaches the span
+	// summary. Nil disables observability.
 	Obs *obs.Observer
 }
 
@@ -235,13 +236,18 @@ func (k *kernel) pushLevel(a *assign.Assignment) {
 	if !p.queued.add(a.ID()) {
 		return
 	}
-	p.level = append(p.level, levelItem{a: a, depth: k.depthOf(a)})
-	sort.SliceStable(p.level, func(i, j int) bool {
-		if p.level[i].depth != p.level[j].depth {
-			return p.level[i].depth < p.level[j].depth
+	it := levelItem{a: a, depth: k.depthOf(a)}
+	// Keys are unique, so inserting at the first greater item keeps the
+	// queue in exactly the order a stable sort would.
+	i := sort.Search(len(p.level), func(i int) bool {
+		if p.level[i].depth != it.depth {
+			return p.level[i].depth > it.depth
 		}
-		return p.level[i].a.Key() < p.level[j].a.Key()
+		return p.level[i].a.Key() > it.a.Key()
 	})
+	p.level = append(p.level, levelItem{})
+	copy(p.level[i+1:], p.level[i:])
+	p.level[i] = it
 }
 
 // depthOf is a level measure for the levelwise traversal: the summed

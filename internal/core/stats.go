@@ -107,8 +107,9 @@ type Result struct {
 	// behaviorally equivalent iff their transcripts match.
 	Transcripts map[string][]string
 	Stats       Stats
-	// Trace, when the run carried an Observer, summarizes its recorded
-	// spans by (phase, name) — where the run's time went. Nil otherwise.
+	// Trace, when the run carried an Observer, counts and totals every
+	// span its journal recorded, by (phase, name) — where the time went.
+	// Nil otherwise.
 	Trace *obs.TraceSummary
 	// Curve, when the run carried a journal, is the answer-arrival curve:
 	// per-round new-MSP and new-distinct-answer discoveries against the

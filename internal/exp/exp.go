@@ -21,23 +21,25 @@ import (
 )
 
 // obsv, when set via SetObserver, observes every experiment this package
-// runs: engines get kernel/broker metrics and round spans, the synth query
-// pipelines get sparql metrics, and the harness itself traces the
-// build/mine phases of each figure. Nil (the default) disables all of it.
+// runs: engines get kernel/broker metrics and journal their runs with
+// round spans, the synth query pipelines get sparql metrics, and the
+// harness itself journals the build/mine spans of each figure. Nil (the
+// default) disables all of it.
 var obsv *obs.Observer
 
 // SetObserver attaches o to all subsequent experiment runs (nil detaches).
-// The caller owns phase labelling: stamp o.Tracer.SetPhase(figureID) before
-// each figure so its spans group under the figure in traces and summaries.
+// The caller owns phase labelling: call o.Journal.SetPhase(figureID)
+// before each figure so its spans group under the figure in the journal
+// and its summaries.
 func SetObserver(o *obs.Observer) { obsv = o }
 
-// span opens one harness stage: it returns a func that records the elapsed
-// wall-clock span, with any end-time attributes, when called. No-op without
-// an observer.
+// span opens one harness stage: it returns a func that journals the
+// elapsed wall-clock span, with any end-time attributes, when called.
+// No-op without an observer.
 func span(name string) func(attrs ...obs.Attr) {
-	tr := obsv.Trace()
-	start := tr.Begin()
-	return func(attrs ...obs.Attr) { tr.End(name, start, attrs...) }
+	jr := obsv.JournalSet()
+	start := jr.Begin()
+	return func(attrs ...obs.Attr) { jr.End(name, start, attrs...) }
 }
 
 // CrowdStatsRow is one threshold row of Figures 4a–4c.

@@ -138,9 +138,15 @@ func parseOutcome(s string) (crowd.Outcome, error) {
 // run's (same seed, theta, aggregator construction, deadlines — the
 // run_start event carries seed and theta for cross-checking). The
 // configuration's Obs and OnMSP hooks are stripped: replay is a pure
-// reconstruction, not a re-observation. Returns the reconstructed Result
-// and an error aggregating every stream inconsistency encountered.
+// reconstruction, not a re-observation. Events recorded outside any run
+// (run 0: program spans, store events) before the run_start are skipped,
+// and a single-member run is refused before anything is folded: replay
+// rebuilds a multi-user engine. Returns the reconstructed Result and an
+// error aggregating every stream inconsistency encountered.
 func Replay(events []obs.Event, sp *assign.Space, cfg core.EngineConfig) (*core.Result, error) {
+	for len(events) > 0 && events[0].Run == 0 {
+		events = events[1:]
+	}
 	if len(events) == 0 {
 		return nil, fmt.Errorf("journal: empty event stream")
 	}
@@ -148,6 +154,9 @@ func Replay(events []obs.Event, sp *assign.Space, cfg core.EngineConfig) (*core.
 		return nil, fmt.Errorf("journal: stream starts with %q, not run_start (ring truncation — use the JSONL sink for replayable runs)", events[0].Kind)
 	}
 	start := &events[0]
+	if start.Strategy != "" {
+		return nil, fmt.Errorf("journal: run %d is a single-member %s run; replay rebuilds multi-user runs only", start.Run, start.Strategy)
+	}
 	if cfg.Seed != start.Seed {
 		return nil, fmt.Errorf("journal: config seed %d does not match recorded seed %d", cfg.Seed, start.Seed)
 	}

@@ -1,21 +1,25 @@
 package obs
 
-// The journal is the engine's flight recorder: an append-only,
-// sequence-numbered stream of structured crowd-run events (run start,
-// every ask, every reply/timeout/departure with its raw payload, MSP
-// confirmations, round barriers) recorded into a fixed-capacity ring with
-// an optional JSONL sink. It follows the Tracer's design points exactly —
-// one mutex, a preallocated ring, hand-rolled stable-field-order JSON so
-// output is byte-deterministic, and an explicit clock hook so chaos
-// VirtualClock runs journal reproducible timestamps. A nil *Journal is a
-// no-op on every method, preserving the package's disabled-costs-a-nil-
-// check contract.
+// The journal is the engine's one event stream: an append-only,
+// sequence-numbered record of "what happened" (run start, every ask,
+// every reply/timeout/departure with its raw payload, MSP confirmations,
+// round barriers, store and query events) and of "how long" (span events:
+// a query's space build, an engine round, a figure's mining phase). One
+// mutex guards a ring that grows on demand up to its capacity and then
+// overwrites the oldest event, an optional JSONL sink sees every event,
+// the hand-rolled encoder writes a stable field order so output is
+// byte-deterministic, and an explicit clock hook lets chaos VirtualClock
+// runs journal reproducible timestamps. Span counts and totals are kept
+// per (phase, name) as they are recorded, so Summary stays exact after the
+// ring wraps. A nil *Journal is a no-op on every method, preserving the
+// package's disabled-costs-a-nil-check contract.
 //
 // Because the mining kernel is a pure event fold, the recorded reply
 // payloads are sufficient to re-run it: internal/journal.Replay feeds the
 // stream back through the kernel and asserts the reconstruction is
 // byte-identical to the live run. Replay identity deliberately does not
-// depend on the At timestamps — they are observability, not state.
+// depend on the At timestamps or on span events — they are observability,
+// not state.
 
 import (
 	"bufio"
@@ -23,7 +27,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 )
@@ -43,13 +49,15 @@ const (
 	EvStoreJoin    = "store_join"
 	EvStoreExpired = "store_expired"
 	EvQueryExec    = "query_exec"
+	EvSpan         = "span"
 )
 
 // Event is one journal entry. The struct is flat across all kinds: each
 // kind populates its subset of fields and the encoder skips zero values,
 // so decoding with encoding/json round-trips exactly (a missing field is
-// the zero value). At is nanoseconds since the journal clock was bound —
-// informational only; replay identity never reads it.
+// the zero value). At is nanoseconds since the journal clock was bound,
+// taken when the event is recorded (a span's end) — informational only;
+// replay identity never reads it.
 type Event struct {
 	Seq  int64  `json:"seq"`
 	Run  int64  `json:"run"`
@@ -57,9 +65,10 @@ type Event struct {
 	Kind string `json:"kind"`
 
 	// run_start
-	Members []string `json:"members,omitempty"`
-	Seed    int64    `json:"seed,omitempty"`
-	Theta   float64  `json:"theta,omitempty"`
+	Members  []string `json:"members,omitempty"`
+	Seed     int64    `json:"seed,omitempty"`
+	Theta    float64  `json:"theta,omitempty"`
+	Strategy string   `json:"strategy,omitempty"` // single-member runs only
 
 	// ask / reply / timeout / departure
 	Round   int    `json:"round,omitempty"`
@@ -91,6 +100,18 @@ type Event struct {
 	// query_exec
 	Hit  bool  `json:"hit,omitempty"`
 	Rows int64 `json:"rows,omitempty"`
+
+	// span: the name goes in Key and the duration in Elapsed
+	Phase string `json:"phase,omitempty"`
+	Attrs []Attr `json:"attrs,omitempty"`
+}
+
+// Attr is one key/value annotation on a span event. Values are int64
+// because every span attribute the engine records is a count or an ID;
+// keeping the type closed avoids interface boxing on the record path.
+type Attr struct {
+	Key string `json:"k"`
+	Val int64  `json:"v"`
 }
 
 // CurvePoint is one round bucket of a run's answer-arrival curve: how many
@@ -115,23 +136,29 @@ type curveAcc struct {
 	answers    int
 }
 
-// DefaultJournalCapacity is the ring size used when NewJournal gets n <= 0.
+// DefaultJournalCapacity is the ring capacity used when NewJournal gets
+// n <= 0. The ring grows on demand up to it, so a journal that records
+// little costs little.
 const DefaultJournalCapacity = 65536
+
+// minJournalRing is the ring's first allocation.
+const minJournalRing = 64
 
 // maxJournalCurves bounds the per-run curve accumulators held in memory;
 // the oldest run's curve is evicted when a newer run starts past the bound.
 const maxJournalCurves = 64
 
-// Journal records crowd-run events. Construct with NewJournal (or
-// Observer.EnableJournal), optionally attach a JSONL sink with SetSink,
-// and bind the engine clock with BindClock. All methods are safe for
-// concurrent use and are no-ops on a nil receiver.
+// Journal records events. Construct with NewJournal (every Observer
+// carries one), optionally attach a JSONL sink with SetSink, and bind the
+// engine clock with BindClock. All methods are safe for concurrent use and
+// are no-ops on a nil receiver.
 type Journal struct {
 	mu        sync.Mutex
 	nowFn     func() time.Time
 	epoch     time.Time
 	haveEpoch bool
 	ring      []Event
+	limit     int // ring capacity; the ring grows on demand up to it
 	next      int
 	total     int64
 	dropped   int64
@@ -142,7 +169,12 @@ type Journal struct {
 	scratch   []byte
 	curves    map[int64]*curveAcc
 	curveIDs  []int64 // insertion order, for bounded eviction
+	phase     string
+	spanIdx   map[spanKey]int // (phase, name) -> index into spanSums
+	spanSums  []TraceEntry
 }
+
+type spanKey struct{ phase, name string }
 
 // NewJournal returns a journal with the given ring capacity
 // (DefaultJournalCapacity if n <= 0).
@@ -151,8 +183,9 @@ func NewJournal(n int) *Journal {
 		n = DefaultJournalCapacity
 	}
 	return &Journal{
-		ring:   make([]Event, 0, n),
-		curves: make(map[int64]*curveAcc),
+		limit:   n,
+		curves:  make(map[int64]*curveAcc),
+		spanIdx: make(map[spanKey]int),
 	}
 }
 
@@ -221,17 +254,30 @@ func (j *Journal) at() int64 {
 // record stamps, rings and sinks one event. Caller must NOT hold j.mu.
 func (j *Journal) record(e Event) {
 	j.mu.Lock()
+	j.recordLocked(e)
+	j.mu.Unlock()
+}
+
+// recordLocked is record for a caller holding j.mu. While the ring is
+// below its limit, next equals its length; from then on next cycles
+// through it, pointing at the oldest event.
+func (j *Journal) recordLocked(e Event) {
 	e.Seq = j.seq
 	j.seq++
 	e.At = j.at()
-	if len(j.ring) < cap(j.ring) {
+	if len(j.ring) < j.limit {
+		if len(j.ring) == cap(j.ring) {
+			grown := make([]Event, len(j.ring), min(max(2*cap(j.ring), minJournalRing), j.limit))
+			copy(grown, j.ring)
+			j.ring = grown
+		}
 		j.ring = append(j.ring, e)
 	} else {
 		j.ring[j.next] = e
 		j.dropped++
 	}
 	j.next++
-	if j.next == cap(j.ring) {
+	if j.next == j.limit {
 		j.next = 0
 	}
 	j.total++
@@ -242,14 +288,121 @@ func (j *Journal) record(e Event) {
 			j.sinkErr = err
 		}
 	}
+}
+
+// SetPhase stamps the phase that spans recorded afterwards carry — a
+// figure ID, "explain" — so the summary groups them per stage.
+func (j *Journal) SetPhase(phase string) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	j.phase = phase
 	j.mu.Unlock()
+}
+
+// Begin returns the start of a wall-clock span, for End. A nil journal
+// returns the zero Time without reading the clock.
+func (j *Journal) Begin() time.Time {
+	if j == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// End records a span named name that began at start (from Begin), timed
+// on the wall clock, outside any run.
+func (j *Journal) End(name string, start time.Time, attrs ...Attr) {
+	if j == nil {
+		return
+	}
+	j.Span(0, name, time.Since(start), attrs...)
+}
+
+// Span records a span of an explicit duration under run (0 outside a
+// run). The engine drivers time their round and selection spans on the
+// engine clock — virtual under chaos, the clock their deadlines are
+// judged by — and pass the duration here. attrs is stored as given, not
+// copied.
+func (j *Journal) Span(run int64, name string, dur time.Duration, attrs ...Attr) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	k := spanKey{j.phase, name}
+	i, ok := j.spanIdx[k]
+	if !ok {
+		i = len(j.spanSums)
+		j.spanIdx[k] = i
+		j.spanSums = append(j.spanSums, TraceEntry{Phase: k.phase, Name: name})
+	}
+	j.spanSums[i].Count++
+	j.spanSums[i].Total += dur
+	j.recordLocked(Event{
+		Run: run, Kind: EvSpan, Key: name, Elapsed: dur.Nanoseconds(),
+		Phase: j.phase, Attrs: attrs,
+	})
+	j.mu.Unlock()
+}
+
+// TraceEntry is one (phase, name) aggregate in a TraceSummary.
+type TraceEntry struct {
+	Phase string
+	Name  string
+	Count int64
+	Total time.Duration
+}
+
+// TraceSummary condenses the journal's spans into per-(phase, name)
+// counts and totals — the form attached to a Result so callers see where
+// a run's time went without holding every span.
+type TraceSummary struct {
+	Entries []TraceEntry
+}
+
+// String renders the summary as an aligned table, one line per entry.
+func (s *TraceSummary) String() string {
+	if s == nil || len(s.Entries) == 0 {
+		return "(no spans)"
+	}
+	var sb strings.Builder
+	for _, e := range s.Entries {
+		name := e.Name
+		if e.Phase != "" {
+			name = e.Phase + "/" + e.Name
+		}
+		fmt.Fprintf(&sb, "%-32s %6d × %12s total\n", name, e.Count, e.Total.Round(time.Microsecond))
+	}
+	return sb.String()
+}
+
+// Summary returns the count and total duration of every span the journal
+// ever recorded, per (phase, name), sorted by phase then name. It is
+// exact however far the ring has wrapped. A nil journal returns nil.
+func (j *Journal) Summary() *TraceSummary {
+	if j == nil {
+		return nil
+	}
+	j.mu.Lock()
+	sum := &TraceSummary{Entries: append([]TraceEntry(nil), j.spanSums...)}
+	j.mu.Unlock()
+	sort.Slice(sum.Entries, func(a, b int) bool {
+		ea, eb := sum.Entries[a], sum.Entries[b]
+		if ea.Phase != eb.Phase {
+			return ea.Phase < eb.Phase
+		}
+		return ea.Name < eb.Name
+	})
+	return sum
 }
 
 // StartRun opens a new run scope and returns its journal-local run ID
 // (1-based, monotonic). members is the run's member list in index order;
 // seed and theta pin the kernel configuration the stream was recorded
-// under, so a replay can cross-check it.
-func (j *Journal) StartRun(members []string, seed int64, theta float64) int64 {
+// under, so a replay can cross-check it. strategy names a single-member
+// run's selection policy ("" for a multi-user run), which a multi-user
+// replay refuses.
+func (j *Journal) StartRun(members []string, seed int64, theta float64, strategy string) int64 {
 	if j == nil {
 		return 0
 	}
@@ -264,11 +417,12 @@ func (j *Journal) StartRun(members []string, seed int64, theta float64) int64 {
 	}
 	j.mu.Unlock()
 	j.record(Event{
-		Run:     run,
-		Kind:    EvRunStart,
-		Members: append([]string(nil), members...),
-		Seed:    seed,
-		Theta:   theta,
+		Run:      run,
+		Kind:     EvRunStart,
+		Members:  append([]string(nil), members...),
+		Seed:     seed,
+		Theta:    theta,
+		Strategy: strategy,
 	})
 	return run
 }
@@ -463,13 +617,8 @@ func (j *Journal) Events() []Event {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	out := make([]Event, 0, len(j.ring))
-	if len(j.ring) < cap(j.ring) || j.dropped == 0 {
-		out = append(out, j.ring[:len(j.ring)]...)
-		return out
-	}
 	out = append(out, j.ring[j.next:]...)
-	out = append(out, j.ring[:j.next]...)
-	return out
+	return append(out, j.ring[:j.next]...)
 }
 
 // Tail returns the most recent n surviving events (all of them if n <= 0
@@ -504,22 +653,7 @@ func (j *Journal) Dropped() int64 {
 
 // WriteJSONL writes the surviving ring events, one JSON object per line,
 // in the same stable field order the sink uses.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	if j == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	evs := j.Events()
-	var buf []byte
-	for i := range evs {
-		buf = appendEventJSON(buf[:0], &evs[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+func (j *Journal) WriteJSONL(w io.Writer) error { return j.WriteTailJSONL(w, 0) }
 
 // WriteTailJSONL writes the most recent n surviving events as JSONL (all
 // of them if n <= 0), in the sink's stable field order.
@@ -573,6 +707,10 @@ func appendEventJSON(b []byte, e *Event) []byte {
 	if e.Theta != 0 {
 		b = append(b, `,"theta":`...)
 		b = strconv.AppendFloat(b, e.Theta, 'g', -1, 64)
+	}
+	if e.Strategy != "" {
+		b = append(b, `,"strategy":`...)
+		b = appendJSONString(b, e.Strategy)
 	}
 	if e.Round != 0 {
 		b = append(b, `,"round":`...)
@@ -669,10 +807,29 @@ func appendEventJSON(b []byte, e *Event) []byte {
 		b = append(b, `,"rows":`...)
 		b = strconv.AppendInt(b, e.Rows, 10)
 	}
+	if e.Phase != "" {
+		b = append(b, `,"phase":`...)
+		b = appendJSONString(b, e.Phase)
+	}
+	if len(e.Attrs) > 0 {
+		b = append(b, `,"attrs":[`...)
+		for i, a := range e.Attrs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"k":`...)
+			b = appendJSONString(b, a.Key)
+			b = append(b, `,"v":`...)
+			b = strconv.AppendInt(b, a.Val, 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
 	return append(b, '}')
 }
 
-// appendJSONString is writeJSONString for a byte slice.
+// appendJSONString appends s as a JSON string literal: quotes,
+// backslashes and control characters escaped, everything else verbatim.
 func appendJSONString(b []byte, s string) []byte {
 	b = append(b, '"')
 	for _, r := range s {

@@ -94,6 +94,7 @@ func FuzzReadJournalJSONL(f *testing.F) {
 	f.Add(bad)
 	f.Add([]byte("\n\n{}\n"))
 	f.Add([]byte(`{"kind":"ask","pruned":[1,2`))
+	f.Add([]byte(`{"seq":0,"run":1,"at_ns":5,"kind":"span","key":"round","elapsed_ns":9,"phase":"5a","attrs":[{"k":"asks","v":4}]}` + "\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		checkJournalDecode(t, input)
 	})

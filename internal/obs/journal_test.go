@@ -16,7 +16,8 @@ import (
 // strings, and zero values that must be omitted and decode back to zero.
 func journalFixtureEvents() []Event {
 	return []Event{
-		{Kind: EvRunStart, Run: 1, Members: []string{"u1", `u"2\n`}, Seed: -7, Theta: 0.4},
+		{Kind: EvRunStart, Run: 1, Members: []string{"u1", `u"2\n`}, Seed: -7, Theta: 0.4,
+			Strategy: "vertical"},
 		{Kind: EvAsk, Run: 1, Round: 1, Ask: 42, Member: "u1", QKind: "specialize",
 			Key: "s=1;", Probe: true, Options: 3},
 		{Kind: EvReply, Run: 1, Round: 1, Ask: 42, Member: "u1", Outcome: "answered",
@@ -30,6 +31,8 @@ func journalFixtureEvents() []Event {
 		{Kind: EvRunEnd, Run: 1, Rounds: 3, Questions: 17},
 		{Kind: EvStoreHit, Member: "u1", Key: "q\tkey"},
 		{Kind: EvQueryExec, Run: 2, Key: "q0001", Elapsed: 12345, Hit: true, Rows: 99},
+		{Kind: EvSpan, Run: 2, Key: `ro"und`, Elapsed: 250000, Phase: "fig5a",
+			Attrs: []Attr{{Key: "asks", Val: 4}, {Key: "b\nx", Val: -1}}},
 	}
 }
 
@@ -136,7 +139,7 @@ func TestJournalClockAndCurve(t *testing.T) {
 	j := NewJournal(0)
 	j.BindClock(func() time.Time { return now })
 
-	run := j.StartRun([]string{"u1", "u2"}, 9, 0.3)
+	run := j.StartRun([]string{"u1", "u2"}, 9, 0.3, "")
 	if run != 1 {
 		t.Fatalf("run = %d, want 1", run)
 	}
@@ -176,7 +179,7 @@ func TestJournalCurveEviction(t *testing.T) {
 	j := NewJournal(0)
 	var last int64
 	for i := 0; i < maxJournalCurves+5; i++ {
-		last = j.StartRun([]string{"u"}, 1, 0.5)
+		last = j.StartRun([]string{"u"}, 1, 0.5, "")
 		j.NoteNewAnswer(last)
 		j.RoundEnd(last, 1, 1, 1, 0, 1)
 	}
@@ -193,7 +196,7 @@ func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.BindClock(time.Now)
 	j.SetSink(&bytes.Buffer{})
-	run := j.StartRun([]string{"u"}, 1, 0.5)
+	run := j.StartRun([]string{"u"}, 1, 0.5, "")
 	j.AskEvent(run, 1, 1, "u", "concrete", "k", false, 0)
 	j.ReplyEvent(run, 1, 1, "u", "answered", 0.5, -1, nil, 0, "")
 	j.TimeoutEvent(run, 1, 1, "u", "answered", 0, -1, nil, 0, false)
@@ -203,8 +206,16 @@ func TestJournalNilSafety(t *testing.T) {
 	j.RoundEnd(run, 1, 1, 1, 0, 1)
 	j.StoreEvent(EvStoreHit, "u", "k")
 	j.QueryExec(run, "q", 1, false, 1)
+	j.SetPhase("p")
+	j.Span(run, "round", time.Millisecond, Attr{Key: "asks", Val: 1})
+	start := j.Begin()
+	if !start.IsZero() {
+		t.Fatal("nil journal read the clock in Begin")
+	}
+	j.End("space_build", start)
 	j.EndRun(run, 1, 1)
-	if j.Events() != nil || j.Curve(run) != nil || j.Total() != 0 || j.LastRun() != 0 {
+	if j.Events() != nil || j.Curve(run) != nil || j.Total() != 0 || j.LastRun() != 0 ||
+		j.Summary() != nil {
 		t.Fatal("nil journal retained state")
 	}
 	if err := j.WriteJSONL(&bytes.Buffer{}); err != nil {
@@ -225,7 +236,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run := j.StartRun([]string{fmt.Sprintf("w%d", w)}, int64(w), 0.5)
+			run := j.StartRun([]string{fmt.Sprintf("w%d", w)}, int64(w), 0.5, "")
 			for i := 0; i < per; i++ {
 				j.AskEvent(run, 1, int64(i), "m", "concrete", "k", false, 0)
 				j.NoteNewAnswer(run)
@@ -255,6 +266,144 @@ func TestJournalConcurrentRecord(t *testing.T) {
 	}
 	if int64(len(seen)) != wantTotal || seen[wantTotal] {
 		t.Fatal("sequence numbers are not dense")
+	}
+}
+
+// TestJournalSpanJSONL pins the span wire format: a span line carries
+// its name in key, its duration in elapsed_ns, the phase and the attrs,
+// and ReadJournalJSONL decodes it back to an equal Event.
+func TestJournalSpanJSONL(t *testing.T) {
+	j := NewJournal(16)
+	var sink bytes.Buffer
+	j.SetSink(&sink)
+	j.SetPhase("fig5a")
+	j.Span(3, "round", 250*time.Microsecond, Attr{Key: "asks", Val: 4}, Attr{Key: "border", Val: 2})
+	j.SetPhase("")
+	j.Span(0, `qu"ote`, 0)
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sink.String()), "\n")
+	want := `{"seq":0,"run":3,"at_ns":0,"kind":"span","key":"round","elapsed_ns":250000,"phase":"fig5a","attrs":[{"k":"asks","v":4},{"k":"border","v":2}]}`
+	if lines[0] != want {
+		t.Fatalf("span line:\n got %s\nwant %s", lines[0], want)
+	}
+	decoded, err := ReadJournalJSONL(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(decoded, j.Events()) {
+		t.Fatalf("decoded spans diverge from the ring:\n%+v\nvs\n%+v", decoded, j.Events())
+	}
+	if decoded[1].Key != `qu"ote` || decoded[1].Phase != "" || decoded[1].Attrs != nil {
+		t.Fatalf("second span = %+v", decoded[1])
+	}
+}
+
+// TestJournalSpanSummaryAfterWrap: the summary counts every span ever
+// recorded, not the ring's survivors.
+func TestJournalSpanSummaryAfterWrap(t *testing.T) {
+	j := NewJournal(4)
+	j.SetPhase("mine")
+	for i := 0; i < 10; i++ {
+		j.Span(1, "round", time.Millisecond, Attr{Key: "asks", Val: int64(i)})
+	}
+	if len(j.Events()) != 4 || j.Dropped() != 6 {
+		t.Fatalf("ring holds %d events, dropped %d; want 4 and 6", len(j.Events()), j.Dropped())
+	}
+	if first := j.Events()[0]; first.Attrs[0].Val != 6 {
+		t.Fatalf("oldest surviving span = %+v, want asks=6", first)
+	}
+	sum := j.Summary()
+	if len(sum.Entries) != 1 {
+		t.Fatalf("entries = %+v", sum.Entries)
+	}
+	e := sum.Entries[0]
+	if e.Phase != "mine" || e.Name != "round" || e.Count != 10 || e.Total != 10*time.Millisecond {
+		t.Fatalf("entry = %+v, want mine/round 10 × 10ms", e)
+	}
+	if !strings.Contains(sum.String(), "mine/round") {
+		t.Fatalf("summary string: %q", sum.String())
+	}
+}
+
+// TestJournalSpanSummaryOrder pins the output contracts downstream
+// tooling depends on: Summary entries come out sorted by (phase, name)
+// regardless of record order, and two journals fed the same spans emit
+// byte-identical JSONL.
+func TestJournalSpanSummaryOrder(t *testing.T) {
+	build := func() *Journal {
+		j := NewJournal(16)
+		j.SetPhase("zeta")
+		j.Span(0, "late", time.Millisecond)
+		j.Span(0, "early", 2*time.Millisecond, Attr{Key: "k", Val: 1})
+		j.SetPhase("alpha")
+		j.Span(0, "late", time.Millisecond)
+		return j
+	}
+	j1, j2 := build(), build()
+	var b1, b2 bytes.Buffer
+	if err := j1.WriteJSONL(&b1); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.WriteJSONL(&b2); err != nil {
+		t.Fatal(err)
+	}
+	if b1.String() != b2.String() {
+		t.Fatalf("JSONL output not deterministic:\n%s\nvs\n%s", b1.String(), b2.String())
+	}
+	var order []string
+	for _, e := range j1.Summary().Entries {
+		order = append(order, e.Phase+"/"+e.Name)
+	}
+	want := []string{"alpha/late", "zeta/early", "zeta/late"}
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("summary order = %v, want %v", order, want)
+	}
+	if j1.Summary().String() != j2.Summary().String() {
+		t.Fatal("summary rendering not deterministic")
+	}
+}
+
+// TestJournalSpanConcurrent records spans from many goroutines into a
+// tiny ring while phases change and summaries are read; -race pins the
+// locking discipline, and the summary and drop accounting must balance.
+func TestJournalSpanConcurrent(t *testing.T) {
+	j := NewJournal(8)
+	const workers, per = 8, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if w == 0 {
+					j.SetPhase("p")
+					j.Summary()
+				}
+				j.End("op", j.Begin(), Attr{Key: "i", Val: int64(i)})
+			}
+		}(w)
+	}
+	wg.Wait()
+	evs := j.Events()
+	if len(evs) != 8 {
+		t.Fatalf("ring holds %d events, want 8", len(evs))
+	}
+	for _, e := range evs {
+		if e.Kind != EvSpan || e.Key != "op" || len(e.Attrs) != 1 {
+			t.Fatalf("corrupted span: %+v", e)
+		}
+	}
+	if got := j.Dropped(); got != workers*per-8 {
+		t.Fatalf("dropped = %d, want %d", got, workers*per-8)
+	}
+	var n int64
+	for _, e := range j.Summary().Entries {
+		n += e.Count
+	}
+	if n != workers*per {
+		t.Fatalf("summary counts %d spans, want %d", n, workers*per)
 	}
 }
 

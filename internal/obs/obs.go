@@ -1,7 +1,9 @@
 // Package obs is the observability substrate of the OASSIS engine: atomic
 // counters, gauges and fixed-bucket histograms collected in a Registry with
-// a Prometheus text exporter, plus span-style query traces recorded into a
-// ring buffer (trace.go) and per-subsystem metric sets (sets.go).
+// a Prometheus text exporter, per-subsystem metric sets (sets.go), and the
+// journal (journal.go): one event stream that records both crowd-run
+// events and timed program spans into one ring, with one encoder and one
+// clock.
 //
 // The package is built around one contract: **disabled observability costs a
 // nil check and nothing else**. Every metric set is a pointer whose methods
@@ -9,8 +11,8 @@
 // each would-be instrumentation point reduces to a single predictable branch.
 // No global state, no background goroutines, no allocation on the hot path:
 // counters and gauges are single atomic words, histogram observation is one
-// atomic add into a fixed bucket array, and span recording reuses a
-// preallocated ring.
+// atomic add into a fixed bucket array, and recording a span on a nil
+// journal never reads the clock.
 //
 // obs deliberately imports nothing outside the standard library, so every
 // layer of the engine (assign, sparql, ontology, crowd, core, server) can

@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -30,16 +28,6 @@ func TestNilSafety(t *testing.T) {
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("nil histogram")
 	}
-	var tr *Tracer
-	tr.SetPhase("x")
-	tr.Record("span", 0, time.Millisecond)
-	tr.End("span", tr.Begin())
-	if tr.Spans() != nil || tr.Summary() != nil || tr.Dropped() != 0 {
-		t.Fatal("nil tracer")
-	}
-	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
 	var km *KernelMetrics
 	km.RoundComplete(3, 2, time.Millisecond)
 	var bm *BrokerMetrics
@@ -51,7 +39,7 @@ func TestNilSafety(t *testing.T) {
 	sm.Request("/answer", "200", time.Millisecond)
 	var o *Observer
 	if o.KernelSet() != nil || o.BrokerSet() != nil || o.PlanSet() != nil ||
-		o.ServerSet() != nil || o.Trace() != nil || o.Reg() != nil {
+		o.ServerSet() != nil || o.JournalSet() != nil || o.Reg() != nil {
 		t.Fatal("nil observer accessors must return nil")
 	}
 }
@@ -159,81 +147,8 @@ func TestPrometheusText(t *testing.T) {
 	}
 }
 
-func TestTracerRingAndSummary(t *testing.T) {
-	tr := NewTracer(4)
-	tr.SetPhase("compile")
-	tr.Record("compile", 0, 2*time.Millisecond)
-	tr.SetPhase("mine")
-	for i := 0; i < 5; i++ {
-		tr.Record("round", time.Duration(i)*time.Millisecond, time.Millisecond,
-			Attr{Key: "asks", Val: int64(i)})
-	}
-	// Ring of 4: 6 spans recorded, 2 oldest dropped.
-	if got := tr.Dropped(); got != 2 {
-		t.Fatalf("dropped = %d, want 2", got)
-	}
-	spans := tr.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("len(spans) = %d, want 4", len(spans))
-	}
-	// Oldest surviving span must come first.
-	if spans[0].Name != "round" || spans[0].Attrs[0].Val != 1 {
-		t.Fatalf("ring order wrong: %+v", spans[0])
-	}
-	sum := tr.Summary()
-	if sum.Dropped != 2 {
-		t.Fatalf("summary dropped = %d", sum.Dropped)
-	}
-	if len(sum.Entries) != 1 {
-		t.Fatalf("entries = %+v", sum.Entries)
-	}
-	e := sum.Entries[0]
-	if e.Phase != "mine" || e.Name != "round" || e.Count != 4 || e.Total != 4*time.Millisecond {
-		t.Fatalf("entry = %+v", e)
-	}
-	if !strings.Contains(sum.String(), "mine/round") {
-		t.Fatalf("summary string: %q", sum.String())
-	}
-}
-
-func TestTracerJSONL(t *testing.T) {
-	tr := NewTracer(16)
-	tr.SetPhase("fig5a")
-	tr.Record("space", 10*time.Microsecond, 250*time.Microsecond, Attr{Key: "nodes", Val: 99})
-	tr.Record(`qu"ote`, 0, time.Microsecond)
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(&buf)
-	var lines []map[string]any
-	for sc.Scan() {
-		var m map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &m); err != nil {
-			t.Fatalf("line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, m)
-	}
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0]["phase"] != "fig5a" || lines[0]["name"] != "space" {
-		t.Fatalf("line 0 = %v", lines[0])
-	}
-	if lines[0]["dur_us"].(float64) != 250 {
-		t.Fatalf("dur_us = %v", lines[0]["dur_us"])
-	}
-	attrs := lines[0]["attrs"].(map[string]any)
-	if attrs["nodes"].(float64) != 99 {
-		t.Fatalf("attrs = %v", attrs)
-	}
-	if lines[1]["name"] != `qu"ote` {
-		t.Fatalf("escaping broken: %v", lines[1]["name"])
-	}
-}
-
 func TestConcurrentUse(t *testing.T) {
-	// Counters, histograms, vecs and the tracer must all be safe under
+	// Counters, histograms, vecs and the journal must all be safe under
 	// concurrent writers with concurrent scrapes (-race covers this).
 	o := New()
 	var writers sync.WaitGroup
@@ -248,7 +163,7 @@ func TestConcurrentUse(t *testing.T) {
 			default:
 				var buf bytes.Buffer
 				o.Registry.WritePrometheus(&buf)
-				o.Tracer.Summary()
+				o.Journal.Summary()
 			}
 		}
 	}()
@@ -260,7 +175,7 @@ func TestConcurrentUse(t *testing.T) {
 				o.Kernel.RoundComplete(j%7, j%3, time.Duration(j)*time.Microsecond)
 				o.Broker.Reply(j%3, time.Duration(j)*time.Microsecond)
 				o.Server.Request("/answer", "200", time.Microsecond)
-				o.Tracer.Record("round", 0, time.Microsecond, Attr{Key: "i", Val: int64(i)})
+				o.Journal.Span(0, "round", time.Microsecond, Attr{Key: "i", Val: int64(i)})
 			}
 		}(i)
 	}
@@ -321,76 +236,5 @@ func BenchmarkDisabledCounter(b *testing.B) {
 	var c *Counter
 	for i := 0; i < b.N; i++ {
 		c.Inc()
-	}
-}
-
-// TestTracerConcurrentBeginEnd overwrites a tiny ring from many concurrent
-// Begin/End pairs; -race pins the locking discipline, and the survivor and
-// drop accounting must balance exactly.
-func TestTracerConcurrentBeginEnd(t *testing.T) {
-	tr := NewTracer(8)
-	const workers, per = 8, 100
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				start := tr.Begin()
-				tr.End("op", start, Attr{Key: "i", Val: int64(i)})
-			}
-		}()
-	}
-	wg.Wait()
-	spans := tr.Spans()
-	if len(spans) != 8 {
-		t.Fatalf("ring holds %d spans, want 8", len(spans))
-	}
-	for _, s := range spans {
-		if s.Name != "op" || len(s.Attrs) != 1 {
-			t.Fatalf("corrupted span: %+v", s)
-		}
-	}
-	if got := tr.Dropped(); got != workers*per-8 {
-		t.Fatalf("dropped = %d, want %d", got, workers*per-8)
-	}
-}
-
-// TestTracerDeterministicOutput pins the output contracts downstream
-// tooling depends on: Summary entries come out sorted by (phase, name)
-// regardless of record order, and two tracers fed the same span sequence
-// emit byte-identical JSONL (stable field order, no map iteration).
-func TestTracerDeterministicOutput(t *testing.T) {
-	build := func() *Tracer {
-		tr := NewTracer(16)
-		tr.SetPhase("zeta")
-		tr.Record("late", 0, time.Millisecond)
-		tr.Record("early", time.Millisecond, 2*time.Millisecond, Attr{Key: "k", Val: 1})
-		tr.SetPhase("alpha")
-		tr.Record("late", 2*time.Millisecond, time.Millisecond)
-		return tr
-	}
-	t1, t2 := build(), build()
-	var b1, b2 bytes.Buffer
-	if err := t1.WriteJSONL(&b1); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.WriteJSONL(&b2); err != nil {
-		t.Fatal(err)
-	}
-	if b1.String() != b2.String() {
-		t.Fatalf("JSONL output not deterministic:\n%s\nvs\n%s", b1.String(), b2.String())
-	}
-	sum := t1.Summary()
-	var order []string
-	for _, e := range sum.Entries {
-		order = append(order, e.Phase+"/"+e.Name)
-	}
-	want := []string{"alpha/late", "zeta/early", "zeta/late"}
-	if strings.Join(order, ",") != strings.Join(want, ",") {
-		t.Fatalf("summary order = %v, want %v", order, want)
-	}
-	if sum.String() != t2.Summary().String() {
-		t.Fatal("summary rendering not deterministic")
 	}
 }

@@ -321,14 +321,17 @@ func (m *IngestMetrics) LoadFailed() {
 	m.Malformed.Inc()
 }
 
-// Observer bundles a Registry, a Tracer and every subsystem metric set —
+// Observer bundles a Registry, a Journal and every subsystem metric set —
 // the single handle threaded through the engine via oassis.WithObserver /
 // core.EngineConfig.Obs / server.Config.Obs. A nil *Observer disables
 // observability end to end; each accessor below returns a nil set whose
 // methods are no-ops.
 type Observer struct {
 	Registry *Registry
-	Tracer   *Tracer
+	// Journal is the one event stream: program spans and crowd-run
+	// events. New always creates it; swap in another journal, or attach
+	// a JSONL sink to this one, to keep what it records.
+	Journal *Journal
 
 	Kernel   *KernelMetrics
 	Broker   *BrokerMetrics
@@ -337,26 +340,19 @@ type Observer struct {
 	Platform *PlatformMetrics
 	Ingest   *IngestMetrics
 
-	// Journal and Board are opt-in (nil by default, even on a live
-	// Observer): the flight recorder and the per-member scorecards cost
-	// per-event work the aggregate counters above do not, so they are
-	// enabled explicitly via EnableJournal / EnableScorecards.
-	Journal *Journal
-	Board   *Scoreboard
+	// Board is opt-in (nil by default, even on a live Observer): the
+	// per-member scorecards cost per-event work the aggregate counters
+	// above do not, so they are enabled explicitly via EnableScorecards.
+	Board *Scoreboard
 }
 
-// New returns an Observer with a fresh registry, a default-capacity tracer,
-// and every subsystem metric family registered.
+// New returns an Observer with a fresh registry, a default-capacity
+// journal, and every subsystem metric family registered.
 func New() *Observer {
-	return NewWithCapacity(DefaultTraceCapacity)
-}
-
-// NewWithCapacity is New with an explicit trace ring capacity.
-func NewWithCapacity(spans int) *Observer {
 	r := NewRegistry()
 	return &Observer{
 		Registry: r,
-		Tracer:   NewTracer(spans),
+		Journal:  NewJournal(0),
 		Kernel:   NewKernelMetrics(r),
 		Broker:   NewBrokerMetrics(r),
 		Plan:     NewPlanMetrics(r),
@@ -414,19 +410,6 @@ func (o *Observer) IngestSet() *IngestMetrics {
 	return o.Ingest
 }
 
-// EnableJournal attaches a flight-recorder journal with the given ring
-// capacity (DefaultJournalCapacity if n <= 0), returning it. Calling it
-// again returns the existing journal.
-func (o *Observer) EnableJournal(n int) *Journal {
-	if o == nil {
-		return nil
-	}
-	if o.Journal == nil {
-		o.Journal = NewJournal(n)
-	}
-	return o.Journal
-}
-
 // EnableScorecards attaches a per-member scoreboard, registering its
 // oassis_member_* families, and returns it. Calling it again returns the
 // existing board.
@@ -440,7 +423,7 @@ func (o *Observer) EnableScorecards() *Scoreboard {
 	return o.Board
 }
 
-// JournalSet returns the journal (nil when disabled or for a nil observer).
+// JournalSet returns the journal (nil for a nil observer).
 func (o *Observer) JournalSet() *Journal {
 	if o == nil {
 		return nil
@@ -454,14 +437,6 @@ func (o *Observer) BoardSet() *Scoreboard {
 		return nil
 	}
 	return o.Board
-}
-
-// Trace returns the tracer (nil for a nil observer).
-func (o *Observer) Trace() *Tracer {
-	if o == nil {
-		return nil
-	}
-	return o.Tracer
 }
 
 // Reg returns the registry (nil for a nil observer).

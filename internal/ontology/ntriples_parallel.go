@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"time"
 
 	"oassis/internal/obs"
 	"oassis/internal/vocab"
@@ -73,12 +74,12 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 	if chunkBytes <= 0 {
 		chunkBytes = 1 << 20
 	}
-	tr := opt.Obs.Trace()
+	jr := opt.Obs.JournalSet()
 	im := opt.Obs.IngestSet()
-	loadStart := tr.Begin()
+	loadStart := time.Now()
 
 	// Stage 1+2: chunk and parse concurrently.
-	parseStart := tr.Begin()
+	parseStart := jr.Begin()
 	ei := vocab.NewShardedInterner()
 	ri := vocab.NewShardedInterner()
 	results := parseAllChunks(r, chunkBytes, workers, ei, ri)
@@ -86,18 +87,18 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 	for _, cr := range results {
 		totalLines += cr.lines
 	}
-	tr.End("ingest_parse", parseStart,
+	jr.End("ingest_parse", parseStart,
 		obs.Attr{Key: "chunks", Val: int64(len(results))},
 		obs.Attr{Key: "lines", Val: int64(totalLines)},
 		obs.Attr{Key: "workers", Val: int64(workers)})
 
 	// Stage 3: deterministic merge.
-	mergeStart := tr.Begin()
+	mergeStart := jr.Begin()
 	v := vocab.New()
 	s := NewStore(v)
 	stats := &NTriplesStats{}
 	facts, err := mergeOps(results, v, s, stats, ei, ri)
-	tr.End("ingest_merge", mergeStart, obs.Attr{Key: "facts", Val: int64(len(facts))})
+	jr.End("ingest_merge", mergeStart, obs.Attr{Key: "facts", Val: int64(len(facts))})
 	if err != nil {
 		im.LoadFailed()
 		return nil, nil, nil, err
@@ -107,15 +108,15 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 	// freeze. Store.Freeze reads only the vocabulary's term counts, which
 	// the vocabulary freeze leaves alone.
 	s.pending = facts
-	buildStart := tr.Begin()
+	buildStart := jr.Begin()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		s.Freeze()
-		tr.End("ingest_index", buildStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
+		jr.End("ingest_index", buildStart, obs.Attr{Key: "unique_facts", Val: int64(s.Size())})
 	}()
 	freezeErr := v.Freeze()
-	tr.End("ingest_freeze", buildStart)
+	jr.End("ingest_freeze", buildStart)
 	<-done
 	if freezeErr != nil {
 		im.LoadFailed()
@@ -123,7 +124,7 @@ func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Sto
 	}
 
 	im.LoadDone(stats.Triples, stats.Facts, stats.Labels,
-		stats.SkippedLiterals, stats.SkippedBlank, (tr.Begin() - loadStart).Seconds())
+		stats.SkippedLiterals, stats.SkippedBlank, time.Since(loadStart).Seconds())
 	return v, s, stats, nil
 }
 

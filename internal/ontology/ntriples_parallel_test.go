@@ -367,8 +367,10 @@ func TestParallelNTriplesObs(t *testing.T) {
 		t.Errorf("ingest duration observations = %d, want 1", im.Duration.Count())
 	}
 	spans := map[string]bool{}
-	for _, sp := range o.Tracer.Spans() {
-		spans[sp.Name] = true
+	for _, e := range o.Journal.Events() {
+		if e.Kind == obs.EvSpan {
+			spans[e.Key] = true
+		}
 	}
 	for _, want := range []string{"ingest_parse", "ingest_merge", "ingest_index", "ingest_freeze"} {
 		if !spans[want] {

@@ -137,7 +137,7 @@ type Platform struct {
 	cfg   Config
 	clock chaos.Clock
 	pm    *obs.PlatformMetrics // non-nil; all fields no-ops when unobserved
-	jr    *obs.Journal         // nil unless the observer carries a journal
+	jr    *obs.Journal         // the observer's journal; nil when unobserved
 
 	mu       sync.Mutex
 	entries  map[askKey]*entry

@@ -16,8 +16,8 @@ import (
 	"oassis/internal/server"
 )
 
-// TestIntrospectionEndpoints drives a full crowd run over HTTP with the
-// journal and scorecards enabled, then checks the three introspection
+// TestIntrospectionEndpoints drives a full crowd run over HTTP with an
+// observer and its scorecards attached, then checks the three introspection
 // endpoints against the finished run: /status carries kernel counters and
 // the arrival-curve tail, /members the per-member scorecards, /journal the
 // event tail as JSONL in the canonical wire format.
@@ -31,7 +31,6 @@ func TestIntrospectionEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := oassis.NewObserver()
-	o.EnableJournal(0)
 	o.EnableScorecards()
 	srv := server.New(server.Config{
 		MinMembers:    2,
@@ -213,8 +212,8 @@ func TestIntrospectionEndpoints(t *testing.T) {
 }
 
 // TestIntrospectionGates: /status exists without an observer but omits the
-// kernel and journal sections; /members and /journal 404 until their
-// feature is enabled.
+// kernel and journal sections; /journal 404s only without an observer,
+// /members until the scoreboard is enabled.
 func TestIntrospectionGates(t *testing.T) {
 	bare := httptest.NewServer(server.New(server.Config{}).Handler())
 	defer bare.Close()
@@ -247,24 +246,31 @@ func TestIntrospectionGates(t *testing.T) {
 		}
 	}
 
-	// With an observer but neither feature enabled, the routes exist and
-	// explain what is missing instead of a blank 404 from the mux.
+	// With an observer but no scoreboard, /members exists and explains
+	// what is missing instead of a blank 404 from the mux. Every observer
+	// carries a journal, so /journal is served.
 	o := oassis.NewObserver()
 	gated := httptest.NewServer(server.New(server.Config{Obs: o}).Handler())
 	defer gated.Close()
-	for _, path := range []string{"/members", "/journal"} {
-		resp, err := http.Get(gated.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		buf.ReadFrom(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("%s with bare observer: %d, want 404", path, resp.StatusCode)
-		}
-		if !strings.Contains(buf.String(), "not enabled") {
-			t.Errorf("%s 404 body = %q, want a feature hint", path, buf.String())
-		}
+	resp, err = http.Get(gated.URL + "/members")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/members with bare observer: %d, want 404", resp.StatusCode)
+	}
+	if !strings.Contains(buf.String(), "not enabled") {
+		t.Errorf("/members 404 body = %q, want a feature hint", buf.String())
+	}
+	resp, err = http.Get(gated.URL + "/journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("/journal with bare observer: %d, want 200", resp.StatusCode)
 	}
 }

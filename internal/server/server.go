@@ -656,21 +656,20 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 				"border":     km.Border.Value(),
 			}
 		}
-		if jr := o.JournalSet(); jr != nil {
-			j := map[string]any{
-				"events":  jr.Total(),
-				"dropped": jr.Dropped(),
-			}
-			if run := jr.LastRun(); run != 0 {
-				curve := jr.Curve(run)
-				if len(curve) > 8 {
-					curve = curve[len(curve)-8:]
-				}
-				j["run"] = run
-				j["curve_tail"] = curve
-			}
-			resp["journal"] = j
+		jr := o.JournalSet()
+		j := map[string]any{
+			"events":  jr.Total(),
+			"dropped": jr.Dropped(),
 		}
+		if run := jr.LastRun(); run != 0 {
+			curve := jr.Curve(run)
+			if len(curve) > 8 {
+				curve = curve[len(curve)-8:]
+			}
+			j["run"] = run
+			j["curve_tail"] = curve
+		}
+		resp["journal"] = j
 	}
 	writeJSON(w, resp)
 }
@@ -689,13 +688,7 @@ func (s *Server) handleMembers(w http.ResponseWriter, r *http.Request) {
 
 // handleJournal streams the journal ring's most recent events as JSONL;
 // ?n= bounds the tail (default 256, n<=0 for the whole surviving ring).
-// 404 until the observer carries a journal.
 func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
-	jr := s.cfg.Obs.JournalSet()
-	if jr == nil {
-		http.Error(w, "journal not enabled", http.StatusNotFound)
-		return
-	}
 	n := 256
 	if v := r.URL.Query().Get("n"); v != "" {
 		parsed, err := strconv.Atoi(v)
@@ -706,7 +699,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		n = parsed
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	jr.WriteTailJSONL(w, n)
+	s.cfg.Obs.JournalSet().WriteTailJSONL(w, n)
 }
 
 // handleQueries lists the registered query fleet: every AttachNamed name in

@@ -66,7 +66,7 @@ type DAGConfig struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Obs, when set, observes the DAG's query pipeline (WHERE compile /
-	// eval metrics, eval and space-construction trace spans).
+	// eval metrics, the space_build span in its journal).
 	Obs *obs.Observer
 }
 
@@ -165,19 +165,21 @@ func NewDAG(cfg DAGConfig) (*DAG, error) {
 	ev := sparql.NewEvaluator(store)
 	ev.Metrics = cfg.Obs.PlanSet()
 	ev.UseSharedCache()
-	tr := cfg.Obs.Trace()
+	jr := cfg.Obs.JournalSet()
 	plan, err := ev.Compile(q.Where)
 	if err != nil {
 		return nil, err
 	}
-	evalStart := tr.Begin()
+	buildStart := jr.Begin()
 	space, streamed, err := assign.NewSpaceFromPlan(q, plan, nil)
 	if err != nil {
 		return nil, err
 	}
 	// rows counts rows yielded after the projection's cut (Plan.Stream).
-	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
-	tr.End("space_build", evalStart, obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
+	jr.End("space_build", buildStart,
+		obs.Attr{Key: "rows", Val: int64(streamed)},
+		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
+		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d := &DAG{
 		Space: space,
 		Query: q,

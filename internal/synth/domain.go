@@ -46,8 +46,9 @@ type DomainConfig struct {
 	// Seed drives all randomness.
 	Seed int64
 	// Obs, when set, observes the domain's query pipeline: the WHERE
-	// compile and eval land in the sparql metric family and the eval /
-	// space-construction phases are traced. Nil disables observation.
+	// compile and eval land in the sparql metric family and the fused
+	// eval / space-construction stage is journaled as one space_build
+	// span. Nil disables observation.
 	Obs *obs.Observer
 }
 
@@ -326,19 +327,21 @@ func (d *Domain) buildQuery(cfg DomainConfig) error {
 	ev := sparql.NewEvaluator(d.Store)
 	ev.Metrics = cfg.Obs.PlanSet()
 	ev.UseSharedCache()
-	tr := cfg.Obs.Trace()
+	jr := cfg.Obs.JournalSet()
 	plan, err := ev.Compile(q.Where)
 	if err != nil {
 		return err
 	}
-	evalStart := tr.Begin()
+	buildStart := jr.Begin()
 	space, streamed, err := assign.NewSpaceFromPlan(q, plan, d.MorePool)
 	if err != nil {
 		return err
 	}
 	// rows counts rows yielded after the projection's cut (Plan.Stream).
-	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
-	tr.End("space_build", evalStart, obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
+	jr.End("space_build", buildStart,
+		obs.Attr{Key: "rows", Val: int64(streamed)},
+		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
+		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d.Query = q
 	d.Space = space
 	d.Plan = plan

@@ -175,10 +175,10 @@ type FleetConfig struct {
 	// crowd questions the journal can attribute per query. 0 stops at
 	// space construction, the pre-crowd path.
 	MineMembers int
-	// Obs, when set, lands compile/eval metrics on the sparql family.
-	// With a journal enabled (Observer.EnableJournal), every execution
-	// additionally records a query_exec event and the report carries
-	// per-query cost attribution joined from the journal (PerQuery).
+	// Obs, when set, lands compile/eval metrics on the sparql family,
+	// every execution records a query_exec event in the observer's
+	// journal, and the report carries per-query cost attribution joined
+	// from the journal (PerQuery).
 	Obs *obs.Observer
 }
 

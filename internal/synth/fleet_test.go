@@ -159,7 +159,6 @@ func BenchmarkFleet(b *testing.B) {
 func TestRunFleetAttribution(t *testing.T) {
 	store := loadSmokeStore(t)
 	o := obs.New()
-	o.EnableJournal(0)
 	cfg := FleetConfig{Queries: 12, Executions: 48, Workers: 4, MineMembers: 3, Seed: 5, Obs: o}
 	fleet := SampleFleet(SmokeScale(), cfg)
 	rep, err := RunFleet(store, fleet, cfg)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oassis"
+	"oassis/internal/paperdata"
 )
 
 // chaosJournalFaults builds a fault schedule that provokes both failure
@@ -112,6 +113,44 @@ func TestJournalReplayChaos(t *testing.T) {
 	repAns := sortedAnswers(replaySess, replayed)
 	if strings.Join(liveAns, "\n") != strings.Join(repAns, "\n") {
 		t.Fatalf("replayed answers diverged:\n%v\nvs\n%v", repAns, liveAns)
+	}
+}
+
+// TestJournalReplayRefusesSingleMember records a Vertical run on the
+// paper's simple query and checks that Session.Replay refuses it, naming
+// the strategy, instead of re-folding it through a multi-user engine.
+func TestJournalReplayRefusesSingleMember(t *testing.T) {
+	v, store := fixture(t)
+	q, err := oassis.ParseQuery(paperdata.SimpleQueryText, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := oassis.NewJournal(0)
+	var sink bytes.Buffer
+	j.SetSink(&sink)
+	sess, err := oassis.NewSession(store, q, oassis.WithSeed(2), oassis.WithJournal(j))
+	if err != nil {
+		t.Fatal(err)
+	}
+	du1, _ := paperdata.Table3(v)
+	m := oassis.NewSimMember("u1", v, du1, 1)
+	m.Scale = nil
+	if _, err := sess.RunSingle(m, oassis.Vertical); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, err := oassis.ReadJournal(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sess.Replay(events)
+	if err == nil || !strings.Contains(err.Error(), "single-member vertical run") {
+		t.Fatalf("replay of a single-member run: err = %v, want a refusal naming the strategy", err)
+	}
+	if res != nil {
+		t.Fatal("refused replay returned a result")
 	}
 }
 

@@ -106,19 +106,20 @@ type (
 	// applying chaos at the event level so every execution mode gets the
 	// same fault coverage.
 	FaultyBroker = chaos.FaultyBroker
-	// Observer bundles the metric registry, the span tracer and every
+	// Observer bundles the metric registry, the journal and every
 	// subsystem metric family; thread one through WithObserver (and the
 	// HTTP server's config) to light up the whole pipeline. Nil disables
 	// observability at the cost of a nil check per event.
 	Observer = obs.Observer
-	// TraceSummary is the per-(phase, name) span aggregate attached to
-	// an observed run's Result.
+	// TraceSummary is the per-(phase, name) span count and total the
+	// journal keeps, attached to an observed run's Result.
 	TraceSummary = obs.TraceSummary
-	// Journal is the crowd-run flight recorder: an append-only,
-	// sequence-numbered event stream (run start, every ask / reply /
-	// timeout / departure with its raw payload, MSP confirmations, round
-	// barriers) kept in a fixed ring with an optional JSONL sink. Attach
-	// one with WithJournal; replay a recorded stream with Session.Replay.
+	// Journal is the one event stream: an append-only, sequence-numbered
+	// record of crowd runs (run start, every ask / reply / timeout /
+	// departure with its raw payload, MSP confirmations, round barriers)
+	// and of timed program spans, kept in a bounded ring with an optional
+	// JSONL sink. Every Observer carries one; swap in another with
+	// WithJournal, and replay a recorded stream with Session.Replay.
 	Journal = obs.Journal
 	// JournalEvent is one recorded flight-recorder event.
 	JournalEvent = obs.Event
@@ -355,7 +356,7 @@ func WithOnMSP(fn func(*Assignment)) Option {
 func WithTranscript() Option { return func(s *Session) { s.transcript = true } }
 
 // NewObserver returns an Observer with a fresh registry, a default-capacity
-// trace ring and every subsystem metric family registered.
+// journal and every subsystem metric family registered.
 func NewObserver() *Observer { return obs.New() }
 
 // NewJournal returns a flight-recorder journal with the given event-ring
@@ -367,12 +368,14 @@ func NewJournal(capacity int) *Journal { return obs.NewJournal(capacity) }
 // journal's sink or (*Journal).WriteJSONL — the input to Session.Replay.
 func ReadJournal(r io.Reader) ([]JournalEvent, error) { return obs.ReadJournalJSONL(r) }
 
-// WithJournal attaches a flight recorder to the session's runs: every ask,
-// reply, timeout, departure, MSP confirmation and round barrier is recorded
-// with its raw payload, and Result.Curve carries the run's answer-arrival
-// curve. The option implies an Observer (a fresh one is created when none
-// was configured), so it composes with or without WithObserver. The journal
-// may be shared across sessions; run IDs keep their streams apart.
+// WithJournal records the session into j instead of its observer's own
+// journal: the space_build span, and for every run each ask, reply,
+// timeout, departure, MSP confirmation, round barrier and round span with
+// its raw payload; Result.Curve carries the run's answer-arrival curve.
+// The option implies an Observer (a fresh one is created when none was
+// configured) and swaps j into it, so it composes with or without
+// WithObserver. The journal may be shared across sessions; run IDs keep
+// their streams apart.
 func WithJournal(j *Journal) Option { return func(s *Session) { s.journal = j } }
 
 // WithScorecards maintains per-member quality/latency profiles across the
@@ -394,9 +397,10 @@ func (s *Session) Scorecards() []MemberScorecard { return s.obsv.BoardSet().Snap
 // deadlines, transcript flag); the stream must contain one complete run —
 // from its run_start event — as written by the JSONL sink (use
 // journal.FilterRun semantics upstream when a sink interleaves several
-// runs: Replay takes the first run_start it is given). Use
-// VerifyReplayIdentity to assert the reconstruction matches the live
-// result.
+// runs: Replay takes the first run_start it is given). A RunSingle run is
+// refused with an error naming its strategy: replay rebuilds multi-user
+// runs only. Use VerifyReplayIdentity to assert the reconstruction matches
+// the live result.
 func (s *Session) Replay(events []JournalEvent) (*Result, error) {
 	ids, err := journal.Members(events)
 	if err != nil {
@@ -419,10 +423,11 @@ func VerifyReplayIdentity(live, replayed *Result) error {
 
 // WithObserver attaches an observer to the session: WHERE compilation and
 // evaluation are timed and counted, the space's interner and edge-cache hit
-// rates are exported as gauges, every engine run feeds kernel and broker
-// metrics plus per-round trace spans, and Result.Trace summarizes where the
-// run's time went. The observer may be shared across sessions (and with an
-// HTTP server) to scrape one registry for the whole process.
+// rates are exported as gauges, and every engine run feeds kernel and
+// broker metrics and journals its events and per-round spans into the
+// observer's journal; Result.Trace summarizes where the time went. The
+// observer may be shared across sessions (and with an HTTP server) to
+// scrape one registry and one journal for the whole process.
 func WithObserver(o *Observer) Option { return func(s *Session) { s.obsv = o } }
 
 // WithPlatform attaches the session to a shared cross-query answer
@@ -511,26 +516,26 @@ func NewSession(store *Ontology, q *Query, opts ...Option) (*Session, error) {
 	ev.Semantic = s.semantic
 	ev.Metrics = s.obsv.PlanSet() // Compile auto-observes the plan
 	ev.UseSharedCache()
-	tr := s.obsv.Trace()
+	jr := s.obsv.JournalSet()
 	plan, err := ev.Compile(q.Where)
 	if err != nil {
 		return nil, fmt.Errorf("oassis: WHERE compilation: %w", err)
 	}
 	s.plan = plan
-	evalStart := tr.Begin()
+	buildStart := jr.Begin()
 	space, streamed, err := assign.NewSpaceFromPlan(q, plan, s.morePool)
 	if err != nil {
 		return nil, fmt.Errorf("oassis: assignment space: %w", err)
 	}
-	// The eval and build phases are fused on the streaming path; both spans
-	// cover the fused interval so existing trace consumers keep their
-	// phase names. The rows attribute counts rows yielded after the
-	// projection's cut (sparql.Plan.Stream), not full WHERE solutions.
-	tr.End("where_eval", evalStart, obs.Attr{Key: "rows", Val: int64(streamed)})
-	s.space = space
-	tr.End("space_build", evalStart,
+	// WHERE evaluation and space construction are one fused stage on the
+	// streaming path, so one span covers both. The rows attribute counts
+	// rows yielded after the projection's cut (sparql.Plan.Stream), not
+	// full WHERE solutions.
+	jr.End("space_build", buildStart,
+		obs.Attr{Key: "rows", Val: int64(streamed)},
 		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
 		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
+	s.space = space
 	s.registerGauges()
 	s.renderer = nlgen.NewRenderer(store.Vocabulary())
 	return s, nil

@@ -10,9 +10,9 @@ import (
 
 // TestSessionObserver drives the paper's running example with an Observer
 // attached and checks that every pipeline stage left its mark: compile and
-// eval spans and counters, space gauges, kernel round metrics, broker
-// round-trips, a trace summary on the Result, and a Prometheus scrape that
-// carries all of it.
+// eval counters, the fused space_build span, space gauges, kernel round
+// metrics, broker round-trips, a trace summary on the Result, and a
+// Prometheus scrape that carries all of it.
 func TestSessionObserver(t *testing.T) {
 	v, store := fixture(t)
 	q, err := oassis.ParseQuery(paperdata.SimpleQueryText, v)
@@ -20,7 +20,7 @@ func TestSessionObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := oassis.NewObserver()
-	o.Tracer.SetPhase("paper-example")
+	o.Journal.SetPhase("paper-example")
 	session, err := oassis.NewSession(store, q, oassis.WithSeed(1), oassis.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
@@ -56,7 +56,7 @@ func TestSessionObserver(t *testing.T) {
 		}
 		names[e.Name] = true
 	}
-	for _, want := range []string{"where_eval", "space_build", "round"} {
+	for _, want := range []string{"space_build", "round"} {
 		if !names[want] {
 			t.Errorf("trace missing %q spans:\n%s", want, res.Trace)
 		}

@@ -1,13 +1,12 @@
 #!/usr/bin/env sh
 # Gate the observability layer's zero-overhead contract.
 #
-#   check_obs_overhead.sh bench-disabled.txt bench-enabled.txt BENCH_PR5.json [bench-journal.txt]
+#   check_obs_overhead.sh bench-disabled.txt bench-enabled.txt BENCH_PR10.json
 #
 # bench-disabled.txt / bench-enabled.txt are `go test -bench
 # BenchmarkEngineThroughput` outputs with OASSIS_BENCH_OBS unset and =1
-# respectively; the optional fourth file is the same benchmark with
-# OASSIS_BENCH_JOURNAL=1 (observer plus flight-recorder journal). Three
-# gates:
+# respectively; enabled mode is an observer with its journal, which
+# records every kernel event and round span. Two gates:
 #
 #   1. The disabled-mode questions/s must stay within 3% of the recorded
 #      baseline ("disabled_questions_per_s" in the JSON file, falling back
@@ -17,21 +16,18 @@
 #      "max_enabled_overhead_pct" from the JSON file. Before the border
 #      gauge was repaired (incremental SignificantBorderSize) an attached
 #      Observer cost ~35-40% per round; the gate keeps that regression from
-#      coming back.
-#   3. When a journal bench file is given, its overhead versus disabled
-#      must stay below "max_journal_overhead_pct" (falling back to the
-#      enabled ceiling): the flight recorder's ring writes ride the serial
+#      coming back. Since every observer carries its journal, the same
+#      ceiling bounds the journal's ring writes, which ride the serial
 #      apply path and must stay lock-cheap.
 #
 # All baselines are machine-dependent: re-record the JSON when the CI
 # runner class changes, or override with OBS_BASELINE_QPS /
-# OBS_MAX_OVERHEAD_PCT / OBS_MAX_JOURNAL_OVERHEAD_PCT for local runs.
+# OBS_MAX_OVERHEAD_PCT for local runs.
 set -eu
 
 disabled_file=$1
 enabled_file=$2
 baseline_file=$3
-journal_file=${4:-}
 
 # Best of N runs: scheduler noise only ever subtracts throughput, so the
 # fastest run is the closest to the machine's true capability.
@@ -75,29 +71,9 @@ if [ -n "$max_overhead" ]; then
 	awk -v e="$enabled" -v d="$disabled" -v m="$max_overhead" 'BEGIN {
 		overhead = 100 * (1 - e / d)
 		if (overhead > m) {
-			printf "FAIL: enabled-mode overhead %.1f%% exceeds ceiling %.0f%% (border gauge or counter hot path regressed)\n", overhead, m
+			printf "FAIL: enabled-mode overhead %.1f%% exceeds ceiling %.0f%% (border gauge, counter or journal hot path regressed)\n", overhead, m
 			exit 1
 		}
 		printf "OK: enabled-mode overhead %.1f%% within ceiling %.0f%%\n", overhead, m
 	}'
-fi
-
-# Journal gate: observer plus flight recorder, against its own ceiling
-# (falling back to the enabled-mode ceiling when the baseline predates
-# the journal).
-if [ -n "$journal_file" ]; then
-	journal=$(qps "$journal_file") || { echo "no questions/s in $journal_file" >&2; exit 1; }
-	max_journal=${OBS_MAX_JOURNAL_OVERHEAD_PCT:-$(sed -n 's/.*"max_journal_overhead_pct": *\([0-9][0-9]*\).*/\1/p' "$baseline_file" | head -1)}
-	max_journal=${max_journal:-$max_overhead}
-	echo "journal throughput: ${journal} q/s"
-	if [ -n "$max_journal" ]; then
-		awk -v j="$journal" -v d="$disabled" -v m="$max_journal" 'BEGIN {
-			overhead = 100 * (1 - j / d)
-			if (overhead > m) {
-				printf "FAIL: journal-mode overhead %.1f%% exceeds ceiling %.0f%% (ring write left the lock-cheap path)\n", overhead, m
-				exit 1
-			}
-			printf "OK: journal-mode overhead %.1f%% within ceiling %.0f%%\n", overhead, m
-		}'
-	fi
 fi
