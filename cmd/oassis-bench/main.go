@@ -61,14 +61,6 @@ func main() {
 		metrics    = flag.Bool("metrics", false, "print a Prometheus-text metrics dump after the run")
 		journalOut = flag.String("journal", "", "write the journal — per-phase spans and crowd-run events — as JSONL to this `file` (implies an observer)")
 		explain    = flag.Bool("explain", false, "print the compiled WHERE plans of the three evaluation domains")
-
-		fleet        = flag.Bool("fleet", false, "run the ingestion + query-fleet benchmark instead of paper figures")
-		fleetScale   = flag.String("fleet-scale", "million", "fleet ontology scale: million or smoke")
-		fleetQueries = flag.Int("fleet-queries", 1200, "distinct queries in the fleet")
-		fleetExecs   = flag.Int("fleet-execs", 5000, "total query executions (Zipf-skewed over the fleet)")
-		fleetWorkers = flag.Int("fleet-workers", 0, "fleet execution workers (0 = GOMAXPROCS)")
-		fleetMine    = flag.Int("fleet-mine", 0, "follow each fleet execution with a mining pass served by this many synthetic members (with an observer, e.g. -journal: per-query question attribution in the report)")
-		fleetOut     = flag.String("fleet-out", "", "write the fleet benchmark report as JSON to this `file`")
 	)
 	flag.Parse()
 	cfg := newConfig(*quick, *seed)
@@ -91,17 +83,6 @@ func main() {
 		}
 		journalFile = f
 		o.Journal.SetSink(f)
-	}
-	if *fleet {
-		if err := runFleetBench(*fleetScale, *fleetQueries, *fleetExecs, *fleetWorkers, *fleetMine, *seed, *fleetOut, o); err != nil {
-			fmt.Fprintln(os.Stderr, "oassis-bench:", err)
-			os.Exit(1)
-		}
-		if err := emit(o, *metrics, *journalOut, journalFile); err != nil {
-			fmt.Fprintln(os.Stderr, "oassis-bench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	if err := run(*fig, cfg, o, *explain); err != nil {
 		fmt.Fprintln(os.Stderr, "oassis-bench:", err)

@@ -213,9 +213,9 @@ func (a *Assignment) Size() int {
 
 // Leq reports a ≤ b under Definition 4.1, extended to MORE facts: for every
 // variable x and value v ∈ a(x) there must be v′ ∈ b(x) with v ≤ v′, and for
-// every MORE fact f ∈ a there must be f′ ∈ b with f ≤ f′. The kinds map is
-// accepted for API symmetry; the namespaces are cached in the assignments.
-func Leq(v *vocab.Vocabulary, _ map[string]vocab.Kind, a, b *Assignment) bool {
+// every MORE fact f ∈ a there must be f′ ∈ b with f ≤ f′. Each variable's
+// namespace is read from the assignments themselves.
+func Leq(v *vocab.Vocabulary, a, b *Assignment) bool {
 	bi := 0
 	for ai, name := range a.names {
 		avals := a.vals[ai]

@@ -89,7 +89,7 @@ func TestLeqAgreesWithNaiveReference(t *testing.T) {
 		checked := 0
 		for _, a := range pool {
 			for _, b := range pool {
-				got := assign.Leq(d.Vocab, kinds, a, b)
+				got := assign.Leq(d.Vocab, a, b)
 				want := leqNaive(d.Vocab, kinds, a, b)
 				if got != want {
 					t.Fatalf("seed %d: Leq(%s, %s) = %v, reference says %v",

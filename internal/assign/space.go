@@ -209,7 +209,7 @@ func (s *Space) Valid() []*Assignment { return s.valid }
 func (s *Space) MorePool() ontology.FactSet { return s.morePool }
 
 // Leq reports a ≤ b within this space.
-func (s *Space) Leq(a, b *Assignment) bool { return Leq(s.v, s.kinds, a, b) }
+func (s *Space) Leq(a, b *Assignment) bool { return Leq(s.v, a, b) }
 
 // Canon returns the canonical interned twin of a, registering it (and
 // assigning a dense NodeID) on first sight. Assignments returned by Roots,

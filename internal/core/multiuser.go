@@ -163,10 +163,9 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 	km := e.k.km // non-nil; all fields no-ops when unobserved
 	jr := e.k.jr
 	if jr != nil {
-		// The journal records on the engine clock: a chaos VirtualClock
-		// run journals deterministic timestamps. The run scope opens here
-		// so every kernel emission below carries this run's ID.
-		jr.BindClock(e.clock.Now)
+		// The run is journaled on the engine clock, so a chaos
+		// VirtualClock run records deterministic timestamps. The run scope
+		// opens here so every kernel emission below carries this run's ID.
 		ids := make([]string, len(e.k.users))
 		for i, u := range e.k.users {
 			ids[i] = u.id
@@ -175,7 +174,7 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 		if e.k.single != nil {
 			strategy = e.k.single.strategy.String()
 		}
-		e.k.jrRun = jr.StartRun(ids, e.k.cfg.Seed, e.k.cfg.Theta, strategy)
+		e.k.jrRun = jr.StartRun(e.clock.Now, ids, e.k.cfg.Seed, e.k.cfg.Theta, strategy)
 	}
 	for {
 		roundStart := e.clock.Now()

@@ -3,16 +3,17 @@ package obs
 // The journal is the engine's one event stream: an append-only,
 // sequence-numbered record of "what happened" (run start, every ask,
 // every reply/timeout/departure with its raw payload, MSP confirmations,
-// round barriers, store and query events) and of "how long" (span events:
+// round barriers, store events) and of "how long" (span events:
 // a query's space build, an engine round, a figure's mining phase). One
 // mutex guards a ring that grows on demand up to its capacity and then
 // overwrites the oldest event, an optional JSONL sink sees every event,
 // the hand-rolled encoder writes a stable field order so output is
-// byte-deterministic, and an explicit clock hook lets chaos VirtualClock
-// runs journal reproducible timestamps. Span counts and totals are kept
-// per (phase, name) as they are recorded, so Summary stays exact after the
-// ring wraps. A nil *Journal is a no-op on every method, preserving the
-// package's disabled-costs-a-nil-check contract.
+// byte-deterministic, and each run is stamped on the clock it was started
+// with, so chaos VirtualClock runs journal reproducible timestamps. Span
+// counts and totals are kept per (phase, name) as they are recorded, so
+// Summary stays exact after the ring wraps. A nil *Journal is a no-op on
+// every method, preserving the package's disabled-costs-a-nil-check
+// contract.
 //
 // Because the mining kernel is a pure event fold, the recorded reply
 // payloads are sufficient to re-run it: internal/journal.Replay feeds the
@@ -48,16 +49,18 @@ const (
 	EvStoreMiss    = "store_miss"
 	EvStoreJoin    = "store_join"
 	EvStoreExpired = "store_expired"
-	EvQueryExec    = "query_exec"
 	EvSpan         = "span"
 )
 
 // Event is one journal entry. The struct is flat across all kinds: each
 // kind populates its subset of fields and the encoder skips zero values,
 // so decoding with encoding/json round-trips exactly (a missing field is
-// the zero value). At is nanoseconds since the journal clock was bound,
-// taken when the event is recorded (a span's end) — informational only;
-// replay identity never reads it.
+// the zero value). At is taken when the event is recorded (a span's end):
+// for an event of a run, nanoseconds since the run started, on the clock
+// the run was started with; for a run-0 event, or one of a run whose
+// record was evicted, wall-clock nanoseconds since the journal's first
+// StartRun (0 before it). It is informational only; replay identity never
+// reads it.
 type Event struct {
 	Seq  int64  `json:"seq"`
 	Run  int64  `json:"run"`
@@ -75,7 +78,7 @@ type Event struct {
 	Ask     int64  `json:"ask,omitempty"`
 	Member  string `json:"member,omitempty"`
 	QKind   string `json:"qkind,omitempty"`   // "concrete" | "specialize"
-	Key     string `json:"key,omitempty"`     // node / question / MSP / query key
+	Key     string `json:"key,omitempty"`     // node / question / MSP key, span name
 	Probe   bool   `json:"probe,omitempty"`   // probe concrete ask
 	Options int    `json:"options,omitempty"` // specialization option count
 
@@ -96,10 +99,6 @@ type Event struct {
 	NewMSPs    int   `json:"new_msps,omitempty"`
 	NewAnswers int   `json:"new_answers,omitempty"`
 	Rounds     int   `json:"rounds,omitempty"`
-
-	// query_exec
-	Hit  bool  `json:"hit,omitempty"`
-	Rows int64 `json:"rows,omitempty"`
 
 	// span: the name goes in Key and the duration in Elapsed
 	Phase string `json:"phase,omitempty"`
@@ -127,8 +126,11 @@ type CurvePoint struct {
 	Answers    int   `json:"answers"` // cumulative distinct questions answered
 }
 
-// curveAcc accumulates one run's arrival curve between round barriers.
-type curveAcc struct {
+// runRec is the journal's record of one run: the clock its events are
+// stamped on, and its arrival curve accumulated between round barriers.
+type runRec struct {
+	now        func() time.Time
+	origin     time.Time // now() at StartRun
 	points     []CurvePoint
 	newMSPs    int
 	newAnswers int
@@ -144,19 +146,17 @@ const DefaultJournalCapacity = 65536
 // minJournalRing is the ring's first allocation.
 const minJournalRing = 64
 
-// maxJournalCurves bounds the per-run curve accumulators held in memory;
-// the oldest run's curve is evicted when a newer run starts past the bound.
+// maxJournalCurves bounds the per-run records held in memory; the oldest
+// run's record (its curve and clock) is evicted when a newer run starts
+// past the bound.
 const maxJournalCurves = 64
 
 // Journal records events. Construct with NewJournal (every Observer
-// carries one), optionally attach a JSONL sink with SetSink, and bind the
-// engine clock with BindClock. All methods are safe for concurrent use and
-// are no-ops on a nil receiver.
+// carries one) and optionally attach a JSONL sink with SetSink. All
+// methods are safe for concurrent use and are no-ops on a nil receiver.
 type Journal struct {
 	mu        sync.Mutex
-	nowFn     func() time.Time
-	epoch     time.Time
-	haveEpoch bool
+	wallEpoch time.Time // wall clock at the first StartRun; zero before
 	ring      []Event
 	limit     int // ring capacity; the ring grows on demand up to it
 	next      int
@@ -167,8 +167,8 @@ type Journal struct {
 	sink      *bufio.Writer
 	sinkErr   error
 	scratch   []byte
-	curves    map[int64]*curveAcc
-	curveIDs  []int64 // insertion order, for bounded eviction
+	runs      map[int64]*runRec
+	runIDs    []int64 // insertion order, for bounded eviction
 	phase     string
 	spanIdx   map[spanKey]int // (phase, name) -> index into spanSums
 	spanSums  []TraceEntry
@@ -184,7 +184,7 @@ func NewJournal(n int) *Journal {
 	}
 	return &Journal{
 		limit:   n,
-		curves:  make(map[int64]*curveAcc),
+		runs:    make(map[int64]*runRec),
 		spanIdx: make(map[spanKey]int),
 	}
 }
@@ -226,29 +226,16 @@ func (j *Journal) Err() error {
 	return j.sinkErr
 }
 
-// BindClock binds the time source used for event timestamps — the engine
-// driver passes its (possibly virtual) clock's Now, so chaos runs produce
-// deterministic At offsets. The epoch is captured at first bind; events
-// recorded before any bind carry At = 0.
-func (j *Journal) BindClock(now func() time.Time) {
-	if j == nil || now == nil {
-		return
+// at returns the timestamp of an event of run recorded now (see
+// Event.At). Caller holds j.mu.
+func (j *Journal) at(run int64) int64 {
+	if r := j.runs[run]; r != nil {
+		return r.now().Sub(r.origin).Nanoseconds()
 	}
-	j.mu.Lock()
-	j.nowFn = now
-	if !j.haveEpoch {
-		j.epoch = now()
-		j.haveEpoch = true
-	}
-	j.mu.Unlock()
-}
-
-// at returns the current timestamp offset. Caller holds j.mu.
-func (j *Journal) at() int64 {
-	if j.nowFn == nil || !j.haveEpoch {
+	if j.wallEpoch.IsZero() {
 		return 0
 	}
-	return j.nowFn().Sub(j.epoch).Nanoseconds()
+	return time.Since(j.wallEpoch).Nanoseconds()
 }
 
 // record stamps, rings and sinks one event. Caller must NOT hold j.mu.
@@ -264,7 +251,7 @@ func (j *Journal) record(e Event) {
 func (j *Journal) recordLocked(e Event) {
 	e.Seq = j.seq
 	j.seq++
-	e.At = j.at()
+	e.At = j.at(e.Run)
 	if len(j.ring) < j.limit {
 		if len(j.ring) == cap(j.ring) {
 			grown := make([]Event, len(j.ring), min(max(2*cap(j.ring), minJournalRing), j.limit))
@@ -397,23 +384,28 @@ func (j *Journal) Summary() *TraceSummary {
 }
 
 // StartRun opens a new run scope and returns its journal-local run ID
-// (1-based, monotonic). members is the run's member list in index order;
-// seed and theta pin the kernel configuration the stream was recorded
-// under, so a replay can cross-check it. strategy names a single-member
-// run's selection policy ("" for a multi-user run), which a multi-user
-// replay refuses.
-func (j *Journal) StartRun(members []string, seed int64, theta float64, strategy string) int64 {
+// (1-based, monotonic). now is the run's clock — the engine's, virtual
+// under chaos — and the run's events are stamped with their offset from
+// its reading here. members is the run's member list in index order; seed
+// and theta pin the kernel configuration the stream was recorded under,
+// so a replay can cross-check it. strategy names a single-member run's
+// selection policy ("" for a multi-user run), which a multi-user replay
+// refuses.
+func (j *Journal) StartRun(now func() time.Time, members []string, seed int64, theta float64, strategy string) int64 {
 	if j == nil {
 		return 0
 	}
 	j.mu.Lock()
+	if j.wallEpoch.IsZero() {
+		j.wallEpoch = time.Now()
+	}
 	j.runSeq++
 	run := j.runSeq
-	j.curves[run] = &curveAcc{}
-	j.curveIDs = append(j.curveIDs, run)
-	if len(j.curveIDs) > maxJournalCurves {
-		delete(j.curves, j.curveIDs[0])
-		j.curveIDs = j.curveIDs[1:]
+	j.runs[run] = &runRec{now: now, origin: now()}
+	j.runIDs = append(j.runIDs, run)
+	if len(j.runIDs) > maxJournalCurves {
+		delete(j.runs, j.runIDs[0])
+		j.runIDs = j.runIDs[1:]
 	}
 	j.mu.Unlock()
 	j.record(Event{
@@ -435,7 +427,7 @@ func (j *Journal) EndRun(run int64, rounds int, questions int64) {
 		return
 	}
 	j.mu.Lock()
-	if c := j.curves[run]; c != nil && (c.newMSPs > 0 || c.newAnswers > 0) {
+	if c := j.runs[run]; c != nil && (c.newMSPs > 0 || c.newAnswers > 0) {
 		j.flushCurveLocked(c, rounds, questions)
 	}
 	j.mu.Unlock()
@@ -445,7 +437,7 @@ func (j *Journal) EndRun(run int64, rounds int, questions int64) {
 
 // flushCurveLocked folds the accumulated deltas into a CurvePoint. Caller
 // holds j.mu.
-func (j *Journal) flushCurveLocked(c *curveAcc, round int, questions int64) {
+func (j *Journal) flushCurveLocked(c *runRec, round int, questions int64) {
 	c.msps += c.newMSPs
 	c.answers += c.newAnswers
 	c.points = append(c.points, CurvePoint{
@@ -520,7 +512,7 @@ func (j *Journal) MSPEvent(run int64, round int, key string, questions int64) {
 		return
 	}
 	j.mu.Lock()
-	if c := j.curves[run]; c != nil {
+	if c := j.runs[run]; c != nil {
 		c.newMSPs++
 	}
 	j.mu.Unlock()
@@ -535,7 +527,7 @@ func (j *Journal) NoteNewAnswer(run int64) {
 		return
 	}
 	j.mu.Lock()
-	if c := j.curves[run]; c != nil {
+	if c := j.runs[run]; c != nil {
 		c.newAnswers++
 	}
 	j.mu.Unlock()
@@ -550,7 +542,7 @@ func (j *Journal) RoundEnd(run int64, round, asks, replies, border int, question
 	}
 	var newMSPs, newAnswers int
 	j.mu.Lock()
-	if c := j.curves[run]; c != nil {
+	if c := j.runs[run]; c != nil {
 		newMSPs, newAnswers = c.newMSPs, c.newAnswers
 		j.flushCurveLocked(c, round, questions)
 	}
@@ -571,18 +563,6 @@ func (j *Journal) StoreEvent(kind, member, key string) {
 	j.record(Event{Kind: kind, Member: member, Key: key})
 }
 
-// QueryExec records one fleet query execution: its normalized key, wall
-// time, whether the compile was a plan-cache hit, the rows streamed into
-// space construction, and — when the execution went on to mine — the
-// journal run ID of the mining run, joining per-query cost attribution to
-// the run's question spend.
-func (j *Journal) QueryExec(run int64, key string, elapsed int64, hit bool, rows int64) {
-	if j == nil {
-		return
-	}
-	j.record(Event{Run: run, Kind: EvQueryExec, Key: key, Elapsed: elapsed, Hit: hit, Rows: rows})
-}
-
 // Curve returns the run's arrival curve (nil if the run is unknown or was
 // evicted by the per-run bound).
 func (j *Journal) Curve(run int64) []CurvePoint {
@@ -591,7 +571,7 @@ func (j *Journal) Curve(run int64) []CurvePoint {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	c := j.curves[run]
+	c := j.runs[run]
 	if c == nil {
 		return nil
 	}
@@ -799,13 +779,6 @@ func appendEventJSON(b []byte, e *Event) []byte {
 	if e.Rounds != 0 {
 		b = append(b, `,"rounds":`...)
 		b = strconv.AppendInt(b, int64(e.Rounds), 10)
-	}
-	if e.Hit {
-		b = append(b, `,"hit":true`...)
-	}
-	if e.Rows != 0 {
-		b = append(b, `,"rows":`...)
-		b = strconv.AppendInt(b, e.Rows, 10)
 	}
 	if e.Phase != "" {
 		b = append(b, `,"phase":`...)

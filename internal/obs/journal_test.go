@@ -30,7 +30,6 @@ func journalFixtureEvents() []Event {
 			Questions: 17, NewMSPs: 1, NewAnswers: 4},
 		{Kind: EvRunEnd, Run: 1, Rounds: 3, Questions: 17},
 		{Kind: EvStoreHit, Member: "u1", Key: "q\tkey"},
-		{Kind: EvQueryExec, Run: 2, Key: "q0001", Elapsed: 12345, Hit: true, Rows: 99},
 		{Kind: EvSpan, Run: 2, Key: `ro"und`, Elapsed: 250000, Phase: "fig5a",
 			Attrs: []Attr{{Key: "asks", Val: 4}, {Key: "b\nx", Val: -1}}},
 	}
@@ -137,9 +136,8 @@ func TestJournalRingOverwrite(t *testing.T) {
 func TestJournalClockAndCurve(t *testing.T) {
 	now := time.Unix(100, 0)
 	j := NewJournal(0)
-	j.BindClock(func() time.Time { return now })
 
-	run := j.StartRun([]string{"u1", "u2"}, 9, 0.3, "")
+	run := j.StartRun(func() time.Time { return now }, []string{"u1", "u2"}, 9, 0.3, "")
 	if run != 1 {
 		t.Fatalf("run = %d, want 1", run)
 	}
@@ -173,13 +171,69 @@ func TestJournalClockAndCurve(t *testing.T) {
 	}
 }
 
+// TestJournalRunClocks pins the time base of a journal shared by runs on
+// different clocks: each run's events are offsets on its own clock from
+// its start, so a virtual clock set decades back interleaved with a wall
+// clock run stamps neither negative; run-0 events carry 0 until the first
+// StartRun and wall-clock offsets from it afterwards.
+func TestJournalRunClocks(t *testing.T) {
+	j := NewJournal(0)
+	j.Span(0, "before", time.Millisecond)
+	virt := time.Unix(7, 0)
+	vrun := j.StartRun(func() time.Time { return virt }, []string{"v"}, 1, 0.5, "")
+	wrun := j.StartRun(time.Now, []string{"w"}, 1, 0.5, "")
+	virt = virt.Add(3 * time.Second)
+	j.AskEvent(vrun, 1, 1, "v", "concrete", "k", false, 0)
+	j.AskEvent(wrun, 1, 1, "w", "concrete", "k", false, 0)
+	j.Span(0, "after", time.Millisecond)
+	virt = virt.Add(time.Second)
+	j.EndRun(vrun, 1, 1)
+	j.EndRun(wrun, 1, 1)
+
+	evs := j.Events()
+	if evs[0].Key != "before" || evs[0].At != 0 {
+		t.Fatalf("span before any run = %+v, want at_ns 0", evs[0])
+	}
+	var vAt []int64
+	for _, e := range evs {
+		if e.At < 0 {
+			t.Fatalf("negative at_ns: %+v", e)
+		}
+		if e.Run == vrun {
+			vAt = append(vAt, e.At)
+		}
+	}
+	if want := []int64{0, int64(3 * time.Second), int64(4 * time.Second)}; !reflect.DeepEqual(vAt, want) {
+		t.Fatalf("virtual run at_ns = %v, want %v", vAt, want)
+	}
+}
+
+// TestReadJournalQueryExecLine: a journal line of the retired query_exec
+// kind, with its hit and rows fields, still decodes; the fields the Event
+// no longer has are ignored.
+func TestReadJournalQueryExecLine(t *testing.T) {
+	in := `{"seq":0,"run":1,"at_ns":0,"kind":"run_start","members":["u1"]}` + "\n" +
+		`{"seq":1,"run":2,"at_ns":5,"kind":"query_exec","key":"q0001","elapsed_ns":12345,"hit":true,"rows":99}` + "\n"
+	got, err := ReadJournalJSONL(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{Seq: 0, Run: 1, Kind: EvRunStart, Members: []string{"u1"}},
+		{Seq: 1, Run: 2, At: 5, Kind: "query_exec", Key: "q0001", Elapsed: 12345},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
 // TestJournalCurveEviction checks the per-run curve bound: curves past
 // maxJournalCurves are evicted oldest-first, newest runs stay queryable.
 func TestJournalCurveEviction(t *testing.T) {
 	j := NewJournal(0)
 	var last int64
 	for i := 0; i < maxJournalCurves+5; i++ {
-		last = j.StartRun([]string{"u"}, 1, 0.5, "")
+		last = j.StartRun(time.Now, []string{"u"}, 1, 0.5, "")
 		j.NoteNewAnswer(last)
 		j.RoundEnd(last, 1, 1, 1, 0, 1)
 	}
@@ -194,9 +248,8 @@ func TestJournalCurveEviction(t *testing.T) {
 // TestJournalNilSafety: every method must be a no-op on a nil journal.
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
-	j.BindClock(time.Now)
 	j.SetSink(&bytes.Buffer{})
-	run := j.StartRun([]string{"u"}, 1, 0.5, "")
+	run := j.StartRun(time.Now, []string{"u"}, 1, 0.5, "")
 	j.AskEvent(run, 1, 1, "u", "concrete", "k", false, 0)
 	j.ReplyEvent(run, 1, 1, "u", "answered", 0.5, -1, nil, 0, "")
 	j.TimeoutEvent(run, 1, 1, "u", "answered", 0, -1, nil, 0, false)
@@ -205,7 +258,6 @@ func TestJournalNilSafety(t *testing.T) {
 	j.NoteNewAnswer(run)
 	j.RoundEnd(run, 1, 1, 1, 0, 1)
 	j.StoreEvent(EvStoreHit, "u", "k")
-	j.QueryExec(run, "q", 1, false, 1)
 	j.SetPhase("p")
 	j.Span(run, "round", time.Millisecond, Attr{Key: "asks", Val: 1})
 	start := j.Begin()
@@ -236,7 +288,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run := j.StartRun([]string{fmt.Sprintf("w%d", w)}, int64(w), 0.5, "")
+			run := j.StartRun(time.Now, []string{fmt.Sprintf("w%d", w)}, int64(w), 0.5, "")
 			for i := 0; i < per; i++ {
 				j.AskEvent(run, 1, int64(i), "m", "concrete", "k", false, 0)
 				j.NoteNewAnswer(run)

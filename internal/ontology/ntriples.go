@@ -1,13 +1,9 @@
 package ontology
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
-
-	"oassis/internal/vocab"
 )
 
 // The paper's prototype drew its ontology from WordNet, YAGO and Foursquare
@@ -39,44 +35,6 @@ type NTriplesStats struct {
 	Labels          int // labels attached
 	SkippedLiterals int // non-label literal objects ignored
 	SkippedBlank    int // triples with blank nodes ignored
-}
-
-// LoadNTriples parses N-Triples into a fresh vocabulary and store, freezing
-// both.
-func LoadNTriples(r io.Reader) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
-	v := vocab.New()
-	s := NewStore(v)
-	stats := &NTriplesStats{}
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 1024*1024), 16*1024*1024)
-	lineNo := 0
-	for scanner.Scan() {
-		lineNo++
-		line := strings.TrimSpace(scanner.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		t, err := parseNTriple(line)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("ntriples: line %d: %w", lineNo, err)
-		}
-		if t.blank {
-			stats.SkippedBlank++
-			continue
-		}
-		stats.Triples++
-		if err := addNTriple(v, s, t, stats); err != nil {
-			return nil, nil, nil, fmt.Errorf("ntriples: line %d: %w", lineNo, err)
-		}
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, nil, nil, fmt.Errorf("ntriples: %w", err)
-	}
-	if err := v.Freeze(); err != nil {
-		return nil, nil, nil, fmt.Errorf("ntriples: %w", err)
-	}
-	s.Freeze()
-	return v, s, stats, nil
 }
 
 type ntriple struct {
@@ -204,71 +162,6 @@ func readLiteral(s string) (string, string, error) {
 		i++
 	}
 	return "", "", fmt.Errorf("unterminated literal")
-}
-
-// addNTriple maps one triple into the model.
-func addNTriple(v *vocab.Vocabulary, s *Store, t ntriple, stats *NTriplesStats) error {
-	switch t.pred {
-	case iriLabel:
-		if !t.isLiteral {
-			return nil // odd but harmless
-		}
-		e, err := v.AddElement(localName(t.subj))
-		if err != nil {
-			return err
-		}
-		if _, err := v.AddRelation(RelHasLabel); err != nil {
-			return err
-		}
-		stats.Labels++
-		return s.AddLabel(e, t.objLit)
-	case iriSubPropertyOf:
-		if t.isLiteral {
-			stats.SkippedLiterals++
-			return nil
-		}
-		spec, err := v.AddRelation(localName(t.subj))
-		if err != nil {
-			return err
-		}
-		gen, err := v.AddRelation(localName(t.objIRI))
-		if err != nil {
-			return err
-		}
-		return v.OrderRelations(gen, spec)
-	}
-	if t.isLiteral {
-		stats.SkippedLiterals++
-		return nil
-	}
-	se, err := v.AddElement(localName(t.subj))
-	if err != nil {
-		return err
-	}
-	oe, err := v.AddElement(localName(t.objIRI))
-	if err != nil {
-		return err
-	}
-	var rel string
-	switch t.pred {
-	case iriSubClassOf:
-		rel = RelSubClassOf
-	case iriType:
-		rel = RelInstanceOf
-	default:
-		rel = localName(t.pred)
-	}
-	p, err := v.AddRelation(rel)
-	if err != nil {
-		return err
-	}
-	if rel == RelSubClassOf || rel == RelInstanceOf {
-		if err := v.OrderElements(oe, se); err != nil {
-			return err
-		}
-	}
-	stats.Facts++
-	return s.Add(Fact{S: se, P: p, O: oe})
 }
 
 // localName derives a human-readable vocabulary name from an IRI: the

@@ -13,23 +13,23 @@ import (
 	"oassis/internal/vocab"
 )
 
-// This file is the parallel N-Triples ingestion pipeline. The serial
-// LoadNTriples (ntriples.go) stays as the reference implementation; this
-// pipeline produces a byte-identical vocabulary, store and stats while
-// spreading the expensive work — tokenizing, escape decoding, IRI→name
-// mapping and term interning — across every core. Stages:
+// This file is the N-Triples ingestion pipeline. It produces exactly the
+// vocabulary, store and stats of a serial line-by-line load (the tests
+// keep such a loader, loadNTriplesSerial, as their differential oracle)
+// while spreading the expensive work — tokenizing, escape decoding,
+// IRI→name mapping and term interning — across every core. Stages:
 //
 //  1. A chunked reader splits the input into ~1 MiB chunks on line
 //     boundaries and fans them to workers.
-//  2. Per-core workers parse their chunk's lines with the same parser the
-//     serial path uses, intern every derived name through a sharded
-//     read-mostly interner (vocab.ShardedInterner) receiving *provisional*
-//     IDs, and emit a compact op per line.
+//  2. Per-core workers parse their chunk's lines with parseNTriple,
+//     intern every derived name through a sharded read-mostly interner
+//     (vocab.ShardedInterner) receiving *provisional* IDs, and emit a
+//     compact op per line.
 //  3. A serial merge replays the ops in input order, assigning final
-//     vocab.TermIDs at first occurrence — the same order the serial loader
-//     interns in — and replaying order edges and errors at their exact
-//     lines. This phase touches only integer remap arrays plus one
-//     map lookup per *unique* term, so it is cheap relative to parsing.
+//     vocab.TermIDs at first occurrence — the order a serial load interns
+//     in — and replaying order edges and errors at their exact lines.
+//     This phase touches only integer remap arrays plus one map lookup
+//     per *unique* term, so it is cheap relative to parsing.
 //  4. The merged fact slice goes to the store as it is: Store.Freeze
 //     sorts it into the store's three permutations with counting sorts,
 //     dropping duplicates, while the vocabulary freezes on the calling
@@ -37,14 +37,14 @@ import (
 //
 // Determinism argument: provisional IDs are scheduling-dependent, but they
 // are resolved to final IDs only by the merge, which walks ops strictly in
-// input order and interns sub-line names in the exact sequence addNTriple
-// does. Order edges are replayed in the same sequence, so the vocabulary's
-// topological order is identical. The store's layout is a function of the
-// set of facts alone (every permutation is fully sorted, duplicates
-// dropped), so neither the fact order nor duplicates change it. See
-// DESIGN.md §12.
+// input order and interns sub-line names in the exact sequence the serial
+// oracle does. Order edges are replayed in the same sequence, so the
+// vocabulary's topological order is identical. The store's layout is a
+// function of the set of facts alone (every permutation is fully sorted,
+// duplicates dropped), so neither the fact order nor duplicates change it.
+// See DESIGN.md §12.
 
-// LoadOptions tunes LoadNTriplesParallel. The zero value picks defaults.
+// LoadOptions tunes LoadNTriples. The zero value picks defaults.
 type LoadOptions struct {
 	// Workers is the parse worker count; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -57,15 +57,16 @@ type LoadOptions struct {
 	Obs *obs.Observer
 }
 
-// maxNTripleLine caps a single input line, matching the serial scanner's
-// 16 MiB token limit (and its bufio.ErrTooLong failure mode).
+// maxNTripleLine caps a single input line at 16 MiB; a longer line fails
+// with bufio.ErrTooLong, as a bufio.Scanner with that token limit would.
 const maxNTripleLine = 16 * 1024 * 1024
 
-// LoadNTriplesParallel parses N-Triples into a fresh vocabulary and store,
-// freezing both — exactly like LoadNTriples, but on every core. The result
-// (TermIDs, order edges, indexes, labels, stats, and error positions) is
-// byte-identical to the serial loader's.
-func LoadNTriplesParallel(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
+// LoadNTriples parses N-Triples into a fresh vocabulary and store,
+// freezing both, on every core. The result (TermIDs, order edges, indexes,
+// labels, stats, and error positions) is byte-identical to a serial
+// line-by-line load's: TermIDs in first-occurrence order, errors at their
+// input line.
+func LoadNTriples(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -239,9 +240,9 @@ func readChunks(r io.Reader, chunkBytes int, out chan<- ntChunk) {
 	}
 }
 
-// parseChunk tokenizes one chunk with the serial path's line parser and
-// interns every derived name, emitting one op per line. It stops at the
-// chunk's first malformed line, mirroring the serial loader's abort.
+// parseChunk tokenizes one chunk with parseNTriple and interns every
+// derived name, emitting one op per line. It stops at the chunk's first
+// malformed line, mirroring a serial load's abort.
 func parseChunk(data []byte, ei, ri *vocab.ShardedInterner) *chunkResult {
 	res := &chunkResult{ops: make([]ingestOp, 0, bytes.Count(data, []byte{'\n'})+1)}
 	for start := 0; start < len(data); {
@@ -275,7 +276,7 @@ func parseChunk(data []byte, ei, ri *vocab.ShardedInterner) *chunkResult {
 }
 
 // addOp lowers one parsed triple to an op, interning names in the exact
-// order addNTriple does so the merge can replay first occurrences.
+// order the serial oracle does so the merge can replay first occurrences.
 func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedInterner) {
 	if t.blank {
 		res.ops = append(res.ops, ingestOp{kind: opSkipBlank, line: line})
@@ -313,9 +314,9 @@ func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedIntern
 		rel = localName(t.pred)
 	}
 	kind := opFactPlain
-	// The serial path keys the ordering decision on the derived relation
-	// name, not the predicate IRI, so any IRI whose local name collides
-	// with subClassOf/instanceOf orders elements too. Mirror that.
+	// The ordering decision is keyed on the derived relation name, not
+	// the predicate IRI, so any IRI whose local name collides with
+	// subClassOf/instanceOf orders elements too.
 	if rel == RelSubClassOf || rel == RelInstanceOf {
 		kind = opFactOrder
 	}
@@ -329,7 +330,7 @@ func (res *chunkResult) addOp(t ntriple, line int32, ei, ri *vocab.ShardedIntern
 // vocabulary, assigning final TermIDs in first-occurrence order, recording
 // labels and order edges, and accumulating the (not yet deduplicated) fact
 // stream. Errors — parse failures and vocabulary violations alike — surface
-// at the same absolute line, with the same message, as the serial loader's.
+// at the same absolute line, with the same message, as a serial load's.
 func mergeOps(results []*chunkResult, v *vocab.Vocabulary, s *Store, stats *NTriplesStats, ei, ri *vocab.ShardedInterner) ([]Fact, error) {
 	remapE := newRemap(ei.ProvBound())
 	remapR := newRemap(ri.ProvBound())

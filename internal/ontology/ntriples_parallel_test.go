@@ -101,12 +101,12 @@ func randomNTriples(rng *rand.Rand, lines int) string {
 	return sb.String()
 }
 
-// requireSameLoad loads nt through the serial and the parallel pipeline and
+// requireSameLoad loads nt through the serial oracle and LoadNTriples and
 // fails unless vocabulary, store, stats and errors are byte-identical.
 func requireSameLoad(t *testing.T, nt string, opt ontology.LoadOptions) {
 	t.Helper()
-	sv, ss, sstats, serr := ontology.LoadNTriples(strings.NewReader(nt))
-	pv, ps, pstats, perr := ontology.LoadNTriplesParallel(strings.NewReader(nt), opt)
+	sv, ss, sstats, serr := ontology.LoadNTriplesSerial(strings.NewReader(nt))
+	pv, ps, pstats, perr := ontology.LoadNTriples(strings.NewReader(nt), opt)
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error divergence: serial=%v parallel=%v", serr, perr)
 	}
@@ -294,7 +294,7 @@ func TestParallelNTriplesEdgeCases(t *testing.T) {
 func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	nt := randomNTriples(rng, 3000)
-	sv, ss, sstats, err := ontology.LoadNTriples(strings.NewReader(nt))
+	sv, ss, sstats, err := ontology.LoadNTriplesSerial(strings.NewReader(nt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pv, ps, pstats, err := ontology.LoadNTriplesParallel(strings.NewReader(nt),
+			pv, ps, pstats, err := ontology.LoadNTriples(strings.NewReader(nt),
 				ontology.LoadOptions{Workers: 8, ChunkBytes: 2048})
 			if err != nil {
 				t.Error(err)
@@ -330,7 +330,7 @@ func BenchmarkNTriplesLoad(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		b.SetBytes(int64(len(nt)))
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt)); err != nil {
+			if _, _, _, err := ontology.LoadNTriplesSerial(strings.NewReader(nt)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -338,7 +338,7 @@ func BenchmarkNTriplesLoad(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.SetBytes(int64(len(nt)))
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+			if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,7 +351,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nt := randomNTriples(rng, 500)
 	o := obs.New()
-	_, _, stats, err := ontology.LoadNTriplesParallel(strings.NewReader(nt),
+	_, _, stats, err := ontology.LoadNTriples(strings.NewReader(nt),
 		ontology.LoadOptions{Workers: 2, ChunkBytes: 512, Obs: o})
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +378,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 		}
 	}
 	// Malformed input counts on the malformed counter.
-	if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader("garbage\n"),
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader("garbage\n"),
 		ontology.LoadOptions{Obs: o}); err == nil {
 		t.Fatal("expected parse error")
 	}
@@ -386,7 +386,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 		t.Errorf("malformed counter = %d, want 1", im.Malformed.Value())
 	}
 	// Nil observer: everything above must be a no-op, not a panic.
-	if _, _, _, err := ontology.LoadNTriplesParallel(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -139,7 +139,6 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 	c.mu.RUnlock()
 	if cached != nil {
 		c.hits.Add(1)
-		e.lastHit.Store(true)
 		e.Metrics.CacheHit()
 		pl := cached.rebind(vars)
 		if e.Metrics != nil {
@@ -148,7 +147,6 @@ func (c *PlanCache) lookup(e *Evaluator, bgp BGP) (*Plan, error) {
 		return pl, nil
 	}
 	c.misses.Add(1)
-	e.lastHit.Store(false)
 	e.Metrics.CacheMiss()
 	pl, err := e.compileTimed(bgp)
 	if err != nil {

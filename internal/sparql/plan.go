@@ -153,7 +153,6 @@ func (e *Evaluator) Compile(bgp BGP) (*Plan, error) {
 	if e.Cache != nil {
 		return e.Cache.lookup(e, bgp)
 	}
-	e.lastHit.Store(false)
 	return e.compileTimed(bgp)
 }
 

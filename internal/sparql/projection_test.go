@@ -288,8 +288,8 @@ func TestStreamProjectionConcurrent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if !e.LastCompileCacheHit() {
-			t.Fatal("second compile missed the plan cache")
+		if hits, misses, _ := e.Cache.Stats(); hits != 1 || misses != 1 {
+			t.Fatalf("two compiles of one shape: %d cache hits and %d misses, want 1 and 1", hits, misses)
 		}
 	}
 	projs := projections(pl)

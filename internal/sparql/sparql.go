@@ -15,7 +15,6 @@ package sparql
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"oassis/internal/obs"
 	"oassis/internal/ontology"
@@ -119,18 +118,7 @@ type Evaluator struct {
 	// Wire the store-shared instance with UseSharedCache. Nil disables
 	// caching.
 	Cache *PlanCache
-	// lastHit backs LastCompileCacheHit. It is atomic because concurrent
-	// Compile calls on one evaluator each record their outcome.
-	lastHit atomic.Bool
 }
-
-// LastCompileCacheHit reports whether the most recent Compile through a
-// Cache was served from it (false after a miss or when no cache is wired).
-// Per-evaluator, so fleet workers — one evaluator each — can attribute
-// per-execution cache behaviour without a metrics registry. With several
-// goroutines compiling through one evaluator, "most recent" is whichever
-// Compile stored last.
-func (e *Evaluator) LastCompileCacheHit() bool { return e.lastHit.Load() }
 
 // NewEvaluator returns an evaluator over the store.
 func NewEvaluator(s *ontology.Store) *Evaluator {

@@ -5,30 +5,16 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"oassis/internal/assign"
-	"oassis/internal/core"
-	"oassis/internal/crowd"
-	"oassis/internal/oassisql"
-	"oassis/internal/obs"
-	"oassis/internal/ontology"
-	"oassis/internal/sparql"
 )
 
-// This file implements the query-fleet benchmark: a generated massive
-// ontology (written as N-Triples so it exercises the real ingestion
-// pipeline, not an in-memory shortcut) and a realistic workload of
-// thousands of distinct OASSIS-QL queries sampled from the empirical shape
-// distribution of public SPARQL logs — overwhelmingly star-shaped basic
-// graph patterns of one to four triple patterns. The fleet drives the
-// compiled-plan path (plan cache + streamed space construction) and
-// reports ingest and query throughput plus plan-cache effectiveness.
+// This file generates the inputs of the query-fleet workload: a massive
+// ontology written as N-Triples, so loading it exercises the real ingestion
+// pipeline rather than an in-memory shortcut, and a realistic sample of
+// distinct OASSIS-QL queries drawn from the empirical shape distribution
+// of public SPARQL logs (overwhelmingly star-shaped basic graph patterns
+// of one to four triple patterns). The benchmark that runs them lives in
+// perfbench (workload fleet).
 
 // ScaleConfig sizes a generated ontology. The element count (classes +
 // instances) is kept small relative to the fact count on purpose: the
@@ -45,7 +31,7 @@ type ScaleConfig struct {
 	Seed       int64
 }
 
-// MillionScale is the ISSUE 8 acceptance-scale configuration: one million
+// MillionScale is the fleet workload's full-scale configuration: one million
 // plain facts plus the taxonomy/type/label triples around them.
 func MillionScale() ScaleConfig {
 	return ScaleConfig{
@@ -59,7 +45,7 @@ func MillionScale() ScaleConfig {
 	}
 }
 
-// SmokeScale is a small configuration for tests and CI bench-smoke.
+// SmokeScale is a small configuration for tests and smoke runs.
 func SmokeScale() ScaleConfig {
 	return ScaleConfig{
 		Classes:    200,
@@ -158,28 +144,11 @@ type FleetQuery struct {
 	Patterns int    // WHERE triple-pattern count (the BGP size)
 }
 
-// FleetConfig sizes a workload.
+// FleetConfig sizes a sampled workload.
 type FleetConfig struct {
 	// Queries is the number of distinct queries to sample.
 	Queries int
-	// Executions is the total number of query executions; queries are
-	// drawn Zipf-skewed over the distinct set, so popular shapes repeat
-	// and the plan cache has hits to serve.
-	Executions int
-	// Workers fans executions out; 0 means GOMAXPROCS.
-	Workers int
 	Seed    int64
-	// MineMembers, when positive, follows each execution's space
-	// construction with a deterministic mining pass served by this many
-	// synthetic hash-answer members (see fleetMember), so the run spends
-	// crowd questions the journal can attribute per query. 0 stops at
-	// space construction, the pre-crowd path.
-	MineMembers int
-	// Obs, when set, lands compile/eval metrics on the sparql family,
-	// every execution records a query_exec event in the observer's
-	// journal, and the report carries per-query cost attribution joined
-	// from the journal (PerQuery).
-	Obs *obs.Observer
 }
 
 // fleetShapeDist is the BGP-size distribution of the sampled fleet,
@@ -242,270 +211,3 @@ func SampleFleet(scale ScaleConfig, cfg FleetConfig) []FleetQuery {
 	}
 	return out
 }
-
-// FleetReport is the outcome of a fleet run.
-type FleetReport struct {
-	DistinctQueries int     `json:"distinct_queries"`
-	Executions      int     `json:"executions"`
-	Workers         int     `json:"workers"`
-	Seconds         float64 `json:"seconds"`
-	QueriesPerSec   float64 `json:"queries_per_sec"`
-	PlanCacheHits   int64   `json:"plan_cache_hits"`
-	PlanCacheMisses int64   `json:"plan_cache_misses"`
-	PlanCacheSize   int64   `json:"plan_cache_entries"`
-	CacheHitRate    float64 `json:"cache_hit_rate"`
-	// RowsStreamed counts the rows the WHERE streams yielded after their
-	// projection's cut (sparql.Plan.Stream), summed over executions.
-	RowsStreamed    int64 `json:"rows_streamed"`
-	ValidNodes      int64 `json:"valid_nodes"`
-	SemanticQueries int   `json:"semantic_queries"`
-	// Questions is the total crowd question spend of the mining passes
-	// (0 unless FleetConfig.MineMembers is set).
-	Questions int64 `json:"questions,omitempty"`
-	// PerQuery attributes cost to each distinct query, joined from the
-	// journal's query_exec and run_end events. Present only when the
-	// fleet ran with a journal-carrying Observer.
-	PerQuery []QueryCost `json:"per_query,omitempty"`
-}
-
-// QueryCost is one distinct query's share of the fleet's cost: how often
-// it ran, the wall time its executions took, how many compiles its plan
-// cache served, the rows it streamed, and — when the fleet mined — the
-// crowd questions its runs spent. Built by joining the journal's
-// query_exec events (one per execution, keyed "q<index>") with the
-// run_end event of each execution's mining run.
-type QueryCost struct {
-	Query     string  `json:"query"`
-	Execs     int     `json:"execs"`
-	WallSecs  float64 `json:"wall_secs"`
-	CacheHits int     `json:"cache_hits"`
-	Rows      int64   `json:"rows"`
-	Questions int64   `json:"questions"`
-}
-
-// RunFleet executes the workload against a frozen store: each execution
-// compiles the query's WHERE through the store-shared plan cache and
-// streams the plan's rows into assignment-space construction — the same
-// path a live mining session takes up to the point where the crowd is
-// consulted. The execution sequence is a deterministic Zipf draw over the
-// distinct queries; workers consume it from an atomic cursor.
-func RunFleet(store *ontology.Store, fleet []FleetQuery, cfg FleetConfig) (*FleetReport, error) {
-	v := store.Vocabulary()
-	type prepared struct {
-		q        *oassisql.Query
-		semantic bool
-	}
-	prep := make([]prepared, len(fleet))
-	semCount := 0
-	for i, fq := range fleet {
-		q, err := oassisql.Parse(fq.Text, v)
-		if err != nil {
-			return nil, fmt.Errorf("fleet query %d: %w\n%s", i, err, fq.Text)
-		}
-		prep[i] = prepared{q: q, semantic: fq.Semantic}
-		if fq.Semantic {
-			semCount++
-		}
-	}
-
-	// Execution schedule: one coverage pass so every distinct query runs at
-	// least once, then Zipf-skewed draws (p ∝ 1/(r+1)^1.2) for the rest, so
-	// the head of the fleet dominates and compiled plans get reused.
-	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	zipf := rand.NewZipf(rng, 1.2, 1, uint64(len(fleet)-1))
-	schedule := make([]int, cfg.Executions)
-	for i := range schedule {
-		if i < len(fleet) {
-			schedule[i] = i
-		} else {
-			schedule[i] = int(zipf.Uint64())
-		}
-	}
-
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cache := sparql.SharedPlanCache(store)
-	h0, m0, _ := cache.Stats()
-	jr := cfg.Obs.JournalSet()
-
-	var cursor, rows, nodes, questions atomic.Int64
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := cursor.Add(1) - 1
-				if i >= int64(len(schedule)) || firstErr.Load() != nil {
-					return
-				}
-				p := prep[schedule[i]]
-				execStart := time.Now()
-				ev := sparql.NewEvaluator(store)
-				ev.Semantic = p.semantic
-				ev.Metrics = cfg.Obs.PlanSet()
-				ev.UseSharedCache()
-				plan, err := ev.Compile(p.q.Where)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				space, streamed, err := assign.NewSpaceFromPlan(p.q, plan, nil)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				rows.Add(int64(streamed))
-				nodes.Add(int64(len(space.Valid())))
-				var runID int64
-				if cfg.MineMembers > 0 {
-					// The mining pass is a pure function of (query index,
-					// seed): hash-answer members plus a fixed engine seed,
-					// so repeated executions of one query replay the same
-					// run and attribution stays deterministic.
-					members := make([]crowd.Member, cfg.MineMembers)
-					for j := range members {
-						members[j] = &fleetMember{
-							id:   fmt.Sprintf("synth-%d", j),
-							bias: uint64(cfg.Seed)<<16 ^ uint64(j+1),
-						}
-					}
-					theta := p.q.Satisfying.Support
-					eng := core.NewEngine(space, members, core.EngineConfig{
-						Theta:      theta,
-						Aggregator: crowd.NewMeanAggregator(1, theta),
-						Seed:       cfg.Seed + int64(schedule[i]),
-						Obs:        cfg.Obs,
-					})
-					res := eng.Run()
-					runID = res.JournalRun
-					questions.Add(int64(res.Stats.Questions))
-				}
-				jr.QueryExec(runID, fmt.Sprintf("q%04d", schedule[i]),
-					time.Since(execStart).Nanoseconds(), ev.LastCompileCacheHit(), int64(streamed))
-			}
-		}()
-	}
-	wg.Wait()
-	if err := firstErr.Load(); err != nil {
-		return nil, err.(error)
-	}
-	elapsed := time.Since(start)
-
-	h1, m1, size := cache.Stats()
-	hits, misses := h1-h0, m1-m0
-	rep := &FleetReport{
-		DistinctQueries: len(fleet),
-		Executions:      cfg.Executions,
-		Workers:         workers,
-		Seconds:         elapsed.Seconds(),
-		QueriesPerSec:   float64(cfg.Executions) / elapsed.Seconds(),
-		PlanCacheHits:   hits,
-		PlanCacheMisses: misses,
-		PlanCacheSize:   size,
-		RowsStreamed:    rows.Load(),
-		ValidNodes:      nodes.Load(),
-		SemanticQueries: semCount,
-	}
-	if hits+misses > 0 {
-		rep.CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	rep.Questions = questions.Load()
-	if jr != nil {
-		rep.PerQuery = fleetAttribution(jr.Events())
-	}
-	return rep, nil
-}
-
-// fleetAttribution joins the journal's query_exec events with each mining
-// run's run_end question count into per-query cost rows, sorted by query
-// key. Events evicted by ring wraparound drop out of the attribution —
-// size the journal (or attach a JSONL sink and aggregate offline) when a
-// fleet outgrows the default ring.
-func fleetAttribution(events []obs.Event) []QueryCost {
-	runQ := make(map[int64]int64)
-	for i := range events {
-		if events[i].Kind == obs.EvRunEnd {
-			runQ[events[i].Run] = events[i].Questions
-		}
-	}
-	acc := make(map[string]*QueryCost)
-	keys := make([]string, 0, 16)
-	for i := range events {
-		e := &events[i]
-		if e.Kind != obs.EvQueryExec {
-			continue
-		}
-		c := acc[e.Key]
-		if c == nil {
-			c = &QueryCost{Query: e.Key}
-			acc[e.Key] = c
-			keys = append(keys, e.Key)
-		}
-		c.Execs++
-		c.WallSecs += float64(e.Elapsed) / 1e9
-		if e.Hit {
-			c.CacheHits++
-		}
-		c.Rows += e.Rows
-		c.Questions += runQ[e.Run]
-	}
-	sort.Strings(keys)
-	out := make([]QueryCost, len(keys))
-	for i, k := range keys {
-		out[i] = *acc[k]
-	}
-	return out
-}
-
-// fleetMember is the deterministic synthetic member behind
-// FleetConfig.MineMembers. Its support for a fact-set hashes the member
-// identity and the fact term IDs into [0, 1] — a pure function of
-// (member, question), so fleet mining replays bit-identically with no
-// planted ground truth to maintain, while different members disagree
-// enough to exercise the aggregator.
-type fleetMember struct {
-	id   string
-	bias uint64
-}
-
-func (m *fleetMember) ID() string { return m.id }
-
-func (m *fleetMember) supportOf(fs ontology.FactSet) float64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037) ^ m.bias
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime
-		}
-	}
-	for _, f := range fs {
-		mix(uint64(uint32(f.S)))
-		mix(uint64(uint32(f.P)))
-		mix(uint64(uint32(f.O)))
-	}
-	return float64(h%1001) / 1000
-}
-
-// AskConcrete implements crowd.Member.
-func (m *fleetMember) AskConcrete(fs ontology.FactSet) crowd.Response {
-	return crowd.Response{Support: m.supportOf(fs)}
-}
-
-// AskSpecialize implements crowd.Member: pick the first candidate the
-// member itself would rate at least 0.5, none-of-these otherwise.
-func (m *fleetMember) AskSpecialize(_ ontology.FactSet, candidates []ontology.FactSet) (int, crowd.Response) {
-	for i, c := range candidates {
-		if s := m.supportOf(c); s >= 0.5 {
-			return i, crowd.Response{Support: s}
-		}
-	}
-	return -1, crowd.Response{}
-}
-
-var _ crowd.Member = (*fleetMember)(nil)

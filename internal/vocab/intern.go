@@ -4,12 +4,12 @@ import (
 	"sync"
 )
 
-// ShardedInterner is the first phase of the parallel loader's two-phase term
+// ShardedInterner is the first phase of the N-Triples loader's two-phase term
 // interning. Many parse workers intern names concurrently and receive
 // *provisional* IDs; a later serial merge walks the parsed triples in input
 // order and maps each provisional ID to its final TermID at first occurrence,
 // so the final vocabulary is byte-identical to one built by a serial pass
-// (see ontology.LoadNTriplesParallel and DESIGN.md §12).
+// (see ontology.LoadNTriples and DESIGN.md §12).
 //
 // The interner is sharded by name hash: a worker read-locks exactly one
 // shard per lookup, and because unique names are few relative to total

@@ -222,7 +222,7 @@ type NTriplesStats = ontology.NTriplesStats
 // concurrent index builds) and produces output byte-identical to a serial
 // pass; see LoadNTriplesOptions for worker and observability control.
 func LoadNTriples(r io.Reader) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriplesParallel(r, ontology.LoadOptions{})
+	return ontology.LoadNTriples(r, ontology.LoadOptions{})
 }
 
 // NTriplesLoadOptions tunes LoadNTriplesOptions; the zero value means
@@ -231,7 +231,7 @@ type NTriplesLoadOptions = ontology.LoadOptions
 
 // LoadNTriplesOptions is LoadNTriples with explicit pipeline options.
 func LoadNTriplesOptions(r io.Reader, opt NTriplesLoadOptions) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriplesParallel(r, opt)
+	return ontology.LoadNTriples(r, opt)
 }
 
 // ParseFact parses one "subject predicate object" line against an existing
