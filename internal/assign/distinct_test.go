@@ -4,15 +4,27 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"oassis/internal/vocab"
 )
 
-// TestDistinctTuples checks distinctTuples against sorting and
-// deduplicating the tuples as slices, on random slabs of widths 0-4 with
-// many duplicates, negative IDs and the int32 extremes.
+// TestDistinctTuples checks distinctTuples against sorting the tuples'
+// rendered "value;" fragments as strings and deduplicating them, on random
+// slabs of widths 0-4 with many duplicates, negative IDs and the int32
+// extremes. The slabs must exercise both the packed integer sort and the
+// CompareDecimal fallback.
 func TestDistinctTuples(t *testing.T) {
+	render := func(tup []vocab.TermID) string {
+		var b strings.Builder
+		for _, x := range tup {
+			b.WriteString(strconv.Itoa(int(x)) + ";")
+		}
+		return b.String()
+	}
+	var paths [2]int // slabs sorted by the fallback, packed
 	rng := rand.New(rand.NewSource(1))
 	pool := []vocab.TermID{math.MinInt32, -2, -1, 0, 1, 2, 9, 10, 11, 99, 100, 1 << 16, math.MaxInt32 - 1, math.MaxInt32}
 	for w := 0; w <= 4; w++ {
@@ -30,8 +42,13 @@ func TestDistinctTuples(t *testing.T) {
 			for i := 0; i < n; i++ {
 				want = append(want, slab[i*w:(i+1)*w])
 			}
-			slices.SortFunc(want, slices.Compare[[]vocab.TermID])
+			slices.SortFunc(want, func(a, b []vocab.TermID) int { return strings.Compare(render(a), render(b)) })
 			want = slices.CompactFunc(want, slices.Equal[[]vocab.TermID])
+			if _, _, ok := packTuples(slab, w, n); ok {
+				paths[1]++
+			} else {
+				paths[0]++
+			}
 
 			vals, m := distinctTuples(slices.Clone(slab), w, n)
 			if m != len(want) || len(vals) != m*w {
@@ -43,5 +60,8 @@ func TestDistinctTuples(t *testing.T) {
 				}
 			}
 		}
+	}
+	if paths[0] == 0 || paths[1] == 0 {
+		t.Fatalf("%d slabs took the fallback and %d the packed sort; want both", paths[0], paths[1])
 	}
 }

@@ -1,15 +1,18 @@
 package assign_test
 
 // Oracle test for the NodeID order of the projected valid assignments.
-// NewSpaceFromPlan interns 𝒜valid in ascending projected-tuple order:
-// TermIDs compared numerically, SATISFYING variables in name order. The
-// expected order is computed here independently, from the plan's full
-// Stream and the query's own variable names, and Valid() must carry
-// exactly those tuples with NodeID = rank.
+// NewSpaceFromPlan interns 𝒜valid in canonical key order: SATISFYING
+// variables in name order, each value ordered as its decimal rendering
+// followed by ';'. The expected order is computed here independently, from
+// the plan's full Stream and the query's own variable names, by sorting
+// the rendered tuples as strings; Valid() must carry exactly those tuples
+// with Valid()[k] the node with NodeID k.
 
 import (
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"oassis/internal/assign"
@@ -23,7 +26,8 @@ import (
 
 // projectedOrder returns the distinct projections of a plan's rows (over
 // the plan's variables vars) onto the query's WHERE-bound SATISFYING
-// variables, sorted by name, in ascending order, plus those variable names.
+// variables, sorted by name, in the order of their "value;" renderings as
+// strings (the key order), plus those variable names.
 func projectedOrder(q *oassisql.Query, vars []sparql.PlanVar, rows [][]vocab.TermID) ([][]vocab.TermID, []string) {
 	col := map[string]int{}
 	for i, pv := range vars {
@@ -44,19 +48,29 @@ func projectedOrder(q *oassisql.Query, vars []sparql.PlanVar, rows [][]vocab.Ter
 		}
 		tuples = append(tuples, t)
 	}
-	slices.SortFunc(tuples, slices.Compare)
+	render := func(tuple []vocab.TermID) string {
+		var b strings.Builder
+		for _, x := range tuple {
+			b.WriteString(strconv.Itoa(int(x)) + ";")
+		}
+		return b.String()
+	}
+	slices.SortFunc(tuples, func(a, b []vocab.TermID) int { return strings.Compare(render(a), render(b)) })
 	return slices.CompactFunc(tuples, slices.Equal), names
 }
 
-// requireTupleOrder checks that the valid node with NodeID k carries the
-// k-th projected tuple, for every k.
+// requireTupleOrder checks that Valid()[k] is the valid node with NodeID k
+// and carries the k-th projected tuple, for every k.
 func requireTupleOrder(t *testing.T, tag string, sp *assign.Space, want [][]vocab.TermID, names []string) {
 	t.Helper()
 	valid := sp.Valid()
 	if len(valid) != len(want) {
 		t.Fatalf("%s: %d valid assignments, want %d", tag, len(valid), len(want))
 	}
-	for _, a := range valid {
+	for k, a := range valid {
+		if a.ID() != assign.NodeID(k) {
+			t.Fatalf("%s: Valid()[%d] %s has NodeID %d", tag, k, a.Key(), a.ID())
+		}
 		id := int(a.ID())
 		if id >= len(want) {
 			t.Fatalf("%s: valid %s has NodeID %d outside [0, %d)", tag, a.Key(), id, len(want))

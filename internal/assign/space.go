@@ -3,6 +3,7 @@ package assign
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -127,18 +128,16 @@ func (s *Space) schemaFor(planVars []sparql.PlanVar) projSchema {
 	return sch
 }
 
-// internTuples decides the NodeID order of 𝒜valid. slab packs n projected
-// tuples, one value per schema column (variables in name order), duplicates
-// allowed. The distinct tuples are interned in ascending tuple order,
-// TermIDs compared numerically, so a valid node's NodeID is the rank of its
-// projected tuple. Valid() is then settled in canonical key order.
+// internTuples builds 𝒜valid. slab packs n projected tuples, one value per
+// schema column (variables in name order), duplicates allowed. The distinct
+// tuples are put in canonical key order with one sort (distinctTuples) and
+// registered in that order, so NodeID i is Valid()[i].
 //
 // The space costs a fixed number of allocations whatever |𝒜valid| is: the
 // nodes live in one []Assignment, their singleton value sets are one
 // [][]TermID slicing one flat value array, and they are registered on the
 // fresh interner in one pass without hashing (see registerFresh). Keys stay
-// lazy; Valid() is sorted on the values with vocab.CompareDecimal, which
-// orders them as their keys would.
+// lazy: the sort orders the values as their keys would.
 func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
 	w := len(sch.names)
 	vals, m := distinctTuples(slab, w, n)
@@ -161,33 +160,84 @@ func (s *Space) internTuples(sch projSchema, slab []vocab.TermID, n int) {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
 	s.in.registerFresh(valid)
-	slices.SortFunc(valid, func(a, b *Assignment) int {
-		for i, av := range a.vals {
-			if c := vocab.CompareDecimal(av[0], b.vals[i][0]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
 	s.valid = valid
 }
 
 // distinctTuples returns the m distinct tuples of the n width-w tuples
-// packed in slab, in ascending order (TermIDs compared numerically, column
-// by column), packed the same way in a fresh array.
+// packed in slab, packed the same way in a fresh array, in canonical key
+// order: column by column, each value ordered as its decimal rendering
+// followed by ';' (vocab.CompareDecimal). When packTuples can give every
+// tuple one integer key, that is one integer sort; otherwise the tuples
+// are sorted with CompareDecimal.
 func distinctTuples(slab []vocab.TermID, w, n int) ([]vocab.TermID, int) {
-	tuple := func(i int32) []vocab.TermID { return slab[int(i)*w : int(i+1)*w] }
+	tuple := func(i int) []vocab.TermID { return slab[i*w : (i+1)*w] }
+	if packed, shift, ok := packTuples(slab, w, n); ok {
+		slices.Sort(packed)
+		packed = slices.CompactFunc(packed, func(a, b uint64) bool { return a>>shift == b>>shift })
+		vals := make([]vocab.TermID, 0, len(packed)*w)
+		for _, p := range packed {
+			vals = append(vals, tuple(int(p&(1<<shift-1)))...)
+		}
+		return vals, len(packed)
+	}
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
 	}
-	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(tuple(a), tuple(b)) })
-	order = slices.CompactFunc(order, func(a, b int32) bool { return slices.Equal(tuple(a), tuple(b)) })
+	slices.SortFunc(order, func(a, b int32) int {
+		ta, tb := tuple(int(a)), tuple(int(b))
+		for c, x := range ta {
+			if d := vocab.CompareDecimal(x, tb[c]); d != 0 {
+				return d
+			}
+		}
+		return 0
+	})
+	order = slices.CompactFunc(order, func(a, b int32) bool { return slices.Equal(tuple(int(a)), tuple(int(b))) })
 	vals := make([]vocab.TermID, 0, len(order)*w)
 	for _, i := range order {
-		vals = append(vals, tuple(i)...)
+		vals = append(vals, tuple(int(i))...)
 	}
 	return vals, len(order)
+}
+
+// packTuples gives each of the n width-w tuples in slab one uint64: its
+// values' vocab.DecimalKey digits in base vocab.DecimalKeyBound, shifted
+// left by shift bits, plus its row index. Sorting the words sorts the
+// tuples in key order, and equal tuples share the bits above shift. ok is
+// false when some value is negative or the words would not fit in 64
+// bits.
+func packTuples(slab []vocab.TermID, w, n int) (packed []uint64, shift uint, ok bool) {
+	var top vocab.TermID
+	for _, x := range slab[:n*w] {
+		if x < 0 {
+			return nil, 0, false
+		}
+		top = max(top, x)
+	}
+	d := vocab.DecimalDigits(top)
+	base := vocab.DecimalKeyBound(d)
+	span := uint64(1) // base^w, the number of distinct tuple keys
+	for range w {
+		hi, lo := bits.Mul64(span, base)
+		if hi != 0 {
+			return nil, 0, false
+		}
+		span = lo
+	}
+	shift = uint(bits.Len(uint(max(n, 1) - 1)))
+	if bits.Len64(span-1)+int(shift) > 64 {
+		return nil, 0, false
+	}
+	packed = make([]uint64, n)
+	for i := range packed {
+		var k uint64
+		for _, x := range slab[i*w : (i+1)*w] {
+			k = k*base + vocab.DecimalKey(x, d)
+		}
+		packed[i] = k<<shift | uint64(i)
+	}
+	return packed, shift, true
 }
 
 // Vocabulary returns the space's vocabulary.
@@ -202,7 +252,9 @@ func (s *Space) Vars() []VarSpec { return s.vars }
 // Kinds returns the variable→namespace map (shared; do not modify).
 func (s *Space) Kinds() map[string]vocab.Kind { return s.kinds }
 
-// Valid returns the projected valid assignments 𝒜valid (multiplicity 1).
+// Valid returns the projected valid assignments 𝒜valid (multiplicity 1)
+// in canonical key order, the one order internTuples sorts them in, so
+// Valid()[i] is the node with NodeID i.
 func (s *Space) Valid() []*Assignment { return s.valid }
 
 // MorePool returns the MORE candidate pool ("" when MORE is off).
@@ -618,10 +670,12 @@ const (
 	manyValues = vocab.NoTerm - 1
 )
 
-// validTable is 𝒜valid by column. It is built on the first closure,
-// validity or scan request rather than during construction, so spaces that
-// are never mined do not pay for it, and it is immutable once built (rows
-// are only ever added before that, by the test hook AddValidRow).
+// validTable is 𝒜valid by column: row r is Valid()[r], and for every row
+// internTuples built, the node with NodeID r. It is built on the first
+// closure, validity or scan request rather than during construction, so
+// spaces that are never mined do not pay for it, and it is immutable once
+// built (rows are only ever added before that, by the test hook
+// AddValidRow).
 type validTable struct {
 	// cols[j][r] is the single value s.Valid()[r] binds to s.vars[j], or
 	// noValue / manyValues when it binds none / several. Unbound variables

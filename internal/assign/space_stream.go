@@ -23,10 +23,12 @@ import (
 // the rows, so the slab is compacted whenever it holds twice the distinct
 // tuples left by the last compaction (and at least slabCompactRows rows):
 // it stays within a constant factor of the distinct tuples, and a query
-// with fewer rows than the floor is sorted once. internTuples then assigns
-// NodeIDs in ascending projected-tuple order, TermIDs compared numerically,
-// variables in name order; the oracle tests in stream_test.go and
-// order_test.go pin that order against the full stream.
+// with fewer rows than the floor is sorted once. That one sort puts the
+// tuples in canonical key order (variables in name order, values as their
+// "value;" key fragments), mostly as an integer sort of packed keys, and
+// internTuples registers them in it: NodeID i is Valid()[i]. The oracle
+// tests in stream_test.go and order_test.go pin that order against the
+// full stream.
 
 // NewSpaceFromPlan builds the assignment space by streaming rows out of a
 // compiled plan, never materializing the plan's result set. It returns the

@@ -4,7 +4,8 @@
 // served a PHP web UI backed by the QueueManager; here the same roles are
 // an HTTP JSON API backed by the event-driven mining kernel:
 //
-//	POST /join?member=<id>        register as a crowd member
+//	POST /join?member=<id>        register as a crowd member (IDs of at
+//	                              most 256 bytes, at most 10,000 members)
 //	POST /start                   launch the mining run (once enough joined)
 //	GET  /question?member=<id>    fetch your next question (404: none yet,
 //	                              410: the run is over)
@@ -421,10 +422,23 @@ func (s *Server) expire() {
 	}
 }
 
+// Bounds on /join, so that joins before /start cannot grow the member
+// table without limit: the longest member ID in bytes, and the most
+// members one server takes.
+const (
+	maxMemberIDBytes = 256
+	maxMembers       = 10_000
+)
+
 func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("member")
 	if id == "" {
 		http.Error(w, "member required", http.StatusBadRequest)
+		return
+	}
+	if len(id) > maxMemberIDBytes {
+		http.Error(w, fmt.Sprintf("member id is %d bytes, over the %d-byte limit", len(id), maxMemberIDBytes),
+			http.StatusBadRequest)
 		return
 	}
 	s.mu.Lock()
@@ -435,6 +449,10 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if _, ok := s.members[id]; ok {
 		http.Error(w, "member already joined", http.StatusConflict)
+		return
+	}
+	if len(s.members) >= maxMembers {
+		http.Error(w, fmt.Sprintf("crowd is full: at most %d members may join", maxMembers), http.StatusConflict)
 		return
 	}
 	s.members[id] = &memberSlot{id: id}

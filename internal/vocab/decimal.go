@@ -35,6 +35,28 @@ func CompareDecimal(a, b TermID) int {
 	return -shorterOrder(y, x, dx-dy)
 }
 
+// DecimalDigits returns the number of decimal digits of a non-negative
+// term ID (1 for 0).
+func DecimalDigits(t TermID) int { return decimalDigits(uint64(t)) }
+
+// DecimalKey returns an integer that orders non-negative term IDs of at most
+// d ≤ 10 digits as CompareDecimal does, so a sort can compute each ID's
+// position once instead of comparing renderings pairwise. It pads the ID's
+// digits with 9s to d places, multiplies by d+1 and adds the number of
+// padded places: an ID whose decimal is a proper prefix of another's pads
+// to at least the other's value and, on a tie, carries more padding, so it
+// sorts after its extensions as ';' does in the keys. Keys lie in
+// [0, DecimalKeyBound(d)).
+func DecimalKey(t TermID, d int) uint64 {
+	x := uint64(t)
+	pad := d - decimalDigits(x)
+	return ((x+1)*pow10[pad]-1)*uint64(d+1) + uint64(pad)
+}
+
+// DecimalKeyBound returns (d+1)·10^d, the bound DecimalKey's keys for
+// d-digit IDs lie below.
+func DecimalKeyBound(d int) uint64 { return uint64(d+1) * pow10[d] }
+
 // shorterOrder compares x with y, which has d more digits. x sorts first
 // only when it is below y's leading digits, that is when
 // (x+1)·10^d ≤ y; when it is above them or equal to them (a proper prefix

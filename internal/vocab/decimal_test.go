@@ -1,6 +1,7 @@
 package vocab
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"strconv"
@@ -61,4 +62,40 @@ func TestCompareDecimalRandom(t *testing.T) {
 			t.Fatalf("CompareDecimal(%d, %d) = %d, want %d", a, b, got, want)
 		}
 	}
+}
+
+// TestDecimalKey checks DecimalKey's order against CompareDecimal on every
+// pair of IDs below 3,000, keyed at their own digit count and at ten
+// digits, and on every pair drawn from the powers of ten, their neighbours
+// and MaxInt32, keyed at ten digits; every key must lie below the bound.
+func TestDecimalKey(t *testing.T) {
+	check := func(ids []TermID, d int) {
+		t.Helper()
+		keys := make([]uint64, len(ids))
+		for i, id := range ids {
+			if keys[i] = DecimalKey(id, d); keys[i] >= DecimalKeyBound(d) {
+				t.Fatalf("DecimalKey(%d, %d) = %d, not below %d", id, d, keys[i], DecimalKeyBound(d))
+			}
+		}
+		for i, a := range ids {
+			for j, b := range ids {
+				if got, want := cmp.Compare(keys[i], keys[j]), CompareDecimal(a, b); got != want {
+					t.Fatalf("keys at %d digits order %d, %d as %d, want %d", d, a, b, got, want)
+				}
+			}
+		}
+	}
+	small := make([]TermID, 3000)
+	for i := range small {
+		small[i] = TermID(i)
+	}
+	check(small, DecimalDigits(2999))
+	check(small, 10)
+	var edges []TermID
+	for p := int64(1); p <= math.MaxInt32; p *= 10 {
+		for _, x := range []int64{p - 1, p, p + 1} {
+			edges = append(edges, TermID(x))
+		}
+	}
+	check(append(edges, math.MaxInt32), 10)
 }
