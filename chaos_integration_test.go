@@ -54,8 +54,8 @@ func sortedAnswers(sess *oassis.Session, res *oassis.Result) []string {
 }
 
 // TestChaosPublicAPIDeterministicSimulation drives the whole chaos stack
-// through the public API: a virtual clock, an answer deadline, a parallel
-// run and a crowd where a third of the members depart mid-run. The
+// through the public API: a virtual clock, an answer deadline, a concurrent
+// broker and a crowd where a third of the members depart mid-run. The
 // degraded run must return exactly the fault-free answers (the members are
 // clones, so the surviving crowd's truth is unchanged), and the whole
 // scenario must replay bit-identically.
@@ -71,16 +71,13 @@ func TestChaosPublicAPIDeterministicSimulation(t *testing.T) {
 		t.Fatal("baseline found no answers")
 	}
 
-	chaosRun := func(parallel int) ([]string, int, time.Duration) {
+	// chaosRun runs the scenario through Session.Run, or with jitter > 0
+	// through RunBroker over a concurrent broker.
+	chaosRun := func(jitter int64) ([]string, int, time.Duration) {
 		clock := oassis.NewVirtualClock()
-		opts := []oassis.Option{
+		sess, v := chaosSession(t,
 			oassis.WithClock(clock),
-			oassis.WithAnswerDeadline(5*time.Minute, 3),
-		}
-		if parallel > 1 {
-			opts = append(opts, oassis.WithParallelism(parallel))
-		}
-		sess, v := chaosSession(t, opts...)
+			oassis.WithAnswerDeadline(5*time.Minute, 3))
 		faults := make([]oassis.Faults, 6)
 		for i := range faults {
 			faults[i].LatencyMin = 15 * time.Second
@@ -89,14 +86,21 @@ func TestChaosPublicAPIDeterministicSimulation(t *testing.T) {
 		}
 		faults[1].DepartAfter = 2
 		faults[4].DepartAfter = 1
-		res, err := sess.Run(u1Clones(t, v, clock, faults))
+		members := u1Clones(t, v, clock, faults)
+		var res *oassis.Result
+		var err error
+		if jitter == 0 {
+			res, err = sess.Run(members)
+		} else {
+			res, err = runSessionConcurrent(sess, members, clock.Now, jitter)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		return sortedAnswers(sess, res), res.Stats.Departures, clock.Elapsed()
 	}
 
-	got, departures, elapsed := chaosRun(1)
+	got, departures, elapsed := chaosRun(0)
 	if departures != 2 {
 		t.Fatalf("Departures = %d, want 2", departures)
 	}
@@ -109,24 +113,24 @@ func TestChaosPublicAPIDeterministicSimulation(t *testing.T) {
 	// Bit-identical replay: same seeds, same virtual timeline, same answers.
 	// (A sequential-mode guarantee: concurrent interviews make the member
 	// schedule, and hence the fault timeline, depend on the Go scheduler.)
-	got2, departures2, elapsed2 := chaosRun(1)
+	got2, departures2, elapsed2 := chaosRun(0)
 	if strings.Join(got, "\n") != strings.Join(got2, "\n") ||
 		departures != departures2 || elapsed != elapsed2 {
 		t.Fatalf("replay diverged: (%v, %d, %v) vs (%v, %d, %v)",
 			got, departures, elapsed, got2, departures2, elapsed2)
 	}
 
-	// The parallel engine under the same chaos keeps the correctness half
+	// A concurrent broker under the same chaos keeps the correctness half
 	// of the contract: same answers, same departures (the schedule, and so
 	// the virtual timeline, may differ).
-	pgot, pdepartures, pelapsed := chaosRun(3)
+	pgot, pdepartures, pelapsed := chaosRun(1)
 	if strings.Join(pgot, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("parallel chaos answers diverged from baseline:\n%v\nvs\n%v", pgot, want)
+		t.Fatalf("concurrent chaos answers diverged from baseline:\n%v\nvs\n%v", pgot, want)
 	}
 	if pdepartures != 2 {
-		t.Fatalf("parallel Departures = %d, want 2", pdepartures)
+		t.Fatalf("concurrent Departures = %d, want 2", pdepartures)
 	}
 	if pelapsed == 0 {
-		t.Fatal("parallel run never advanced the virtual clock")
+		t.Fatal("concurrent run never advanced the virtual clock")
 	}
 }

@@ -150,9 +150,6 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		if err != nil {
 			return fmt.Errorf("%s: %w", qp, err)
 		}
-		// The server drives the kernel through its own event broker
-		// (Session.RunBroker); WithParallelism only applies to the
-		// in-process RunCrowd/RunParallel drivers and is not needed here.
 		opts := []oassis.Option{
 			oassis.WithSeed(cfg.seed),
 		}

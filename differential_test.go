@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -20,12 +21,12 @@ import (
 	"oassis/internal/synth"
 )
 
-// The differential test pins the tentpole invariant of the engine
-// refactor: sequential Run, RunParallel (1 and 8 workers) and the HTTP
-// server driver are thin shells over one mining kernel, so on the same
-// seeded synthetic DAG with the same deterministic crowd they must
-// produce identical MSP sets AND identical per-member question
-// transcripts — not just statistically similar results.
+// The differential test pins the invariant of the engine: sequential Run,
+// a concurrent broker (two jitter seeds) and the HTTP server are brokers
+// over one round loop and one mining kernel, so on the same seeded
+// synthetic DAG with the same deterministic crowd they must produce
+// identical MSP sets AND identical per-member question transcripts — not
+// just statistically similar results.
 
 // namedOracle gives each clone of the shared ground-truth oracle a
 // distinct member ID.
@@ -35,6 +36,42 @@ type namedOracle struct {
 }
 
 func (n namedOracle) ID() string { return n.id }
+
+// concurrentBroker stands in for a crowd reached over the network: every
+// ask is answered on its own goroutine through the engine's MemberBroker,
+// after a number of scheduler yields drawn from jitter and the ask ID, so
+// each round's members are served concurrently and their replies reach
+// the engine in a scrambled order.
+type concurrentBroker struct {
+	inner  crowd.Broker
+	jitter int64
+}
+
+func (b concurrentBroker) Post(ask *crowd.Ask, deliver func(crowd.Reply)) {
+	h := (uint64(b.jitter) ^ uint64(ask.ID)*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
+	yields := int(h >> 60)
+	go func() {
+		for i := 0; i < yields; i++ {
+			runtime.Gosched()
+		}
+		b.inner.Post(ask, deliver)
+	}()
+}
+
+// runConcurrent drives e through a concurrentBroker over its members.
+func runConcurrent(e *core.Engine, jitter int64) *oassis.Result {
+	return e.RunWith(concurrentBroker{inner: e.MemberBroker(), jitter: jitter})
+}
+
+// runSessionConcurrent mines members through sess.RunBroker over a
+// concurrentBroker whose member broker times answers on now.
+func runSessionConcurrent(sess *oassis.Session, members []oassis.Member, now func() time.Time, jitter int64) (*oassis.Result, error) {
+	ids := make([]string, len(members))
+	for i, m := range members {
+		ids[i] = m.ID()
+	}
+	return sess.RunBroker(ids, concurrentBroker{inner: crowd.NewMemberBroker(members, now), jitter: jitter})
+}
 
 const (
 	diffSeed      = 7
@@ -101,11 +138,11 @@ func TestDifferentialDriversAgree(t *testing.T) {
 		{"sequential", func(t *testing.T) *oassis.Result {
 			return core.NewEngine(d.Space, diffCrowd(d), diffEngineConfig(d)).Run()
 		}},
-		{"parallel-1", func(t *testing.T) *oassis.Result {
-			return core.NewEngine(d.Space, diffCrowd(d), diffEngineConfig(d)).RunParallel(1)
+		{"concurrent-1", func(t *testing.T) *oassis.Result {
+			return runConcurrent(core.NewEngine(d.Space, diffCrowd(d), diffEngineConfig(d)), 1)
 		}},
-		{"parallel-8", func(t *testing.T) *oassis.Result {
-			return core.NewEngine(d.Space, diffCrowd(d), diffEngineConfig(d)).RunParallel(8)
+		{"concurrent-2", func(t *testing.T) *oassis.Result {
+			return runConcurrent(core.NewEngine(d.Space, diffCrowd(d), diffEngineConfig(d)), 2)
 		}},
 		{"http-server", func(t *testing.T) *oassis.Result {
 			return runServerLeg(t, d)

@@ -71,7 +71,6 @@ func main() {
 	var sess *oassis.Session
 	sess, err = oassis.NewSession(store, q,
 		oassis.WithSeed(1),
-		oassis.WithParallelism(3),
 		oassis.WithAggregator(oassis.NewMeanAggregator(3, q.Satisfying.Support)),
 		oassis.WithOnMSP(func(a *oassis.Assignment) {
 			fs := sess.FactSets([]*oassis.Assignment{a})[0]

@@ -1,7 +1,6 @@
 package assign
 
 import (
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -73,7 +72,9 @@ func newInterner() *interner { return &interner{} }
 // registerFresh registers pairwise distinct assignments on an interner that
 // holds no node yet, assigning NodeIDs in slice order. It counts one miss
 // per node, as interning them one by one would, but builds no hash index.
-// The caller must hold mu.
+// The interner adopts as with its capacity clipped to its length, so a
+// later intern appends into a new array instead of writing past the
+// caller's slice. The caller must hold mu.
 func (in *interner) registerFresh(as []*Assignment) {
 	if len(in.nodes) != 0 {
 		panic("assign: registerFresh on a non-empty interner")
@@ -81,7 +82,7 @@ func (in *interner) registerFresh(as []*Assignment) {
 	for i, a := range as {
 		a.id = NodeID(i)
 	}
-	in.nodes = slices.Clone(as)
+	in.nodes = as[:len(as):len(as)]
 	in.internMisses.Add(int64(len(as)))
 }
 

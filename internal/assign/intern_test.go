@@ -8,6 +8,7 @@ package assign_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,6 +80,27 @@ func exploreStats(t *testing.T, sp *assign.Space, v *vocab.Vocabulary, limit int
 		sp.Canon(twin(sp, v, a))
 	}
 	return sp.Stats()
+}
+
+// TestBulkInternValidUnmoved interns thousands of lattice nodes after the
+// bulk registration, which adopted 𝒜valid's slice as the interner's node
+// table: Valid() must keep its nodes, in NodeID order, and its capacity
+// must end at its length so no later append can share its array.
+func TestBulkInternValidUnmoved(t *testing.T) {
+	sp, v := buildSpace(t, paperdata.QueryText, nil)
+	before := slices.Clone(sp.Valid())
+	if st := exploreStats(t, sp, v, 3000); st.Nodes <= len(before) {
+		t.Fatalf("exploration registered no node beyond 𝒜valid: %+v", st)
+	}
+	after := sp.Valid()
+	if !slices.Equal(after, before) || cap(after) != len(after) {
+		t.Fatalf("Valid() moved after interning: len %d cap %d, was len %d", len(after), cap(after), len(before))
+	}
+	for k, a := range after {
+		if a.ID() != assign.NodeID(k) {
+			t.Fatalf("Valid()[%d] has NodeID %d", k, a.ID())
+		}
+	}
 }
 
 // TestBulkInternStatsUnchanged pins the interner accounting on the paper's

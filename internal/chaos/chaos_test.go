@@ -236,3 +236,62 @@ func TestFaultyMemberPassthrough(t *testing.T) {
 		}
 	}
 }
+
+// postFaulty posts n concrete asks for member u1, wrapped with faults f,
+// through the in-process broker on the same virtual clock, and returns the
+// replies as the engine sees them.
+func postFaulty(t *testing.T, f chaos.Faults, n int) []crowd.Reply {
+	t.Helper()
+	v, _ := paperdata.Build()
+	du1, _ := paperdata.Table3(v)
+	clock := chaos.NewVirtualClock()
+	b := crowd.NewMemberBroker([]crowd.Member{chaos.Wrap(table3Member(t, "u1"), clock, f)}, clock.Now)
+	out := make([]crowd.Reply, n)
+	for i := range out {
+		b.Post(&crowd.Ask{ID: int64(i + 1), Member: "u1", Kind: crowd.ConcreteAsk, Target: du1[0]},
+			func(r crowd.Reply) { out[i] = r })
+	}
+	return out
+}
+
+// TestFaultyBrokerDepartAfter checks a departure as the engine sees it
+// through a broker: the asks after DepartAfter come back as Departed
+// outcomes, for good.
+func TestFaultyBrokerDepartAfter(t *testing.T) {
+	for i, r := range postFaulty(t, chaos.Faults{Seed: 1, DepartAfter: 2}, 4) {
+		want := crowd.Answered
+		if i >= 2 {
+			want = crowd.Departed
+		}
+		if r.Outcome != want {
+			t.Fatalf("ask %d: outcome %v, want %v", i+1, r.Outcome, want)
+		}
+	}
+}
+
+// TestFaultyBrokerElapsedIncludesLatency checks that a reply's Elapsed,
+// read on the broker's clock, carries the injected latency, with
+// TimeoutOnce stacked on the first ask only.
+func TestFaultyBrokerElapsedIncludesLatency(t *testing.T) {
+	if r := postFaulty(t, chaos.Faults{Seed: 1, LatencyMin: 45 * time.Second}, 1)[0]; r.Elapsed != 45*time.Second {
+		t.Fatalf("Elapsed = %v, want the injected 45s", r.Elapsed)
+	}
+	rs := postFaulty(t, chaos.Faults{Seed: 1, LatencyMin: time.Second, TimeoutOnce: 10 * time.Minute}, 2)
+	if rs[0].Elapsed != 10*time.Minute+time.Second || rs[1].Elapsed != time.Second {
+		t.Fatalf("Elapsed = %v then %v, want 10m1s then 1s", rs[0].Elapsed, rs[1].Elapsed)
+	}
+}
+
+// TestFaultyMemberBehindMemberBroker checks that a contradiction seen
+// through the broker is still an Answered reply on the UI scale.
+func TestFaultyMemberBehindMemberBroker(t *testing.T) {
+	onScale := map[float64]bool{}
+	for _, s := range crowd.UIScale {
+		onScale[s] = true
+	}
+	for i, r := range postFaulty(t, chaos.Faults{Seed: 3, ContradictProb: 1}, 20) {
+		if r.Outcome != crowd.Answered || !onScale[r.Support] {
+			t.Fatalf("contradicting ask %d: outcome %v, support %v", i+1, r.Outcome, r.Support)
+		}
+	}
+}

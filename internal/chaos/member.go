@@ -142,8 +142,7 @@ func (m *FaultyMember) preamble() (bool, bool) {
 }
 
 // latency samples the configured think-time distribution from the given
-// RNG. Shared by FaultyMember and FaultyBroker so member-level and
-// event-level fault injection misbehave identically.
+// RNG.
 func (f Faults) latency(rng *rand.Rand) time.Duration {
 	min, max := f.LatencyMin, f.LatencyMax
 	if f.HeavyTailAlpha > 0 && min > 0 {

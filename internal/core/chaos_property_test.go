@@ -60,7 +60,7 @@ func TestPropertyChaosRunsStaySound(t *testing.T) {
 			})
 			var res *core.Result
 			if seed%2 == 0 {
-				res = eng.RunParallel(4)
+				res = runConcurrent(eng, seed)
 			} else {
 				res = eng.Run()
 			}

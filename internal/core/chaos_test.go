@@ -82,11 +82,11 @@ func TestChaosQuarterOfCrowdDeparts(t *testing.T) {
 	}
 }
 
-// TestChaosRunParallelDepartures runs the same departure scenario through
-// the concurrent engine with adversarial schedules (go test -race makes
-// this a race hunt as much as a correctness check).
-func TestChaosRunParallelDepartures(t *testing.T) {
-	for _, workers := range []int{2, 4, 8} {
+// TestChaosConcurrentBrokerDepartures runs the same departure scenario
+// through concurrent brokers with adversarial schedules (go test -race
+// makes this a race hunt as much as a correctness check).
+func TestChaosConcurrentBrokerDepartures(t *testing.T) {
+	for _, jitter := range []int64{1, 2, 3} {
 		sp, v := buildSpace(t, paperdata.SimpleQueryText, nil)
 		clock := chaos.NewVirtualClock()
 		faults := make([]chaos.Faults, 8)
@@ -94,23 +94,69 @@ func TestChaosRunParallelDepartures(t *testing.T) {
 		faults[3].DepartAfter = 1
 		faults[5].DepartAfter = 3
 		members := chaosCrowd(v, clock, faults)
-		res := core.NewEngine(sp, members, core.EngineConfig{
+		res := runConcurrent(core.NewEngine(sp, lockCrowd(t, members), core.EngineConfig{
 			Theta:      0.4,
 			Aggregator: crowd.NewMeanAggregator(5, 0.4),
 			Seed:       1,
-		}).RunParallel(workers)
+		}), jitter)
 		if res.Stats.Departures != 3 {
-			t.Fatalf("workers=%d: Departures = %d, want 3", workers, res.Stats.Departures)
+			t.Fatalf("jitter=%d: Departures = %d, want 3", jitter, res.Stats.Departures)
 		}
 		want := wantMSPs(t, sp, v)
 		if len(res.MSPs) != len(want) {
-			t.Fatalf("workers=%d: %d MSPs, want %d", workers, len(res.MSPs), len(want))
+			t.Fatalf("jitter=%d: %d MSPs, want %d", jitter, len(res.MSPs), len(want))
 		}
 		for _, m := range res.MSPs {
 			if !want[m.Key()] {
-				t.Errorf("workers=%d: incorrect MSP %s", workers, m.String(v, sp.Kinds()))
+				t.Errorf("jitter=%d: incorrect MSP %s", jitter, m.String(v, sp.Kinds()))
 			}
 		}
+	}
+}
+
+// TestChaosFaultsThroughBroker reruns the quarter-of-the-crowd-departs
+// scenario with the faulty members reached through a concurrent broker
+// instead of the inline MemberBroker. Member-level injection travels with
+// the member, so the results must match Run's — same MSP set, same
+// departure count — and every member configured to leave reports it.
+func TestChaosFaultsThroughBroker(t *testing.T) {
+	sp, v := buildSpace(t, paperdata.SimpleQueryText, nil)
+	cfg := core.EngineConfig{
+		Theta:      0.4,
+		Aggregator: crowd.NewMeanAggregator(5, 0.4),
+		Seed:       1,
+	}
+	mkFaults := func() []chaos.Faults {
+		faults := make([]chaos.Faults, 8)
+		for i := range faults {
+			faults[i].LatencyMin = 30 * time.Second
+		}
+		faults[1].DepartAfter = 1
+		faults[4].DepartAfter = 2
+		faults[6].DepartAfter = 3
+		return faults
+	}
+
+	ref := core.NewEngine(sp, chaosCrowd(v, chaos.NewVirtualClock(), mkFaults()), cfg).Run()
+
+	clock := chaos.NewVirtualClock()
+	members := chaosCrowd(v, clock, mkFaults())
+	res := runConcurrent(core.NewEngine(sp, members, cfg), 1)
+
+	if res.Stats.Departures != ref.Stats.Departures {
+		t.Fatalf("Departures = %d via the concurrent broker, %d via Run",
+			res.Stats.Departures, ref.Stats.Departures)
+	}
+	if got, want := mspKeys(res), mspKeys(ref); got != want {
+		t.Fatalf("the concurrent broker changed the MSP set:\n%s\nvs\n%s", got, want)
+	}
+	for _, i := range []int{1, 4, 6} {
+		if !members[i].(*chaos.FaultyMember).Departed() {
+			t.Errorf("member %s does not report departed", members[i].ID())
+		}
+	}
+	if clock.Elapsed() == 0 {
+		t.Fatal("virtual clock never advanced — latency was not injected")
 	}
 }
 

@@ -14,13 +14,14 @@ import (
 	"oassis/internal/synth"
 )
 
-// The sweep in this file pins driver identity: Run serves members one at a
-// time in member order, RunParallel serves each round's questions from a
-// worker pool, and every externally visible output of a run — the MSP
-// sets, the per-member transcripts, the aggregated supports and the entire
-// Stats block — must be byte-identical between them. Identity, not
-// statistical similarity: selection and the reply fold are the kernel's and
-// run at the round barrier, so the pool may only change wall-clock time.
+// The sweep in this file pins broker identity: Run serves members one at a
+// time in member order, a concurrentBroker serves each round's questions
+// from one goroutine per ask and delivers the replies scrambled, and every
+// externally visible output of a run — the MSP sets, the per-member
+// transcripts, the aggregated supports and the entire Stats block — must
+// be byte-identical between them. Identity, not statistical similarity:
+// selection and the reply fold are the kernel's and run at the round
+// barrier, so the broker may only change wall-clock time.
 
 // runFingerprint is everything a caller can observe about a finished run.
 type runFingerprint struct {
@@ -92,7 +93,7 @@ func sweepDAG(t *testing.T, cfg synth.DAGConfig) *synth.DAG {
 // scenario combinations — DAG shapes, crowd sizes, aggregator families,
 // specialization ratios, pruning oracles, spammers with the consistency
 // filter, per-member question caps and top-k stops — and for each one
-// requires RunParallel with 1, 2 and 8 workers to reproduce Run's output
+// requires concurrent brokers under three seeds to reproduce Run's output
 // bit for bit.
 func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 	dags := []synth.DAGConfig{
@@ -140,7 +141,7 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 		theta := d.Query.Satisfying.Support
 		name := fmt.Sprintf("%03d-%s-m%d-w%dd%d", i, agg.name, members, dagCfg.Width, dagCfg.Depth)
 		t.Run(name, func(t *testing.T) {
-			run := func(workers int) *core.Result {
+			run := func(jitter int64) *core.Result {
 				pool := make([]crowd.Member, members)
 				for m := range pool {
 					pool[m] = namedOracle{Member: d.Oracle(prune, int64(m+1)), id: fmt.Sprintf("m%d", m)}
@@ -162,18 +163,17 @@ func TestParallelSelectionTranscriptIdentical(t *testing.T) {
 					cfg.Consistency = true
 					cfg.CalibrationQuestions = 2
 				}
-				e := core.NewEngine(d.Space, pool, cfg)
-				if workers == 0 {
-					return e.Run()
+				if jitter == 0 {
+					return core.NewEngine(d.Space, pool, cfg).Run()
 				}
-				return e.RunParallel(workers)
+				return runConcurrent(core.NewEngine(d.Space, lockCrowd(t, pool), cfg), jitter)
 			}
 			ref := fingerprint(run(0))
 			totalMSPs += len(strings.Split(ref.msps, "\n"))
 			totalQuestions += ref.stats.Questions
-			for _, w := range []int{1, 2, 8} {
-				if got := fingerprint(run(w)); !reflect.DeepEqual(got, ref) {
-					t.Fatalf("RunParallel(%d) diverged from Run: %s", w, diffFingerprints(got, ref))
+			for _, jitter := range []int64{1, 2, 3} {
+				if got := fingerprint(run(jitter)); !reflect.DeepEqual(got, ref) {
+					t.Fatalf("jitter %d: concurrent broker diverged from Run: %s", jitter, diffFingerprints(got, ref))
 				}
 			}
 		})

@@ -22,10 +22,11 @@ import (
 //
 // There are no locks, no clocks and no I/O in here. Time enters only as
 // Reply.Elapsed (measured by whatever broker carried the question), and
-// concurrency is entirely the caller's business: drivers run rounds
-// bulk-synchronously (select → dispatch → apply at the barrier, in
-// member order), which makes every driver — sequential, worker pool,
-// HTTP platform — produce the same transcripts by construction.
+// concurrency is entirely the broker's business: Engine.RunWith runs
+// rounds bulk-synchronously (select → post → apply at the barrier, in
+// ask order), which makes every broker — in-process members, the answer
+// platform, the HTTP server — produce the same transcripts by
+// construction.
 type kernel struct {
 	space *assign.Space
 	cfg   EngineConfig
@@ -91,7 +92,7 @@ type kernel struct {
 	// jr is the flight recorder: every ask, reply, timeout, departure and
 	// MSP confirmation is journaled with its raw payload — enough for
 	// journal.Replay to re-fold the run. jrRun is this run's journal run
-	// ID (assigned by the driver at run start). sb feeds the per-member
+	// ID (assigned by RunWith at run start). sb feeds the per-member
 	// scorecards. Both nil (the default) cost one nil check per event;
 	// neither influences kernel state, so transcripts are unchanged.
 	jr    *obs.Journal
@@ -149,7 +150,7 @@ type userState struct {
 	// pending is the in-flight ask, between beginRound and apply.
 	pending *pendingAsk
 	// transcript records, in order, every usable answer this member gave —
-	// the driver-independent interview log the differential tests compare
+	// the broker-independent interview log the differential tests compare
 	// across execution modes. Only written when cfg.RecordTranscript.
 	transcript []string
 }

@@ -60,23 +60,22 @@ type EngineConfig struct {
 	// reads a clock — external brokers time their own exchanges.
 	Clock chaos.Clock
 	// RecordTranscript collects a per-member interview log into
-	// Result.Transcripts, for differential testing across drivers.
+	// Result.Transcripts, for differential testing across brokers.
 	RecordTranscript bool
 	// Obs, when set, receives kernel metrics, the run's journal events
-	// and per-round spans, and (for Run/RunParallel) broker metrics. Nil
+	// and per-round spans, and (through MemberBroker) broker metrics. Nil
 	// disables observability: the kernel pays one nil check per event,
 	// nothing more.
 	Obs *obs.Observer
 }
 
 // Engine is the multi-user query evaluator: one event-driven mining
-// kernel (see kernel.go) plus interchangeable drivers. Run serves
-// members sequentially and deterministically; RunParallel serves them
-// through a worker pool; RunWith drives any Broker — including
-// asynchronous ones like the HTTP platform. All drivers execute the
-// same bulk-synchronous round protocol (select one question per live
-// member, dispatch, fold replies back in ask order at the barrier), so
-// they produce identical transcripts on the same crowd.
+// kernel (see kernel.go) driven by one round loop, RunWith, over any
+// Broker — the in-process MemberBroker (Run), the shared answer
+// platform, or the HTTP server. Every round follows the same
+// bulk-synchronous protocol (select one question per live member, post,
+// fold replies back in ask order at the barrier), so every broker
+// produces identical transcripts on the same crowd.
 type Engine struct {
 	k       *kernel
 	members []crowd.Member
@@ -89,7 +88,7 @@ func NewEngine(sp *assign.Space, members []crowd.Member, cfg EngineConfig) *Engi
 	for i, m := range members {
 		ids[i] = m.ID()
 	}
-	e := newBrokerEngine(sp, ids, cfg)
+	e := NewBrokerEngine(sp, ids, cfg)
 	e.members = members
 	return e
 }
@@ -98,10 +97,6 @@ func NewEngine(sp *assign.Space, members []crowd.Member, cfg EngineConfig) *Engi
 // IDs — the members live behind a Broker (an HTTP platform, a worker
 // fleet) and are reached exclusively through RunWith.
 func NewBrokerEngine(sp *assign.Space, ids []string, cfg EngineConfig) *Engine {
-	return newBrokerEngine(sp, ids, cfg)
-}
-
-func newBrokerEngine(sp *assign.Space, ids []string, cfg EngineConfig) *Engine {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = chaos.Real()
@@ -109,56 +104,39 @@ func newBrokerEngine(sp *assign.Space, ids []string, cfg EngineConfig) *Engine {
 	return &Engine{k: newKernel(sp, ids, cfg), clock: clock}
 }
 
-// Run drives member sessions in bulk-synchronous rounds until no member
-// can contribute, then finalizes undecided assignments from the answers
-// gathered so far. Questions are posed inline, one member at a time in
-// member order, so a run over deterministic members (and, with a virtual
-// clock, deterministic faults) replays bit-identically. A member with
-// nothing to answer in one round is retried in later rounds: other
-// members' answers can settle assignments and unlock new regions.
-func (e *Engine) Run() *Result {
+// MemberBroker returns the in-process broker over the members NewEngine
+// was given: each ask is answered inline by its member and timed on the
+// engine clock, and broker metrics feed the configured Observer.
+func (e *Engine) MemberBroker() *crowd.MemberBroker {
 	b := crowd.NewMemberBroker(e.members, e.clock.Now)
 	b.Metrics = e.k.cfg.Obs.BrokerSet()
-	return e.drive(func(asks []*crowd.Ask) []crowd.Reply {
-		replies := make([]crowd.Reply, 0, len(asks))
-		for _, a := range asks {
-			b.Post(a, func(r crowd.Reply) {
-				replies = append(replies, r)
-			})
-		}
-		return replies
-	})
+	return b
 }
 
-// RunWith drives the kernel over an arbitrary broker: each round's asks
-// are posted without waiting, replies are collected as they come, and
-// the round closes when every ask has resolved. This is the driver
-// behind the HTTP platform, where answers arrive from the network in
-// any order.
-func (e *Engine) RunWith(b crowd.Broker) *Result {
-	return e.drive(func(asks []*crowd.Ask) []crowd.Reply {
-		ch := make(chan crowd.Reply, len(asks))
-		for _, a := range asks {
-			b.Post(a, func(r crowd.Reply) { ch <- r })
-		}
-		replies := make([]crowd.Reply, 0, len(asks))
-		for range asks {
-			replies = append(replies, <-ch)
-		}
-		return replies
-	})
-}
+// Run drives the engine's members through their MemberBroker. The broker
+// answers every ask inline, one member at a time in member order, so a
+// run over deterministic members (and, with a virtual clock,
+// deterministic faults) replays bit-identically.
+func (e *Engine) Run() *Result { return e.RunWith(e.MemberBroker()) }
 
-// drive is the round loop every driver shares: select, dispatch, fold.
+// RunWith drives member sessions in bulk-synchronous rounds until no
+// member can contribute, then finalizes undecided assignments from the
+// answers gathered so far. Each round's asks are posted without waiting,
+// replies are collected as they come — inline from a MemberBroker, from
+// the network for the HTTP platform — and the round closes when every
+// ask has resolved. A member with nothing to answer in one round is
+// retried in later rounds: other members' answers can settle assignments
+// and unlock new regions.
+//
 // Replies are applied in ask order regardless of arrival order, which is
-// what makes the drivers behaviorally identical.
+// what makes every broker behaviorally identical.
 //
 // When the config carries an Observer, each round journals two span
 // events under the run's ID — "selection", then "round" with
 // ask/reply/border attributes — timed on the engine clock: chaos runs
 // with a virtual clock therefore record virtual durations, the same ones
 // their deadlines are judged by.
-func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
+func (e *Engine) RunWith(b crowd.Broker) *Result {
 	observed := e.k.cfg.Obs != nil
 	km := e.k.km // non-nil; all fields no-ops when unobserved
 	jr := e.k.jr
@@ -187,7 +165,15 @@ func (e *Engine) drive(dispatch func([]*crowd.Ask) []crowd.Reply) *Result {
 				obs.Attr{Key: "asks", Val: int64(len(asks))})
 		}
 		km.InFlight.Set(int64(len(asks)))
-		replies := dispatch(asks)
+		ch := make(chan crowd.Reply, len(asks))
+		deliver := func(r crowd.Reply) { ch <- r }
+		for _, a := range asks {
+			b.Post(a, deliver)
+		}
+		replies := make([]crowd.Reply, len(asks))
+		for i := range replies {
+			replies[i] = <-ch
+		}
 		sort.Slice(replies, func(i, j int) bool {
 			return replies[i].Ask.ID < replies[j].Ask.ID
 		})

@@ -10,8 +10,8 @@ import (
 
 // The broker layer turns crowd interaction into explicit ask/deliver
 // events. The mining kernel emits Asks and consumes Replies; how a
-// question physically reaches a member — an in-process Member call, a
-// worker pool, an HTTP long-poll — is entirely the broker's business.
+// question physically reaches a member — an in-process Member call, an
+// answer-store hit, an HTTP long-poll — is entirely the broker's business.
 // This is the QueueManager split of Section 6.1: one component decides
 // what to ask, another decides how to ask it.
 
@@ -88,7 +88,7 @@ type Reply struct {
 // eventually call deliver exactly once for the given ask; it may do so
 // synchronously (in-process members) or from another goroutine (an HTTP
 // platform). Delivery order across concurrent asks is unconstrained —
-// the kernel's drivers re-order replies at the round barrier.
+// the engine's round loop re-orders replies at the round barrier.
 type Broker interface {
 	Post(ask *Ask, deliver func(Reply))
 }

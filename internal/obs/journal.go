@@ -307,7 +307,7 @@ func (j *Journal) End(name string, start time.Time, attrs ...Attr) {
 }
 
 // Span records a span of an explicit duration under run (0 outside a
-// run). The engine drivers time their round and selection spans on the
+// run). The engine's round loop times its round and selection spans on the
 // engine clock — virtual under chaos, the clock their deadlines are
 // judged by — and pass the duration here. attrs is stored as given, not
 // copied.

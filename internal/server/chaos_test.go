@@ -205,7 +205,6 @@ func TestServerRunLifecycleErrors(t *testing.T) {
 func TestServerSurvivesChaosClients(t *testing.T) {
 	srv, _, v := newPlatform(t,
 		server.Config{MinMembers: 3, AnswerTimeout: 60 * time.Millisecond, AnswerRetries: 1},
-		oassis.WithParallelism(3),
 		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

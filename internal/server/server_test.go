@@ -138,7 +138,6 @@ func TestServerEndToEnd(t *testing.T) {
 	var sess *oassis.Session
 	sess, err = oassis.NewSession(store, q,
 		oassis.WithSeed(1),
-		oassis.WithParallelism(4),
 		oassis.WithAggregator(oassis.NewMeanAggregator(2, q.Satisfying.Support)),
 		oassis.WithOnMSP(func(a *oassis.Assignment) {
 			srv.RecordAnswer(sess.DescribeAssignment(a))

@@ -102,10 +102,6 @@ type (
 	// RunBroker drives the mining kernel over one (see internal/server
 	// for the HTTP platform's implementation).
 	Broker = crowd.Broker
-	// FaultyBroker decorates a Broker with seed-driven per-member faults,
-	// applying chaos at the event level so every execution mode gets the
-	// same fault coverage.
-	FaultyBroker = chaos.FaultyBroker
 	// Observer bundles the metric registry, the journal and every
 	// subsystem metric family; thread one through WithObserver (and the
 	// HTTP server's config) to light up the whole pipeline. Nil disables
@@ -174,12 +170,6 @@ func NewVirtualClock() *VirtualClock { return chaos.NewVirtualClock() }
 // the given clock (nil uses the wall clock).
 func NewFaultyMember(inner Member, clock Clock, f Faults) *FaultyMember {
 	return chaos.Wrap(inner, clock, f)
-}
-
-// NewFaultyBroker wraps a broker with per-member faults keyed by member
-// ID, sleeping on the given clock (nil uses the wall clock).
-func NewFaultyBroker(inner Broker, clock Clock, faults map[string]Faults) *FaultyBroker {
-	return chaos.WrapBroker(inner, clock, faults)
 }
 
 // Question-ordering strategies (Section 6.4 compares them).
@@ -333,14 +323,6 @@ func WithConsistencyFilter() Option { return func(s *Session) { s.consistency = 
 // the implication semantics of Definition 2.5.
 func WithSemanticWhere() Option { return func(s *Session) { s.semantic = true } }
 
-// WithParallelism serves crowd members concurrently with the given number
-// of worker goroutines (the QueueManager's concurrent web sessions).
-// Results are equivalent up to answer arrival order; the default (1) is
-// fully deterministic.
-func WithParallelism(workers int) Option {
-	return func(s *Session) { s.workers = workers }
-}
-
 // WithOnMSP streams every MSP the moment it is confirmed — the paper's
 // incremental answer delivery ("answers can be returned ... as soon as they
 // are identified").
@@ -352,7 +334,7 @@ func WithOnMSP(fn func(*Assignment)) Option {
 // Result.Transcripts — one line per usable answer, in kernel fold order.
 // Two runs over the same crowd are behaviorally equivalent iff their
 // transcripts match, which is how the differential tests compare the
-// sequential, parallel and HTTP drivers.
+// in-process, concurrent and HTTP brokers.
 func WithTranscript() Option { return func(s *Session) { s.transcript = true } }
 
 // NewObserver returns an Observer with a fresh registry, a default-capacity
@@ -436,10 +418,7 @@ func WithObserver(o *Observer) Option { return func(s *Session) { s.obsv = o } }
 // questions posed by concurrently running sessions are deduplicated onto
 // one in-flight ask, and fresh answers feed the store for later queries.
 // Run and RunBroker route through the platform; without this option the
-// standalone paths are untouched. Because every session attached to a
-// platform may resolve asks posted by other sessions' goroutines,
-// WithParallelism is ignored on the platform path — the broker driver is
-// used, which is inherently concurrent across sessions.
+// broker is used as is.
 func WithPlatform(p *Platform) Option { return func(s *Session) { s.platform = p } }
 
 // WithClock sets the session's time source (default: the wall clock).
@@ -474,7 +453,6 @@ type Session struct {
 	maxPerMember   int
 	consistency    bool
 	semantic       bool
-	workers        int
 	onMSP          func(*Assignment)
 	clock          Clock
 	answerDeadline time.Duration
@@ -611,42 +589,8 @@ func (s *Session) Run(members []Member) (*Result, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("oassis: no crowd members")
 	}
-	if s.platform != nil {
-		return s.runPlatform(members)
-	}
 	eng := core.NewEngine(s.space, members, s.engineConfig(len(members)))
-	var res *Result
-	if s.workers > 1 {
-		res = eng.RunParallel(s.workers)
-	} else {
-		res = eng.Run()
-	}
-	s.applyLimit(res)
-	return res, nil
-}
-
-// runPlatform drives the run through the shared answer platform: the
-// in-process member broker is wrapped with a platform connection (store
-// lookups, in-flight dedup), and the broker driver folds the replies —
-// it tolerates replies resolved on other sessions' goroutines, which is
-// exactly what a deduplicated ask does.
-func (s *Session) runPlatform(members []Member) (*Result, error) {
-	ids := make([]string, len(members))
-	for i, m := range members {
-		ids[i] = m.ID()
-	}
-	clock := s.clock
-	if clock == nil {
-		clock = chaos.Real()
-	}
-	b := crowd.NewMemberBroker(members, clock.Now)
-	b.Metrics = s.obsv.BrokerSet()
-	conn := s.platform.Attach(b)
-	defer conn.Detach()
-	eng := core.NewBrokerEngine(s.space, ids, s.engineConfig(len(members)))
-	res := eng.RunWith(conn)
-	s.applyLimit(res)
-	return res, nil
+	return s.run(eng, eng.MemberBroker()), nil
 }
 
 // RunBroker mines a crowd that lives behind a Broker — members known
@@ -663,18 +607,25 @@ func (s *Session) RunBroker(ids []string, b Broker) (*Result, error) {
 	if len(ids) == 0 {
 		return nil, fmt.Errorf("oassis: no crowd members")
 	}
+	return s.run(core.NewBrokerEngine(s.space, ids, s.engineConfig(len(ids))), b), nil
+}
+
+// run is the one road to the crowd for Run and RunBroker: with a shared
+// answer platform the broker is wrapped in a platform connection (store
+// lookups, in-flight dedup), then the engine drives it and the query's
+// LIMIT is applied.
+func (s *Session) run(eng *core.Engine, b Broker) *Result {
 	if s.platform != nil {
 		conn := s.platform.Attach(b)
 		defer conn.Detach()
 		b = conn
 	}
-	eng := core.NewBrokerEngine(s.space, ids, s.engineConfig(len(ids)))
 	res := eng.RunWith(b)
 	s.applyLimit(res)
-	return res, nil
+	return res
 }
 
-// engineConfig assembles the kernel configuration shared by every driver
+// engineConfig assembles the kernel configuration shared by every run
 // for a crowd of n members.
 func (s *Session) engineConfig(n int) core.EngineConfig {
 	agg := s.agg

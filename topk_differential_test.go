@@ -19,8 +19,8 @@ import (
 // TestParallelSelectionTopKDifferential pins the top-k mid-flight stop
 // path: when MaxMSPs halts the run with replies still in flight, the
 // discarded-reply accounting and the confirmed-only MSP border must be
-// identical across the sequential driver, the concurrent RunParallel
-// driver and the HTTP platform. The stop flips kernel state mid-barrier,
+// identical across the inline MemberBroker, a concurrent broker and the
+// HTTP platform. The stop flips kernel state mid-barrier,
 // so later replies' outcomes depend on earlier ones; this scenario gets
 // its own differential suite on top of the full-run one.
 func TestParallelSelectionTopKDifferential(t *testing.T) {
@@ -52,8 +52,8 @@ func TestParallelSelectionTopKDifferential(t *testing.T) {
 		{"run", func(t *testing.T) *oassis.Result {
 			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg()).Run())
 		}},
-		{"runparallel4", func(t *testing.T) *oassis.Result {
-			return trunc(core.NewEngine(d.Space, diffCrowd(d), topCfg()).RunParallel(4))
+		{"concurrent", func(t *testing.T) *oassis.Result {
+			return trunc(runConcurrent(core.NewEngine(d.Space, diffCrowd(d), topCfg()), 1))
 		}},
 		{"http", func(t *testing.T) *oassis.Result {
 			return runServerTopKLeg(t, d, topK)

@@ -3,6 +3,7 @@ package oassis_test
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"oassis"
 )
@@ -204,6 +205,9 @@ func TestMineRulesFacade(t *testing.T) {
 	}
 }
 
+// TestParallelSessionOption serves a session's members concurrently
+// through RunBroker: the answer set must not depend on the order the
+// replies arrive in.
 func TestParallelSessionOption(t *testing.T) {
 	v, store := fixture(t)
 	q, err := oassis.ParseQuery(limitQuery(""), v)
@@ -211,12 +215,11 @@ func TestParallelSessionOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	session, err := oassis.NewSession(store, q, oassis.WithSeed(1),
-		oassis.WithParallelism(4),
 		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := session.Run(table3Members(t, v))
+	res, err := runSessionConcurrent(session, table3Members(t, v), time.Now, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
