@@ -196,14 +196,3 @@ func (c *Classifier) SignificantBorderSize() int { return c.sigSize }
 
 // InsignificantBorder returns the minimal insignificant antichain.
 func (c *Classifier) InsignificantBorder() []*Assignment { return c.insig }
-
-// CountClassified reports how many of the given assignments are classified.
-func (c *Classifier) CountClassified(as []*Assignment) int {
-	n := 0
-	for _, a := range as {
-		if c.Status(a) != Unknown {
-			n++
-		}
-	}
-	return n
-}

@@ -308,25 +308,6 @@ type SpaceStats struct {
 	EdgeMisses   int64 // Successors/Predecessors that computed edge lists
 }
 
-// DedupRate returns the fraction of intern() calls deduplicated to an
-// existing node (0 when the interner is untouched).
-func (st SpaceStats) DedupRate() float64 {
-	total := st.InternHits + st.InternMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.InternHits) / float64(total)
-}
-
-// EdgeHitRate returns the fraction of edge-cache lookups served memoized.
-func (st SpaceStats) EdgeHitRate() float64 {
-	total := st.EdgeHits + st.EdgeMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.EdgeHits) / float64(total)
-}
-
 // Stats snapshots the interner/edge-cache counters. The counters are
 // atomics, so Stats never contends with the mining hot path.
 func (s *Space) Stats() SpaceStats {

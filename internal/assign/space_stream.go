@@ -2,6 +2,7 @@ package assign
 
 import (
 	"oassis/internal/oassisql"
+	"oassis/internal/obs"
 	"oassis/internal/ontology"
 	"oassis/internal/sparql"
 	"oassis/internal/vocab"
@@ -45,6 +46,37 @@ func NewSpaceFromPlan(q *oassisql.Query, pl *sparql.Plan, morePool ontology.Fact
 	slab, n, streamed := streamTuples(pl, sch.colIdx, slabCompactRows)
 	s.internTuples(sch, slab, n)
 	return s, streamed, nil
+}
+
+// BuildSpace compiles the query's WHERE clause through the store's shared
+// plan cache, in exact or semantic (Definition 2.5) mode, and streams the
+// plan into a new space with NewSpaceFromPlan. It records the plan's
+// metrics and one space_build span in o, which may be nil. A compile error
+// is returned with a nil plan, a construction error with the compiled one.
+func BuildSpace(store *ontology.Store, q *oassisql.Query, semantic bool, morePool ontology.FactSet, o *obs.Observer) (*Space, *sparql.Plan, error) {
+	ev := sparql.NewEvaluator(store)
+	ev.Semantic = semantic
+	ev.Metrics = o.PlanSet() // Compile auto-observes the plan
+	ev.UseSharedCache()
+	plan, err := ev.Compile(q.Where)
+	if err != nil {
+		return nil, nil, err
+	}
+	jr := o.JournalSet()
+	start := jr.Begin()
+	space, streamed, err := NewSpaceFromPlan(q, plan, morePool)
+	if err != nil {
+		return nil, plan, err
+	}
+	// WHERE evaluation and space construction are one fused stage on the
+	// streaming path, so one span covers both. The rows attribute counts
+	// rows yielded after the projection's cut (sparql.Plan.Stream), not
+	// full WHERE solutions.
+	jr.End("space_build", start,
+		obs.Attr{Key: "rows", Val: int64(streamed)},
+		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
+		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
+	return space, plan, nil
 }
 
 // slabCompactRows is the fewest buffered rows streamTuples compacts.

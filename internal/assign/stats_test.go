@@ -42,13 +42,6 @@ func TestSpaceStatsCounters(t *testing.T) {
 	if after.EdgeMisses != 2 || after.EdgeHits != 6 {
 		t.Fatalf("after preds: hits=%d misses=%d, want 6/2", after.EdgeHits, after.EdgeMisses)
 	}
-
-	if r := after.EdgeHitRate(); r <= 0 || r >= 1 {
-		t.Fatalf("edge hit rate = %v", r)
-	}
-	if r := after.DedupRate(); r < 0 || r > 1 {
-		t.Fatalf("dedup rate = %v", r)
-	}
 }
 
 // TestSpaceStatsConcurrent drives the read-locked hit paths and Stats()

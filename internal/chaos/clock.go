@@ -8,8 +8,6 @@
 //   - FaultyMember decorates any crowd.Member with seed-driven faults:
 //     fixed or heavy-tailed answer latency, mid-run departure,
 //     timeout-then-return, and contradictory answers.
-//   - Client is an HTTP crowd client with protocol-level faults: duplicate
-//     and out-of-order answer submission, silent departure.
 //
 // Every fault decision is drawn from a seeded RNG and every delay from the
 // injected Clock, so a scenario replays bit-identically from its seed.

@@ -31,32 +31,6 @@ func Members(events []obs.Event) ([]string, error) {
 	return nil, fmt.Errorf("journal: no run_start event (was the ring truncated? use the JSONL sink for full runs)")
 }
 
-// FilterRun returns the events belonging to one run, in stream order.
-// Platform store events (run 0) are excluded.
-func FilterRun(events []obs.Event, run int64) []obs.Event {
-	var out []obs.Event
-	for i := range events {
-		if events[i].Run == run {
-			out = append(out, events[i])
-		}
-	}
-	return out
-}
-
-// Runs lists the run IDs seen in the stream, in first-appearance order.
-func Runs(events []obs.Event) []int64 {
-	seen := make(map[int64]bool)
-	var out []int64
-	for i := range events {
-		r := events[i].Run
-		if r != 0 && !seen[r] {
-			seen[r] = true
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // player is the replay broker: it resolves each regenerated Ask with the
 // reply the journal recorded for that ask ID. The kernel regenerates the
 // ask sequence itself (selection is deterministic given the replies), so

@@ -14,55 +14,39 @@ import (
 	"oassis/internal/vocab"
 )
 
-// Template phrases one fact. Subject and object names are substituted for
-// {s} and {o}.
-type Template struct {
-	// Phrase is the verb phrase, e.g. "engage in {s} at {o}".
-	Phrase string
+// templates maps relation names to the verb phrases of the paper's
+// travel-domain examples; subject and object names are substituted for
+// {s} and {o}. Other relations fall back to "have {s} <relation> {o}".
+var templates = map[string]string{
+	"doAt":       "engage in {s} at {o}",
+	"eatAt":      "eat {s} at {o}",
+	"drink":      "drink {s} with {o}",
+	"take":       "take {s} for {o}",
+	"takenFor":   "take {s} for {o}",
+	"servedWith": "have {s} served with {o}",
+	"goTo":       "go to {s} in {o}",
+	"visit":      "visit {s} at {o}",
+	"playAt":     "play {s} at {o}",
 }
 
 // Renderer turns fact-sets and assignments into questions.
 type Renderer struct {
 	v *vocab.Vocabulary
-	// templates maps relation names to phrases; missing relations fall
-	// back to "have {s} <relation> {o}".
-	templates map[string]Template
 }
 
-// NewRenderer builds a renderer with the built-in travel-domain templates
-// of the paper's examples; AddTemplate overrides or extends them.
-func NewRenderer(v *vocab.Vocabulary) *Renderer {
-	return &Renderer{
-		v: v,
-		templates: map[string]Template{
-			"doAt":       {Phrase: "engage in {s} at {o}"},
-			"eatAt":      {Phrase: "eat {s} at {o}"},
-			"drink":      {Phrase: "drink {s} with {o}"},
-			"take":       {Phrase: "take {s} for {o}"},
-			"takenFor":   {Phrase: "take {s} for {o}"},
-			"servedWith": {Phrase: "have {s} served with {o}"},
-			"goTo":       {Phrase: "go to {s} in {o}"},
-			"visit":      {Phrase: "visit {s} at {o}"},
-			"playAt":     {Phrase: "play {s} at {o}"},
-		},
-	}
-}
-
-// AddTemplate registers a phrase for a relation name.
-func (r *Renderer) AddTemplate(relation, phrase string) {
-	r.templates[relation] = Template{Phrase: phrase}
-}
+// NewRenderer builds a renderer over the vocabulary's names.
+func NewRenderer(v *vocab.Vocabulary) *Renderer { return &Renderer{v: v} }
 
 // phrase renders one fact as a verb phrase.
 func (r *Renderer) phrase(f ontology.Fact) string {
 	rel := r.v.RelationName(f.P)
-	t, ok := r.templates[rel]
+	t, ok := templates[rel]
 	subj := r.name(f.S)
 	obj := r.name(f.O)
 	if !ok {
 		return "have " + subj + " " + rel + " " + obj
 	}
-	out := strings.ReplaceAll(t.Phrase, "{s}", subj)
+	out := strings.ReplaceAll(t, "{s}", subj)
 	return strings.ReplaceAll(out, "{o}", obj)
 }
 
@@ -129,8 +113,8 @@ func (r *Renderer) SpecializationQuestion(base ontology.FactSet) string {
 	// Avoid "what type of X do you engage in X at Y": rephrase using the
 	// template with {s} replaced by a pronoun-ish gap.
 	rel := r.v.RelationName(f.P)
-	if t, ok := r.templates[rel]; ok {
-		gap := strings.ReplaceAll(t.Phrase, "{s}", "that")
+	if t, ok := templates[rel]; ok {
+		gap := strings.ReplaceAll(t, "{s}", "that")
 		gap = strings.ReplaceAll(gap, "{o}", r.name(f.O))
 		q = "What type of " + r.name(f.S) + " do you " + gap + "?"
 	}

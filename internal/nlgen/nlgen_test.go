@@ -60,17 +60,6 @@ func TestUnknownRelationFallback(t *testing.T) {
 	}
 }
 
-func TestAddTemplate(t *testing.T) {
-	v, _ := paperdata.Build()
-	r := nlgen.NewRenderer(v)
-	r.AddTemplate("inside", "spend time in {s} within {o}")
-	fs := ontology.NewFactSet(paperdata.Fact(v, "Central Park", "inside", "NYC"))
-	got := r.ConcreteQuestion(fs)
-	if !strings.Contains(got, "spend time in Central Park within NYC") {
-		t.Errorf("custom template not applied: %q", got)
-	}
-}
-
 func TestSpecializationQuestion(t *testing.T) {
 	v, _ := paperdata.Build()
 	r := nlgen.NewRenderer(v)

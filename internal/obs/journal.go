@@ -590,25 +590,26 @@ func (j *Journal) LastRun() int64 {
 }
 
 // Events returns the surviving events in record order (oldest first).
-func (j *Journal) Events() []Event {
+func (j *Journal) Events() []Event { return j.Tail(0) }
+
+// Tail returns the most recent n surviving events in record order (all of
+// them if n <= 0 or n exceeds the ring population), copying only those.
+func (j *Journal) Tail(n int) []Event {
 	if j == nil {
 		return nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]Event, 0, len(j.ring))
-	out = append(out, j.ring[j.next:]...)
-	return append(out, j.ring[:j.next]...)
-}
-
-// Tail returns the most recent n surviving events (all of them if n <= 0
-// or n exceeds the ring population).
-func (j *Journal) Tail(n int) []Event {
-	evs := j.Events()
-	if n <= 0 || n >= len(evs) {
-		return evs
+	if n <= 0 || n > len(j.ring) {
+		n = len(j.ring)
 	}
-	return evs[len(evs)-n:]
+	// The ring holds the oldest events at ring[next:] and the newest at
+	// ring[:next]; the tail takes what it needs from the end of each.
+	out := make([]Event, 0, n)
+	if n > j.next {
+		out = append(out, j.ring[len(j.ring)-(n-j.next):]...)
+	}
+	return append(out, j.ring[j.next-min(n, j.next):j.next]...)
 }
 
 // Total returns how many events were ever recorded.

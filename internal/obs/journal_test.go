@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // journalFixtureEvents exercises every field shape the encoder handles:
@@ -128,6 +130,46 @@ func TestJournalRingOverwrite(t *testing.T) {
 	}
 	if len(all) != 10 {
 		t.Fatalf("sink saw %d events, want all 10", len(all))
+	}
+}
+
+// TestJournalTailCopiesOnlyTail checks that Tail on a full, wrapped ring
+// returns the newest n events in record order whichever side of the wrap
+// point they lie, and that Tail(256) allocates about 256 events, not the
+// whole ring (GET /journal serves Tail(256) under the journal lock).
+func TestJournalTailCopiesOnlyTail(t *testing.T) {
+	j := NewJournal(DefaultJournalCapacity)
+	const wrap = 1000
+	for i := 0; i < DefaultJournalCapacity+wrap; i++ {
+		j.record(Event{Kind: EvAsk})
+	}
+	total := j.Total()
+	for _, n := range []int{1, 256, wrap, wrap + 1, 5000, DefaultJournalCapacity, DefaultJournalCapacity + 1, 0, -1} {
+		want := n
+		if n <= 0 || n > DefaultJournalCapacity {
+			want = DefaultJournalCapacity
+		}
+		tail := j.Tail(n)
+		if len(tail) != want || cap(tail) != want {
+			t.Fatalf("Tail(%d): len %d cap %d, want %d", n, len(tail), cap(tail), want)
+		}
+		for i, e := range tail {
+			if e.Seq != total-int64(want-i) {
+				t.Fatalf("Tail(%d)[%d].Seq = %d, want %d", n, i, e.Seq, total-int64(want-i))
+			}
+		}
+	}
+
+	const calls = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		j.Tail(256)
+	}
+	runtime.ReadMemStats(&after)
+	perCall := (after.TotalAlloc - before.TotalAlloc) / calls
+	if limit := uint64(2 * 256 * unsafe.Sizeof(Event{})); perCall > limit {
+		t.Fatalf("Tail(256) allocated %d bytes a call, want at most %d", perCall, limit)
 	}
 }
 

@@ -104,14 +104,6 @@ func (fs FactSet) Contains(f Fact) bool {
 	return i < len(fs) && fs[i] == f
 }
 
-// Union returns the canonical union of two fact-sets.
-func (fs FactSet) Union(other FactSet) FactSet {
-	all := make([]Fact, 0, len(fs)+len(other))
-	all = append(all, fs...)
-	all = append(all, other...)
-	return NewFactSet(all...)
-}
-
 // Equal reports exact set equality.
 func (fs FactSet) Equal(other FactSet) bool {
 	if len(fs) != len(other) {

@@ -75,17 +75,6 @@ func TestFactSetCanonicalForm(t *testing.T) {
 	}
 }
 
-func TestFactSetUnion(t *testing.T) {
-	v, _ := paperdata.Build()
-	f1 := paperdata.Fact(v, "Biking", "doAt", "Central Park")
-	f2 := paperdata.Fact(v, "Falafel", "eatAt", "Maoz Veg.")
-	f3 := paperdata.Fact(v, "Pasta", "eatAt", "Pine")
-	u := ontology.NewFactSet(f1, f2).Union(ontology.NewFactSet(f2, f3))
-	if len(u) != 3 {
-		t.Fatalf("union = %v, want 3 facts", u)
-	}
-}
-
 func TestLeqFactSet(t *testing.T) {
 	v, _ := paperdata.Build()
 	general := ontology.NewFactSet(paperdata.Fact(v, "Sport", "doAt", "Central Park"))

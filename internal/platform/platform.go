@@ -40,7 +40,6 @@ package platform
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oassis/internal/chaos"
@@ -260,26 +259,6 @@ func (e *entry) replyFor(ask *crowd.Ask, perm []int, elapsed time.Duration) crow
 type Conn struct {
 	p    *Platform
 	next crowd.Broker
-
-	hits   atomic.Int64
-	misses atomic.Int64
-	joins  atomic.Int64
-}
-
-// ConnStats is one session's view of its store traffic.
-type ConnStats struct {
-	Hits, Misses, Joins int
-}
-
-// Stats reports this connection's lookup outcomes. Hits+Misses+Joins
-// equals the number of asks the session posted through the Conn — the
-// kernel's Stats.Asked.
-func (c *Conn) Stats() ConnStats {
-	return ConnStats{
-		Hits:   int(c.hits.Load()),
-		Misses: int(c.misses.Load()),
-		Joins:  int(c.joins.Load()),
-	}
 }
 
 // Detach disconnects the session. Pending forwards owned by this Conn
@@ -314,7 +293,6 @@ func (c *Conn) Post(ask *crowd.Ask, deliver func(crowd.Reply)) {
 			p.mu.Unlock()
 			p.pm.Hits.Inc()
 			p.jr.StoreEvent(obs.EvStoreHit, ask.Member, q)
-			c.hits.Add(1)
 			deliver(r)
 			return
 		}
@@ -330,7 +308,6 @@ func (c *Conn) Post(ask *crowd.Ask, deliver func(crowd.Reply)) {
 		}
 		p.pm.Joins.Inc()
 		p.jr.StoreEvent(obs.EvStoreJoin, ask.Member, q)
-		c.joins.Add(1)
 		return
 	}
 	p.flights[k] = &flight{}
@@ -343,7 +320,6 @@ func (c *Conn) Post(ask *crowd.Ask, deliver func(crowd.Reply)) {
 	}
 	p.pm.Misses.Inc()
 	p.jr.StoreEvent(obs.EvStoreMiss, ask.Member, q)
-	c.misses.Add(1)
 
 	c.next.Post(ask, func(r crowd.Reply) {
 		p.resolve(k, perm, r, deliver)

@@ -111,6 +111,7 @@ func TestPlatformHitMissAccounting(t *testing.T) {
 	// Session 1 asks two distinct questions: both forwarded.
 	c1.Post(concreteAsk("m0", fs(1, 2, 3)), collect(&mu, &replies))
 	c1.Post(concreteAsk("m0", fs(4, 2, 3)), collect(&mu, &replies))
+	before := p.Stats()
 	// Session 2 repeats one of them and adds the same question to a
 	// different member: one hit, one forward (dedup is per member).
 	c2.Post(concreteAsk("m0", fs(1, 2, 3)), collect(&mu, &replies))
@@ -134,8 +135,8 @@ func TestPlatformHitMissAccounting(t *testing.T) {
 	if st.Entries != 3 {
 		t.Fatalf("entries = %d, want 3", st.Entries)
 	}
-	if cs := c2.Stats(); cs.Hits != 1 || cs.Misses != 1 {
-		t.Fatalf("conn2 stats = %+v, want 1 hit / 1 miss", cs)
+	if hits, misses := st.Hits-before.Hits, st.Misses-before.Misses; hits != 1 || misses != 1 {
+		t.Fatalf("session 2 drew %d hits / %d misses, want 1 / 1", hits, misses)
 	}
 	// Each reply's Ask pointer must be the consumer's own ask, not the
 	// ask that populated the store — kernels match replies by identity.

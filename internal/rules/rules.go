@@ -114,28 +114,3 @@ func consequent(ante, full ontology.FactSet) ontology.FactSet {
 	}
 	return ontology.NewFactSet(out...)
 }
-
-// TopK keeps the k most confident rules, dropping rules whose consequent is
-// implied by an already-kept rule with the same antecedent (a light
-// redundancy filter mirroring the MSP idea).
-func TopK(v *assign.Space, rulesIn []Rule, k int) []Rule {
-	var out []Rule
-	voc := v.Vocabulary()
-	for _, r := range rulesIn {
-		if k > 0 && len(out) >= k {
-			break
-		}
-		redundant := false
-		for _, kept := range out {
-			if kept.Antecedent.Equal(r.Antecedent) &&
-				ontology.LeqFactSet(voc, r.Consequent, kept.Consequent) {
-				redundant = true
-				break
-			}
-		}
-		if !redundant {
-			out = append(out, r)
-		}
-	}
-	return out
-}

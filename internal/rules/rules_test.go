@@ -106,23 +106,6 @@ func TestMineRulesConfidenceFilter(t *testing.T) {
 	}
 }
 
-func TestTopKRedundancyFilter(t *testing.T) {
-	sp, res, _ := run(t, 1.0/6.0)
-	all := rules.Mine(sp, res, 1.0/6.0, 0)
-	top := rules.TopK(sp, all, 3)
-	if len(top) > 3 {
-		t.Fatalf("TopK returned %d rules", len(top))
-	}
-	if len(all) >= 3 && len(top) == 0 {
-		t.Fatal("TopK dropped everything")
-	}
-	// k=0 keeps everything non-redundant.
-	noLimit := rules.TopK(sp, all, 0)
-	if len(noLimit) > len(all) {
-		t.Fatal("TopK invented rules")
-	}
-}
-
 func TestMineRulesEmptyResult(t *testing.T) {
 	// A member with an empty history finds nothing significant, hence no
 	// rules.

@@ -128,7 +128,7 @@ func TestServerRunLifecycleErrors(t *testing.T) {
 	}
 
 	// Wait for the first question to be posted.
-	var q chaos.Question
+	var q wireQuestion
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		resp, body := c.do("GET", "/question?member=solo", nil)
@@ -198,7 +198,7 @@ func TestServerRunLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestServerSurvivesChaosClients runs the platform against chaos.Client
+// TestServerSurvivesChaosClients runs the platform against chaos clients:
 // crowd members that silently depart, double-submit and answer out of
 // order. The run must still complete, with the departure detected through
 // the answer deadline and the duplicate/stale posts rejected harmlessly.
@@ -210,11 +210,11 @@ func TestServerSurvivesChaosClients(t *testing.T) {
 	defer ts.Close()
 
 	du1, du2 := paperdata.Table3(v)
-	honest := func(id string, tx []oassis.FactSet) chaos.Answerer {
+	honest := func(id string, tx []oassis.FactSet) answerer {
 		m := oassis.NewSimMember(id, v, tx, 1)
 		m.Scale = nil
 		helper := &client{t: t, base: ts.URL, id: id, member: m, v: v}
-		return func(q chaos.Question) (float64, int) {
+		return func(q wireQuestion) (float64, int) {
 			if q.Kind == "specialization" {
 				best, bestS := -1, 0.0
 				for i, opt := range q.Options {
@@ -227,19 +227,19 @@ func TestServerSurvivesChaosClients(t *testing.T) {
 			return helper.supportFor(v, q.Text), -1
 		}
 	}
-	clients := []*chaos.Client{
-		chaos.NewClient(chaos.ClientConfig{
+	clients := []*chaosClient{
+		newChaosClient(chaosClientConfig{
 			Base: ts.URL, Member: "c1", Answer: honest("c1", du1),
 			Faults: chaos.Faults{Seed: 1},
 			// Every answer is double-submitted and half re-answer the
 			// previous question first.
 			DuplicateProb: 1.0, StaleProb: 0.5,
 		}),
-		chaos.NewClient(chaos.ClientConfig{
+		newChaosClient(chaosClientConfig{
 			Base: ts.URL, Member: "c2", Answer: honest("c2", du2),
 			Faults: chaos.Faults{Seed: 2},
 		}),
-		chaos.NewClient(chaos.ClientConfig{
+		newChaosClient(chaosClientConfig{
 			Base: ts.URL, Member: "c3", Answer: honest("c3", du1),
 			// Answers twice, then silently stops polling: the server only
 			// finds out through its answer deadline.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -139,6 +140,106 @@ func FuzzJournalTail(f *testing.F) {
 		}
 		if total := fx.obsv.Journal.Total(); int64(lines) > total || lines == 0 {
 			t.Fatalf("served %d events, journal holds %d", lines, total)
+		}
+	})
+}
+
+// FuzzJoin posts /join with an arbitrary member ID, to an empty server and
+// to one already holding maxMembers members. No input may panic the
+// handler or draw a 5xx; an empty or over-long ID is refused with a 400,
+// any other ID joins the empty server once, and the full server takes no
+// one.
+func FuzzJoin(f *testing.F) {
+	full := New(Config{})
+	fullH := full.Handler()
+	for i := range maxMembers {
+		if code, body := join(fullH, fmt.Sprintf("m%d", i)); code != http.StatusOK {
+			f.Fatalf("join %d: status %d %q", i, code, body)
+		}
+	}
+	for _, id := range []string{"m1", "", "m0", "a b&c=d", "\xff\x00", strings.Repeat("x", maxMemberIDBytes),
+		strings.Repeat("y", maxMemberIDBytes+1)} {
+		f.Add(id)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		s := New(Config{})
+		h := s.Handler()
+		code, body := join(h, id)
+		switch {
+		case id == "" || len(id) > maxMemberIDBytes:
+			if code != http.StatusBadRequest || len(s.members) != 0 {
+				t.Fatalf("join %q: status %d %q with %d members, want 400 and none", id, code, body, len(s.members))
+			}
+		case code != http.StatusOK || s.members[id] == nil:
+			t.Fatalf("join %q: status %d %q, want 200", id, code, body)
+		default:
+			if code, body := join(h, id); code != http.StatusConflict {
+				t.Fatalf("second join %q: status %d %q, want 409", id, code, body)
+			}
+		}
+		if code, body := join(fullH, id); code != http.StatusBadRequest && code != http.StatusConflict {
+			t.Fatalf("join %q to a full server: status %d %q, want 400 or 409", id, code, body)
+		}
+		if n := len(full.members); n != maxMembers {
+			t.Fatalf("full server holds %d members, want %d", n, maxMembers)
+		}
+	})
+}
+
+// FuzzQuestion requests GET /question for an arbitrary member while m1 has
+// question 1 pending. No input may panic the handler or draw a 5xx, and
+// only m1 is served a question: the pending one, as JSON.
+func FuzzQuestion(f *testing.F) {
+	fx := newFuzzFixture(f)
+	for _, id := range []string{"m1", "m2", "", "nobody", "m1&member=m2", strings.Repeat("m", 300)} {
+		f.Add(id)
+	}
+	f.Fuzz(func(t *testing.T, id string) {
+		h, _ := fx.answerRig(t)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/question?member="+url.QueryEscape(id), nil))
+		requireClientOutcome(t, "GET /question", rec)
+		if (rec.Code == http.StatusOK) != (id == "m1") {
+			t.Fatalf("GET /question for %q: status %d %q", id, rec.Code, rec.Body.String())
+		}
+		if rec.Code == http.StatusOK {
+			var q question
+			if err := json.Unmarshal(rec.Body.Bytes(), &q); err != nil || q.ID != 1 {
+				t.Fatalf("served %q, want question 1 as JSON (%v)", rec.Body.String(), err)
+			}
+		}
+	})
+}
+
+// FuzzStartQuery posts /start?query= with an arbitrary name to a server
+// whose fleet is registered with AttachNamed and whose crowd is below
+// MinMembers, so the name lookup runs but no run, and no goroutine, ever
+// starts. No input may panic the handler or draw a 5xx; an unknown name is
+// a 404, anything else the 412 of the member gate.
+func FuzzStartQuery(f *testing.F) {
+	fx := newFuzzFixture(f)
+	names := []string{"simple", "again"}
+	for _, n := range append(names, "", "missing", "simple ", "a&query=simple", "\x00") {
+		f.Add(n)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		s := New(Config{MinMembers: 2})
+		for _, n := range names {
+			s.AttachNamed(n, fx.sess)
+		}
+		h := s.Handler()
+		if code, body := join(h, "m1"); code != http.StatusOK {
+			t.Fatalf("join: %d %q", code, body)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/start?query="+url.QueryEscape(name), nil))
+		requireClientOutcome(t, "POST /start", rec)
+		want := http.StatusPreconditionFailed
+		if name != "" && s.fleet[name] == nil {
+			want = http.StatusNotFound
+		}
+		if rec.Code != want || s.started {
+			t.Fatalf("POST /start?query=%q: status %d %q (started %v), want %d", name, rec.Code, rec.Body.String(), s.started, want)
 		}
 	})
 }

@@ -162,24 +162,10 @@ func NewDAG(cfg DAGConfig) (*DAG, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := sparql.NewEvaluator(store)
-	ev.Metrics = cfg.Obs.PlanSet()
-	ev.UseSharedCache()
-	jr := cfg.Obs.JournalSet()
-	plan, err := ev.Compile(q.Where)
+	space, plan, err := assign.BuildSpace(store, q, false, nil, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}
-	buildStart := jr.Begin()
-	space, streamed, err := assign.NewSpaceFromPlan(q, plan, nil)
-	if err != nil {
-		return nil, err
-	}
-	// rows counts rows yielded after the projection's cut (Plan.Stream).
-	jr.End("space_build", buildStart,
-		obs.Attr{Key: "rows", Val: int64(streamed)},
-		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
-		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d := &DAG{
 		Space: space,
 		Query: q,

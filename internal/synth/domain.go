@@ -324,24 +324,10 @@ func (d *Domain) buildQuery(cfg DomainConfig) error {
 	if err != nil {
 		return fmt.Errorf("synth: domain query: %w", err)
 	}
-	ev := sparql.NewEvaluator(d.Store)
-	ev.Metrics = cfg.Obs.PlanSet()
-	ev.UseSharedCache()
-	jr := cfg.Obs.JournalSet()
-	plan, err := ev.Compile(q.Where)
+	space, plan, err := assign.BuildSpace(d.Store, q, false, d.MorePool, cfg.Obs)
 	if err != nil {
 		return err
 	}
-	buildStart := jr.Begin()
-	space, streamed, err := assign.NewSpaceFromPlan(q, plan, d.MorePool)
-	if err != nil {
-		return err
-	}
-	// rows counts rows yielded after the projection's cut (Plan.Stream).
-	jr.End("space_build", buildStart,
-		obs.Attr{Key: "rows", Val: int64(streamed)},
-		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
-		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
 	d.Query = q
 	d.Space = space
 	d.Plan = plan

@@ -336,9 +336,6 @@ func (v *Vocabulary) Freeze() error {
 	return nil
 }
 
-// Frozen reports whether Freeze has completed.
-func (v *Vocabulary) Frozen() bool { return v.elems.frozen && v.rels.frozen }
-
 // Element returns the ID of an element name, or NoTerm.
 func (v *Vocabulary) Element(name string) TermID {
 	if id, ok := v.elems.byName[name]; ok {

@@ -160,9 +160,6 @@ const (
 	ReplyDeparted = crowd.Departed
 )
 
-// RealClock returns the wall clock.
-func RealClock() Clock { return chaos.Real() }
-
 // NewVirtualClock returns a deterministic simulation clock.
 func NewVirtualClock() *VirtualClock { return chaos.NewVirtualClock() }
 
@@ -377,9 +374,9 @@ func (s *Session) Scorecards() []MemberScorecard { return s.obsv.BoardSet().Snap
 // run without consulting any crowd. The session must be configured exactly
 // as the recorded run's was (same query, seed, aggregator settings,
 // deadlines, transcript flag); the stream must contain one complete run —
-// from its run_start event — as written by the JSONL sink (use
-// journal.FilterRun semantics upstream when a sink interleaves several
-// runs: Replay takes the first run_start it is given). A RunSingle run is
+// from its run_start event — as written by the JSONL sink (when a sink
+// interleaves several runs, keep one run's events by their Run field:
+// Replay takes the first run_start it is given). A RunSingle run is
 // refused with an error naming its strategy: replay rebuilds multi-user
 // runs only. Use VerifyReplayIdentity to assert the reconstruction matches
 // the live result.
@@ -471,7 +468,7 @@ type Session struct {
 // shared plan cache — repeated sessions over the same query shape (the
 // multi-run server, synthetic fleets) skip compilation — and its rows stream
 // straight into space construction without materializing an intermediate
-// result set (assign.NewSpaceFromPlan).
+// result set (assign.BuildSpace).
 func NewSession(store *Ontology, q *Query, opts ...Option) (*Session, error) {
 	s := &Session{store: store, query: q, specRatio: 0.12}
 	for _, opt := range opts {
@@ -490,30 +487,14 @@ func NewSession(store *Ontology, q *Query, opts ...Option) (*Session, error) {
 			s.obsv.EnableScorecards()
 		}
 	}
-	ev := sparql.NewEvaluator(store)
-	ev.Semantic = s.semantic
-	ev.Metrics = s.obsv.PlanSet() // Compile auto-observes the plan
-	ev.UseSharedCache()
-	jr := s.obsv.JournalSet()
-	plan, err := ev.Compile(q.Where)
+	space, plan, err := assign.BuildSpace(store, q, s.semantic, s.morePool, s.obsv)
 	if err != nil {
-		return nil, fmt.Errorf("oassis: WHERE compilation: %w", err)
-	}
-	s.plan = plan
-	buildStart := jr.Begin()
-	space, streamed, err := assign.NewSpaceFromPlan(q, plan, s.morePool)
-	if err != nil {
+		if plan == nil {
+			return nil, fmt.Errorf("oassis: WHERE compilation: %w", err)
+		}
 		return nil, fmt.Errorf("oassis: assignment space: %w", err)
 	}
-	// WHERE evaluation and space construction are one fused stage on the
-	// streaming path, so one span covers both. The rows attribute counts
-	// rows yielded after the projection's cut (sparql.Plan.Stream), not
-	// full WHERE solutions.
-	jr.End("space_build", buildStart,
-		obs.Attr{Key: "rows", Val: int64(streamed)},
-		obs.Attr{Key: "nodes", Val: int64(space.NumNodes())},
-		obs.Attr{Key: "valid", Val: int64(len(space.Valid()))})
-	s.space = space
+	s.space, s.plan = space, plan
 	s.registerGauges()
 	s.renderer = nlgen.NewRenderer(store.Vocabulary())
 	return s, nil
