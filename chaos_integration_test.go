@@ -77,7 +77,7 @@ func TestChaosPublicAPIDeterministicSimulation(t *testing.T) {
 		clock := oassis.NewVirtualClock()
 		sess, v := chaosSession(t,
 			oassis.WithClock(clock),
-			oassis.WithAnswerDeadline(5*time.Minute, 3))
+			oassis.WithAnswerDeadline(5*time.Minute))
 		faults := make([]oassis.Faults, 6)
 		for i := range faults {
 			faults[i].LatencyMin = 15 * time.Second

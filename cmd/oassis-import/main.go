@@ -7,12 +7,13 @@
 //
 // Gzip-compressed dumps (the form knowledge bases actually publish) are
 // detected by their magic bytes and decompressed transparently; ingestion
-// runs on the parallel pipeline and reports wall-clock throughput.
+// runs on the parallel pipeline, one parse worker per GOMAXPROCS, and
+// reports wall-clock throughput.
 //
 // Usage:
 //
 //	oassis-import -in yago-slice.nt -out ontology.txt
-//	oassis-import -in yago-slice.nt.gz -workers 4
+//	GOMAXPROCS=4 oassis-import -in yago-slice.nt.gz
 package main
 
 import (
@@ -29,16 +30,15 @@ import (
 
 func main() {
 	var (
-		in      = flag.String("in", "", "N-Triples input file (gzip detected automatically)")
-		out     = flag.String("out", "ontology.txt", "ontology output file")
-		workers = flag.Int("workers", 0, "parse workers (0 = GOMAXPROCS)")
+		in  = flag.String("in", "", "N-Triples input file (gzip detected automatically)")
+		out = flag.String("out", "ontology.txt", "ontology output file")
 	)
 	flag.Parse()
 	if *in == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*in, *out, *workers); err != nil {
+	if err := run(*in, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "oassis-import:", err)
 		os.Exit(1)
 	}
@@ -62,7 +62,7 @@ func sniffReader(f io.Reader) (io.Reader, bool, error) {
 	return br, false, nil
 }
 
-func run(in, out string, workers int) error {
+func run(in, out string) error {
 	f, err := os.Open(in)
 	if err != nil {
 		return err
@@ -73,7 +73,7 @@ func run(in, out string, workers int) error {
 		return err
 	}
 	start := time.Now()
-	v, store, stats, err := oassis.LoadNTriplesOptions(r, oassis.NTriplesLoadOptions{Workers: workers})
+	v, store, stats, err := oassis.LoadNTriples(r)
 	if err != nil {
 		return err
 	}

@@ -68,10 +68,6 @@ type Classifier struct {
 	// at 0, no node recorded yet) is the correct initial state for a
 	// fresh node.
 	entries []statusEntry
-	// sigSize tracks len(sig) incrementally so the per-round border gauge
-	// (core.Engine.drive) reads a plain counter instead of touching the
-	// border slice at all.
-	sigSize int
 }
 
 type statusEntry struct {
@@ -149,13 +145,11 @@ func (c *Classifier) MarkSignificant(a *Assignment) {
 	}
 	c.sig = out
 	if covered {
-		c.sigSize = len(c.sig)
 		return
 	}
 	c.sig = append(c.sig, a)
 	c.sigLog = append(c.sigLog, a)
 	e.status = Significant
-	c.sigSize = len(c.sig)
 }
 
 // MarkInsignificant records that a's support is below the threshold; all
@@ -189,10 +183,5 @@ func (c *Classifier) MarkInsignificant(a *Assignment) {
 func (c *Classifier) SignificantBorder() []*Assignment { return c.sig }
 
 // SignificantBorderSize returns the current significant-border antichain
-// size. It is maintained incrementally by MarkSignificant, so per-round
-// gauges read it in O(1) without materializing (or even touching) the
-// border slice.
-func (c *Classifier) SignificantBorderSize() int { return c.sigSize }
-
-// InsignificantBorder returns the minimal insignificant antichain.
-func (c *Classifier) InsignificantBorder() []*Assignment { return c.insig }
+// size, for the per-round border gauge.
+func (c *Classifier) SignificantBorderSize() int { return len(c.sig) }

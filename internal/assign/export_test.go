@@ -1,9 +1,9 @@
 package assign
 
-// Test-only hooks that bypass the shared edge cache, so tests (and
-// benchmarks) can pin the cached results against the raw computation, and
-// that drive the streaming constructor's slab with a chosen compaction
-// floor.
+// Test-only hooks: the streaming tuple helpers, recomputations that bypass
+// the shared edge cache, so tests (and benchmarks) can pin the cached
+// results against the raw computation, and probes of unexported state (the
+// closure check, the insignificant border).
 
 // StreamTuples and DistinctTuples expose streamTuples and distinctTuples.
 var (
@@ -27,17 +27,13 @@ func (s *Space) UncachedPredecessors(a *Assignment) []*Assignment {
 	return s.computePredecessorsLocked(s.canonLocked(a))
 }
 
-// AddValidRow interns a and appends it to the space's valid assignments,
-// so tests can pin closure and validity checks on rows no WHERE clause
-// produces (for instance ones binding several values to one variable). It
-// must run before the first closure or validity check.
-func (s *Space) AddValidRow(a *Assignment) *Assignment {
+// InClosure reports membership in the expanded assignment set 𝒜 through
+// inClosureLocked, the check the successor filter applies.
+func (s *Space) InClosure(a *Assignment) bool {
 	s.in.mu.Lock()
 	defer s.in.mu.Unlock()
-	if s.validCols != nil {
-		panic("assign: AddValidRow after the column index was built")
-	}
-	a = s.canonLocked(a)
-	s.valid = append(s.valid, a)
-	return a
+	return s.inClosureLocked(a)
 }
+
+// InsignificantBorder returns the minimal insignificant antichain.
+func (c *Classifier) InsignificantBorder() []*Assignment { return c.insig }

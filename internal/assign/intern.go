@@ -64,7 +64,7 @@ type interner struct {
 type nodeMemo struct {
 	succs, preds       []*Assignment
 	succDone, predDone bool
-	closure            uint8 // InClosure: 0 unknown, 1 in, 2 out
+	closure            uint8 // inClosureLocked: 0 unknown, 1 in, 2 out
 }
 
 func newInterner() *interner { return &interner{} }

@@ -494,18 +494,12 @@ func (s *Space) computeRootsLocked() []*Assignment {
 	return dedupe(out)
 }
 
-// InClosure reports membership in the expanded assignment set 𝒜: every
-// singleton-product of the assignment's value sets must generalize some
-// valid assignment (the combination closure of Proposition 5.1), and every
-// MORE fact must generalize some pool fact. Unbound variables are
-// unconstrained.
-func (s *Space) InClosure(a *Assignment) bool {
-	s.in.mu.Lock()
-	defer s.in.mu.Unlock()
-	return s.inClosureLocked(a)
-}
-
-// inClosureLocked memoizes InClosure per interned node; caller holds in.mu.
+// inClosureLocked reports membership in the expanded assignment set 𝒜:
+// every singleton-product of the assignment's value sets must generalize
+// some valid assignment (the combination closure of Proposition 5.1), and
+// every MORE fact must generalize some pool fact. Unbound variables are
+// unconstrained. The verdict is memoized per interned node; caller holds
+// in.mu.
 func (s *Space) inClosureLocked(a *Assignment) bool {
 	id := a.id
 	interned := id != noID && int(id) < len(s.in.nodes) && s.in.nodes[id] == a
@@ -627,9 +621,6 @@ rows:
 	for r := range s.valid {
 		for i, j := range cols {
 			w := tab.cols[j][r]
-			if w < 0 {
-				continue rows // binds none or several
-			}
 			if exact && w != pick[i] || !exact && !s.v.Leq(s.vars[j].Kind, pick[i], w) {
 				continue rows
 			}
@@ -644,34 +635,21 @@ rows:
 	return found
 }
 
-// Column-table markers: the row binds no value, or several values, to the
-// column's variable. Both sort below every real TermID.
-const (
-	noValue    = vocab.NoTerm
-	manyValues = vocab.NoTerm - 1
-)
-
-// validTable is 𝒜valid by column: row r is Valid()[r], and for every row
-// internTuples built, the node with NodeID r. It is built on the first
-// closure, validity or scan request rather than during construction, so
-// spaces that are never mined do not pay for it, and it is immutable once
-// built (rows are only ever added before that, by the test hook
-// AddValidRow).
+// validTable is 𝒜valid by column: row r is Valid()[r], the node with
+// NodeID r. internTuples builds every row with one value for each bound
+// variable, under the variable's kind, and no MORE facts, so the columns
+// describe the rows completely. The table is built on the first closure,
+// validity or scan request rather than during construction, so spaces that
+// are never mined do not pay for it, and it is immutable once built.
 type validTable struct {
-	// cols[j][r] is the single value s.Valid()[r] binds to s.vars[j], or
-	// noValue / manyValues when it binds none / several. Unbound variables
-	// get no column.
+	// cols[j][r] is the value s.Valid()[r] binds to s.vars[j]. Unbound
+	// variables get no column.
 	cols [][]vocab.TermID
-	// vals[j] lists the distinct single values of column j, and slot[j][r]
-	// is the position of cols[j][r] in it (-1 for noValue and manyValues),
-	// so per-value state can live in dense slices.
+	// vals[j] lists the distinct values of column j, and slot[j][r] is the
+	// position of cols[j][r] in it, so per-value state can live in dense
+	// slices.
 	vals [][]vocab.TermID
 	slot [][]int32
-	// regular[r] reports that row r is described by its columns alone: it
-	// binds at most one value per variable, only variables that have a
-	// column (with the column's kind), and no MORE facts. Production rows
-	// always are; ValidScan tests the others with Leq.
-	regular []bool
 }
 
 // validColumns returns the valid-assignment column table, building it on
@@ -681,13 +659,9 @@ func (s *Space) validColumns() *validTable {
 		return s.validCols
 	}
 	t := &validTable{
-		cols:    make([][]vocab.TermID, len(s.vars)),
-		vals:    make([][]vocab.TermID, len(s.vars)),
-		slot:    make([][]int32, len(s.vars)),
-		regular: make([]bool, len(s.valid)),
-	}
-	for r, psi := range s.valid {
-		t.regular[r] = len(psi.more) == 0
+		cols: make([][]vocab.TermID, len(s.vars)),
+		vals: make([][]vocab.TermID, len(s.vars)),
+		slot: make([][]int32, len(s.vars)),
 	}
 	for j, vs := range s.vars {
 		if !vs.Bound {
@@ -697,36 +671,16 @@ func (s *Space) validColumns() *validTable {
 		slot := make([]int32, len(s.valid))
 		pos := map[vocab.TermID]int32{}
 		for r, psi := range s.valid {
-			col[r], slot[r] = noValue, -1
-			switch pv := psi.Values(vs.Name); len(pv) {
-			case 0:
-			case 1:
-				i, ok := pos[pv[0]]
-				if !ok {
-					i = int32(len(t.vals[j]))
-					pos[pv[0]] = i
-					t.vals[j] = append(t.vals[j], pv[0])
-				}
-				col[r], slot[r] = pv[0], i
-			default:
-				col[r] = manyValues
-				t.regular[r] = false
+			w := psi.Values(vs.Name)[0]
+			i, ok := pos[w]
+			if !ok {
+				i = int32(len(t.vals[j]))
+				pos[w] = i
+				t.vals[j] = append(t.vals[j], w)
 			}
+			col[r], slot[r] = w, i
 		}
 		t.cols[j], t.slot[j] = col, slot
-	}
-	// A row binding a variable that has no column, or binding it under
-	// another kind, is not described by the columns either.
-	for r, psi := range s.valid {
-		for i, name := range psi.names {
-			if len(psi.vals[i]) == 0 {
-				continue
-			}
-			j := s.varIndex(name)
-			if j < 0 || t.cols[j] == nil || s.vars[j].Kind != psi.kinds[i] {
-				t.regular[r] = false
-			}
-		}
 	}
 	s.validCols = t
 	return t
@@ -748,12 +702,12 @@ func (s *Space) varIndex(name string) int {
 // the "classified valid" series of the pace-of-collection curves (Figures
 // 4d–4e).
 //
-// A regular row (see validTable) binds at most one value t per variable,
-// so the order test splits into one test per variable: ∃q ∈ m(x): t ≤ q
-// for a significant mark, ∀q ∈ m(x): q ≤ t for an insignificant one. Each
-// mark therefore computes one verdict per distinct column value, cached
-// under an epoch stamp, and an unclassified row costs a few slice loads
-// instead of a Leq walk. Irregular rows are tested with Space.Leq.
+// A valid row binds one value t to each bound variable and nothing else
+// (see validTable), so the order test splits into one test per variable:
+// ∃q ∈ m(x): t ≤ q for a significant mark, ∀q ∈ m(x): q ≤ t for an
+// insignificant one. Each mark therefore computes one verdict per distinct
+// column value, cached under an epoch stamp, and an unclassified row costs
+// a few slice loads instead of a Leq walk.
 //
 // The scan takes the space's lock once, on its first mark, to fetch the
 // column table; after that it reads only immutable data. A ValidScan is not
@@ -761,10 +715,8 @@ func (s *Space) varIndex(name string) int {
 type ValidScan struct {
 	s   *Space
 	tab *validTable
-	// rows are the regular rows not yet classified; slow the irregular
-	// ones, as assignments.
+	// rows are the rows not yet classified.
 	rows []int32
-	slow []*Assignment
 	n    int
 	// memo[j][i] caches the current mark's verdict on vals[j][i] as
 	// epoch<<1 | verdict; an entry with an older epoch is stale. epoch
@@ -772,7 +724,7 @@ type ValidScan struct {
 	memo  [][]uint32
 	epoch uint32
 	// Per-mark scratch: the mark's values and kind per column, and the
-	// columns a regular row is tested on.
+	// columns a row is tested on.
 	mvals  [][]vocab.TermID
 	mkinds []vocab.Kind
 	active []int
@@ -790,12 +742,9 @@ func (vs *ValidScan) init() {
 	s.in.mu.Lock()
 	vs.tab = s.validColumns()
 	s.in.mu.Unlock()
-	for r, psi := range s.valid {
-		if vs.tab.regular[r] {
-			vs.rows = append(vs.rows, int32(r))
-		} else {
-			vs.slow = append(vs.slow, psi)
-		}
+	vs.rows = make([]int32, len(s.valid))
+	for r := range vs.rows {
+		vs.rows[r] = int32(r)
 	}
 	n := len(s.vars)
 	vs.memo = make([][]uint32, n)
@@ -816,21 +765,12 @@ func (vs *ValidScan) Mark(m *Assignment, sig bool) {
 	if vs.prepare(m, sig) {
 		vs.scanRows(sig)
 	}
-	rest := vs.slow[:0]
-	for _, psi := range vs.slow {
-		if sig && vs.s.Leq(psi, m) || !sig && vs.s.Leq(m, psi) {
-			vs.n++
-		} else {
-			rest = append(rest, psi)
-		}
-	}
-	vs.slow = rest
 }
 
-// prepare loads the mark's values per column and picks the columns a
-// regular row is tested on. It reports false when the mark classifies no
-// regular row at all: an insignificant mark with MORE facts, or binding a
-// variable no column describes, is above no regular row.
+// prepare loads the mark's values per column and picks the columns a row
+// is tested on. It reports false when the mark classifies no row at all:
+// an insignificant mark with MORE facts, or binding a variable no column
+// describes, is above no valid row.
 func (vs *ValidScan) prepare(m *Assignment, sig bool) bool {
 	s := vs.s
 	clear(vs.mvals)
@@ -855,8 +795,7 @@ func (vs *ValidScan) prepare(m *Assignment, sig bool) bool {
 		switch {
 		case col == nil:
 		case sig:
-			// ψ ≤ m is tested under ψ's kinds, which for a regular row
-			// are the columns'.
+			// ψ ≤ m is tested under ψ's kinds, which are the columns'.
 			vs.mkinds[j] = s.vars[j].Kind
 			vs.active = append(vs.active, j)
 		case len(vs.mvals[j]) > 0:
@@ -866,23 +805,13 @@ func (vs *ValidScan) prepare(m *Assignment, sig bool) bool {
 	return true
 }
 
-// scanRows classifies the unclassified regular rows against the prepared
-// mark. A row binding no value to an active column is never below an
-// insignificant mark's non-empty value set, and places no constraint on a
-// significant mark.
+// scanRows classifies the unclassified rows against the prepared mark.
 func (vs *ValidScan) scanRows(sig bool) {
 	rest := vs.rows[:0]
 rows:
 	for _, r := range vs.rows {
 		for _, j := range vs.active {
 			i := vs.tab.slot[j][r]
-			if i < 0 {
-				if sig {
-					continue
-				}
-				rest = append(rest, r)
-				continue rows
-			}
 			c := vs.memo[j][i]
 			if c>>1 != vs.epoch {
 				c = vs.epoch << 1

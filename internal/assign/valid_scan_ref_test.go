@@ -8,7 +8,6 @@ import (
 	"oassis/internal/ontology"
 	"oassis/internal/paperdata"
 	"oassis/internal/synth"
-	"oassis/internal/vocab"
 )
 
 // unboundQuery leaves $y out of the WHERE clause: it ranges over the whole
@@ -45,47 +44,10 @@ func classifiedNaive(sp *assign.Space, marks []scanMark) int {
 	return n
 }
 
-// addScanRows appends valid rows no WHERE clause produces, cycling through
-// three shapes: a row leaving one bound variable out, a row binding two
-// values to one variable, and (when pool is non-empty) a row carrying a
-// MORE fact. It must run before the space's first closure check.
-func addScanRows(sp *assign.Space, rng *rand.Rand, pool ontology.FactSet) {
-	var bound []string
-	for _, vs := range sp.Vars() {
-		if vs.Bound {
-			bound = append(bound, vs.Name)
-		}
-	}
-	valid := sp.Valid()
-	for i := 0; i < 24; i++ {
-		r1, r2 := valid[rng.Intn(len(valid))], valid[rng.Intn(len(valid))]
-		vals := map[string][]vocab.TermID{}
-		for _, name := range bound {
-			vals[name] = r1.Values(name)
-		}
-		var more ontology.FactSet
-		name := bound[rng.Intn(len(bound))]
-		switch i % 3 {
-		case 0:
-			delete(vals, name)
-		case 1:
-			vals[name] = append(append([]vocab.TermID{}, vals[name]...), r2.Values(name)...)
-		case 2:
-			if len(pool) == 0 {
-				continue
-			}
-			more = ontology.NewFactSet(pool[rng.Intn(len(pool))])
-		}
-		sp.AddValidRow(assign.New(sp.Vocabulary(), sp.Kinds(), vals, more))
-	}
-}
-
 // scanTally counts what the reference test exercised.
 type scanTally struct {
-	sigHits, insigHits  int // marks that newly classified some row
-	moreMarks           int // marks carrying MORE facts
-	multiRows, moreRows int // valid rows binding several values / MORE facts
-	noneRows            int // valid rows leaving a bound variable out
+	sigHits, insigHits int // marks that newly classified some row
+	moreMarks          int // marks carrying MORE facts
 }
 
 // checkValidScan feeds fresh scans random sequences of significant and
@@ -94,19 +56,6 @@ type scanTally struct {
 // with the brute-force count over all marks so far.
 func checkValidScan(t *testing.T, tag string, sp *assign.Space, rng *rand.Rand, tally *scanTally) {
 	t.Helper()
-	for _, psi := range sp.Valid() {
-		if len(psi.More()) > 0 {
-			tally.moreRows++
-		}
-		for _, vs := range sp.Vars() {
-			switch n := len(psi.Values(vs.Name)); {
-			case n > 1:
-				tally.multiRows++
-			case n == 0 && vs.Bound:
-				tally.noneRows++
-			}
-		}
-	}
 	var pool []*assign.Assignment
 	for i := 0; i < 80; i++ {
 		pool = append(pool, walkSpace(sp, rng, rng.Intn(8)))
@@ -149,8 +98,7 @@ func checkValidScan(t *testing.T, tag string, sp *assign.Space, rng *rand.Rand, 
 // TestValidScanAgreesWithLeq pins ValidScan's per-value counting against a
 // brute-force Space.Leq scan on synthetic DAGs (with and without
 // multiplicities), on the Figure 1 queries with multiplicities, a Min-0
-// variable, a variable the WHERE clause leaves unbound and MORE facts, and
-// on spaces whose valid rows bind several values, no value, or MORE facts.
+// variable, a variable the WHERE clause leaves unbound and MORE facts.
 func TestValidScanAgreesWithLeq(t *testing.T) {
 	var tally scanTally
 	for _, seed := range []int64{3, 11, 29} {
@@ -164,13 +112,6 @@ func TestValidScanAgreesWithLeq(t *testing.T) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		checkValidScan(t, "dag", d.Space, rng, &tally)
-
-		sp, _, err := assign.NewSpaceFromPlan(d.Query, d.Plan, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addScanRows(sp, rng, nil)
-		checkValidScan(t, "dag+odd rows", sp, rng, &tally)
 	}
 	v, _ := paperdata.Build()
 	morePool := ontology.NewFactSet(
@@ -189,12 +130,8 @@ func TestValidScanAgreesWithLeq(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		sp, _ := buildSpace(t, q.text, q.pool)
 		checkValidScan(t, q.tag, sp, rng, &tally)
-		sp, _ = buildSpace(t, q.text, q.pool)
-		addScanRows(sp, rng, q.pool)
-		checkValidScan(t, q.tag+"+odd rows", sp, rng, &tally)
 	}
-	if tally.sigHits == 0 || tally.insigHits == 0 || tally.moreMarks == 0 ||
-		tally.multiRows == 0 || tally.moreRows == 0 || tally.noneRows == 0 {
+	if tally.sigHits == 0 || tally.insigHits == 0 || tally.moreMarks == 0 {
 		t.Fatalf("cases not all exercised: %+v", tally)
 	}
 	t.Logf("exercised: %+v", tally)

@@ -208,12 +208,11 @@ func TestChaosTimeoutThenReturn(t *testing.T) {
 	faults[2].TimeoutOnce = 10 * time.Minute // one answer past the deadline
 	members := chaosCrowd(v, clock, faults)
 	res := core.NewEngine(sp, members, core.EngineConfig{
-		Theta:             0.4,
-		Aggregator:        crowd.NewMeanAggregator(5, 0.4),
-		Seed:              1,
-		AnswerDeadline:    5 * time.Minute,
-		MaxAnswerTimeouts: 3,
-		Clock:             clock,
+		Theta:          0.4,
+		Aggregator:     crowd.NewMeanAggregator(5, 0.4),
+		Seed:           1,
+		AnswerDeadline: 5 * time.Minute,
+		Clock:          clock,
 	}).Run()
 	if res.Stats.TimedOut != 1 {
 		t.Fatalf("TimedOut = %d, want 1", res.Stats.TimedOut)
@@ -242,12 +241,11 @@ func TestChaosChronicallySlowMemberDropped(t *testing.T) {
 	faults[3].LatencyMin = 20 * time.Minute // every answer past the deadline
 	members := chaosCrowd(v, clock, faults)
 	res := core.NewEngine(sp, members, core.EngineConfig{
-		Theta:             0.4,
-		Aggregator:        crowd.NewMeanAggregator(5, 0.4),
-		Seed:              1,
-		AnswerDeadline:    5 * time.Minute,
-		MaxAnswerTimeouts: 3,
-		Clock:             clock,
+		Theta:          0.4,
+		Aggregator:     crowd.NewMeanAggregator(5, 0.4),
+		Seed:           1,
+		AnswerDeadline: 5 * time.Minute,
+		Clock:          clock,
 	}).Run()
 	if res.Stats.TimedOut != 3 {
 		t.Fatalf("TimedOut = %d, want 3 (the strike budget)", res.Stats.TimedOut)

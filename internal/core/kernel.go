@@ -11,6 +11,10 @@ import (
 	"oassis/internal/vocab"
 )
 
+// maxAnswerTimeouts is the consecutive-overrun budget before a member whose
+// answers keep missing EngineConfig.AnswerDeadline is treated as departed.
+const maxAnswerTimeouts = 3
+
 // kernel is the event-driven mining core: the paper's QueueManager
 // (Section 6.1) as a pure state machine. It owns every piece of mining
 // state — the global classifier, the aggregator, per-member sessions,
@@ -64,8 +68,8 @@ type kernel struct {
 	confirmed map[assign.NodeID]bool
 	stopped   bool
 
-	// quota is the aggregator's answers-per-assignment target (0 when
-	// unknown); inFlight counts the current round's asks per assignment
+	// quota is the aggregator's answers-per-assignment target (0 when it
+	// has none); inFlight counts the current round's asks per assignment
 	// so the kernel never schedules more answers than the quota needs —
 	// the crowd spreads across the frontier instead of dog-piling one
 	// node, matching what the apply-as-you-go sequential loop did. It is
@@ -253,9 +257,7 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 	if cfg.Consistency {
 		k.checker = crowd.NewConsistencyChecker(sp.Vocabulary())
 	}
-	if qc, ok := agg.(crowd.QuotaCarrier); ok {
-		k.quota = qc.Quota()
-	}
+	k.quota = agg.Quota()
 	for i, id := range ids {
 		u := &userState{
 			id:      id,
@@ -632,11 +634,7 @@ func (k *kernel) apply(r crowd.Reply) {
 		k.km.Timeouts.Inc()
 		k.km.Discarded.Inc()
 		u.timeouts++
-		max := k.cfg.MaxAnswerTimeouts
-		if max <= 0 {
-			max = 3
-		}
-		struck := u.timeouts >= max
+		struck := u.timeouts >= maxAnswerTimeouts
 		if k.jr != nil {
 			// The raw outcome is preserved (an answered reply that
 			// overran the deadline stays "answered" on the wire): replay
@@ -701,7 +699,7 @@ func (k *kernel) apply(r crowd.Reply) {
 	if k.single != nil && answered != nil && r.Support >= k.cfg.Theta {
 		k.singleSignificant(answered)
 	}
-	k.tracker.sample(&k.stats)
+	k.tracker.sample(&k.stats, len(k.confirmed))
 	k.reviewBan(u)
 }
 

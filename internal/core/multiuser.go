@@ -46,13 +46,10 @@ type EngineConfig struct {
 	// the broker carrying the question (Reply.Elapsed). An answer
 	// arriving later is discarded (it is stale: the member may have seen
 	// a question whose context has moved on) and the member is re-asked
-	// on their next turn; after MaxAnswerTimeouts consecutive overruns
-	// the member is treated as departed. 0 waits forever (the pre-chaos
-	// behaviour).
+	// on their next turn; after three consecutive overruns
+	// (maxAnswerTimeouts) the member is treated as departed. 0 waits
+	// forever (the pre-chaos behaviour).
 	AnswerDeadline time.Duration
-	// MaxAnswerTimeouts is the consecutive-overrun budget before a slow
-	// member is dropped; 0 means the default of 3.
-	MaxAnswerTimeouts int
 	// Clock is the time source the in-process member broker uses to
 	// measure answer latency; nil uses the wall clock. Chaos tests
 	// inject a chaos.VirtualClock so slow-member scenarios replay

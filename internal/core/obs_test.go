@@ -28,13 +28,12 @@ func TestObservedChaosCountersMatchStats(t *testing.T) {
 	members := chaosCrowd(v, clock, faults)
 	o := obs.New()
 	res := core.NewEngine(sp, members, core.EngineConfig{
-		Theta:             0.4,
-		Aggregator:        crowd.NewMeanAggregator(5, 0.4),
-		Seed:              1,
-		AnswerDeadline:    5 * time.Minute,
-		MaxAnswerTimeouts: 3,
-		Clock:             clock,
-		Obs:               o,
+		Theta:          0.4,
+		Aggregator:     crowd.NewMeanAggregator(5, 0.4),
+		Seed:           1,
+		AnswerDeadline: 5 * time.Minute,
+		Clock:          clock,
+		Obs:            o,
 	}).Run()
 
 	k := o.Kernel
@@ -124,14 +123,13 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 		faults[4].LatencyMin = 20 * time.Minute
 		members := chaosCrowd(v, clock, faults)
 		return core.NewEngine(sp, members, core.EngineConfig{
-			Theta:             0.4,
-			Aggregator:        crowd.NewMeanAggregator(5, 0.4),
-			Seed:              7,
-			AnswerDeadline:    5 * time.Minute,
-			MaxAnswerTimeouts: 3,
-			Clock:             clock,
-			RecordTranscript:  true,
-			Obs:               o,
+			Theta:            0.4,
+			Aggregator:       crowd.NewMeanAggregator(5, 0.4),
+			Seed:             7,
+			AnswerDeadline:   5 * time.Minute,
+			Clock:            clock,
+			RecordTranscript: true,
+			Obs:              o,
 		}).Run()
 	}
 	plain := run(nil)

@@ -129,21 +129,16 @@ func (r *Result) SupportOf(a *assign.Assignment) (float64, bool) {
 }
 
 // progressTracker incrementally maintains the counters behind
-// Stats.Progress.
+// Stats.Progress. The MSP count is the kernel's confirmed set; the tracker
+// counts how many of those MSPs are valid.
 type progressTracker struct {
-	space        *assign.Space
-	valid        *assign.ValidScan
-	mspSeen      map[assign.NodeID]bool
-	validMSPSeen map[assign.NodeID]bool
+	space     *assign.Space
+	valid     *assign.ValidScan
+	validMSPs int
 }
 
 func newProgressTracker(sp *assign.Space) *progressTracker {
-	return &progressTracker{
-		space:        sp,
-		valid:        sp.NewValidScan(),
-		mspSeen:      make(map[assign.NodeID]bool),
-		validMSPSeen: make(map[assign.NodeID]bool),
-	}
+	return &progressTracker{space: sp, valid: sp.NewValidScan()}
 }
 
 // onMark updates the classified-valid counter after a border change. sig
@@ -152,24 +147,22 @@ func (t *progressTracker) onMark(a *assign.Assignment, sig bool) {
 	t.valid.Mark(a, sig)
 }
 
-// onMSP records a confirmed MSP (idempotent).
+// onMSP records a newly confirmed MSP. witnessConfirm calls it once per
+// MSP: settle marks each assignment at most once, and the border loop skips
+// confirmed nodes.
 func (t *progressTracker) onMSP(a *assign.Assignment) {
-	k := a.ID()
-	if t.mspSeen[k] {
-		return
-	}
-	t.mspSeen[k] = true
 	if t.space.IsValid(a) {
-		t.validMSPSeen[k] = true
+		t.validMSPs++
 	}
 }
 
-// sample appends one progress point for the given question count.
-func (t *progressTracker) sample(s *Stats) {
+// sample appends one progress point for the given question count and
+// number of confirmed MSPs.
+func (t *progressTracker) sample(s *Stats, msps int) {
 	s.Progress = append(s.Progress, ProgressPoint{
 		Questions:       s.Questions,
 		ClassifiedValid: t.valid.Classified(),
-		MSPs:            len(t.mspSeen),
-		ValidMSPs:       len(t.validMSPSeen),
+		MSPs:            msps,
+		ValidMSPs:       t.validMSPs,
 	})
 }

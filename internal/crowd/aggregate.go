@@ -41,6 +41,19 @@ type Aggregator interface {
 	Answers(id assign.NodeID) int
 	// Support returns the aggregated support (0 when undecided).
 	Support(id assign.NodeID) float64
+	// Reset discards every recorded answer so the next run starts fresh.
+	// Session drivers reset their aggregator at the start of each run,
+	// making a Session re-runnable: a long-lived server restarts the same
+	// query against the same crowd (often behind a shared answer store)
+	// and must get an independent run, not one pre-decided by the
+	// previous run's answers.
+	Reset()
+	// Quota returns how many answers the aggregator wants per assignment
+	// before it decides (0 = no fixed quota). The mining kernel uses it
+	// to stop over-assigning one assignment within a round: once enough
+	// answers are scheduled to reach the quota, the rest of the crowd is
+	// routed to other open questions.
+	Quota() int
 }
 
 // MeanAggregator is the paper's experimental decision mechanism
@@ -258,41 +271,21 @@ func (t *TrustWeightedAggregator) Support(key assign.NodeID) float64 {
 	return sum / wsum
 }
 
-// Resetter is an optional Aggregator extension: Reset discards every
-// recorded answer so the next run starts fresh. Session drivers reset
-// their aggregator at the start of each run, making a Session re-runnable
-// (a long-lived server restarts the same query against the same crowd —
-// often behind a shared answer store — and must get an independent run,
-// not one pre-decided by the previous run's answers).
-type Resetter interface {
-	Reset()
-}
-
-// Reset implements Resetter.
+// Reset implements Aggregator.
 func (m *MeanAggregator) Reset() { clear(m.answers) }
 
-// Reset implements Resetter.
+// Reset implements Aggregator.
 func (m *MajorityAggregator) Reset() { clear(m.votes) }
 
-// Reset implements Resetter. Member trust weights are kept — trust is
+// Reset implements Aggregator. Member trust weights are kept — trust is
 // crowd state, not run state.
 func (t *TrustWeightedAggregator) Reset() { clear(t.answers) }
 
-// QuotaCarrier is an optional Aggregator extension exposing how many
-// answers the aggregator wants per assignment before it decides. The
-// mining kernel uses it to stop over-assigning one assignment within a
-// round: once enough answers are scheduled to reach the quota, the rest
-// of the crowd is routed to other open questions. Aggregators without a
-// fixed quota simply don't implement it.
-type QuotaCarrier interface {
-	Quota() int
-}
-
-// Quota implements QuotaCarrier.
+// Quota implements Aggregator.
 func (m *MeanAggregator) Quota() int { return m.K }
 
-// Quota implements QuotaCarrier.
+// Quota implements Aggregator.
 func (m *MajorityAggregator) Quota() int { return m.K }
 
-// Quota implements QuotaCarrier.
+// Quota implements Aggregator.
 func (t *TrustWeightedAggregator) Quota() int { return t.K }

@@ -161,7 +161,3 @@ func quoteName(name string) string {
 	}
 	return name
 }
-
-// DB exposes the member's personal database (shared; do not modify) for
-// serialization and inspection.
-func (m *SimMember) DB() []ontology.FactSet { return m.db }

@@ -20,11 +20,11 @@ func FuzzLoad(f *testing.F) {
 }
 
 // FuzzLoadNTriples drives the N-Triples importer differentially: every
-// input is fed to both the serial oracle and LoadNTriples (with a tiny
-// chunk size so lines straddle chunk boundaries) and any divergence in
-// outcome is a crash. The corpus seeds the chunk-boundary hazards: lines
-// longer than a chunk, multi-line documents, escapes that a splitter must
-// not cut through.
+// input is fed to both the serial oracle and the parallel loader (three
+// workers and a tiny chunk size, so lines straddle chunk boundaries) and
+// any divergence in outcome is a crash. The corpus seeds the
+// chunk-boundary hazards: lines longer than a chunk, multi-line documents,
+// escapes that a splitter must not cut through.
 func FuzzLoadNTriples(f *testing.F) {
 	f.Add("<http://x/a> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://x/b> .\n")
 	f.Add(`<http://x/a> <http://www.w3.org/2000/01/rdf-schema#label> "lAbel"@en .` + "\n")
@@ -37,8 +37,7 @@ func FuzzLoadNTriples(f *testing.F) {
 	f.Add("<http://x/a> <http://x/p> <http://x/b> .\r\n# c\r\n<http://x/b> <http://x/p> <http://x/c> .")
 	f.Fuzz(func(t *testing.T, input string) {
 		sv, ss, sstats, serr := ontology.LoadNTriplesSerial(strings.NewReader(input))
-		pv, ps, pstats, perr := ontology.LoadNTriples(strings.NewReader(input),
-			ontology.LoadOptions{Workers: 3, ChunkBytes: 64})
+		pv, ps, pstats, perr := ontology.LoadNTriplesWith(strings.NewReader(input), 3, 64, nil)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("error divergence: serial=%v parallel=%v", serr, perr)
 		}

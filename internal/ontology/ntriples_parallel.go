@@ -44,39 +44,28 @@ import (
 // duplicates dropped), so neither the fact order nor duplicates change it.
 // See DESIGN.md §12.
 
-// LoadOptions tunes LoadNTriples. The zero value picks defaults.
-type LoadOptions struct {
-	// Workers is the parse worker count; <= 0 uses GOMAXPROCS.
-	Workers int
-	// ChunkBytes is the reader chunk size; <= 0 uses 1 MiB.
-	ChunkBytes int
-	// Obs, when set, feeds the ingest counters and records per-stage spans
-	// on the trace: ingest_parse, ingest_merge, then ingest_index (the
-	// store's counting sorts) overlapped with ingest_freeze (the
-	// vocabulary freeze). Nil disables observation.
-	Obs *obs.Observer
-}
-
 // maxNTripleLine caps a single input line at 16 MiB; a longer line fails
 // with bufio.ErrTooLong, as a bufio.Scanner with that token limit would.
 const maxNTripleLine = 16 * 1024 * 1024
 
 // LoadNTriples parses N-Triples into a fresh vocabulary and store,
-// freezing both, on every core. The result (TermIDs, order edges, indexes,
-// labels, stats, and error positions) is byte-identical to a serial
-// line-by-line load's: TermIDs in first-occurrence order, errors at their
-// input line.
-func LoadNTriples(r io.Reader, opt LoadOptions) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunkBytes := opt.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = 1 << 20
-	}
-	jr := opt.Obs.JournalSet()
-	im := opt.Obs.IngestSet()
+// freezing both, with GOMAXPROCS parse workers over 1 MiB chunks. The
+// result (TermIDs, order edges, indexes, labels, stats, and error
+// positions) is byte-identical to a serial line-by-line load's: TermIDs in
+// first-occurrence order, errors at their input line. A non-nil observer
+// receives the ingest counters and per-stage spans: ingest_parse,
+// ingest_merge, then ingest_index (the store's counting sorts) overlapped
+// with ingest_freeze (the vocabulary freeze).
+func LoadNTriples(r io.Reader, o *obs.Observer) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
+	return loadNTriples(r, runtime.GOMAXPROCS(0), 1<<20, o)
+}
+
+// loadNTriples is LoadNTriples with an explicit parse-worker count and
+// reader chunk size; the tests sweep both to put lines on every chunk
+// boundary.
+func loadNTriples(r io.Reader, workers, chunkBytes int, o *obs.Observer) (*vocab.Vocabulary, *Store, *NTriplesStats, error) {
+	jr := o.JournalSet()
+	im := o.IngestSet()
 	loadStart := time.Now()
 
 	// Stage 1+2: chunk and parse concurrently.

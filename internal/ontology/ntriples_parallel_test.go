@@ -101,12 +101,13 @@ func randomNTriples(rng *rand.Rand, lines int) string {
 	return sb.String()
 }
 
-// requireSameLoad loads nt through the serial oracle and LoadNTriples and
-// fails unless vocabulary, store, stats and errors are byte-identical.
-func requireSameLoad(t *testing.T, nt string, opt ontology.LoadOptions) {
+// requireSameLoad loads nt through the serial oracle and the parallel
+// loader (workers parse workers over chunkBytes chunks) and fails unless
+// vocabulary, store, stats and errors are byte-identical.
+func requireSameLoad(t *testing.T, nt string, workers, chunkBytes int) {
 	t.Helper()
 	sv, ss, sstats, serr := ontology.LoadNTriplesSerial(strings.NewReader(nt))
-	pv, ps, pstats, perr := ontology.LoadNTriples(strings.NewReader(nt), opt)
+	pv, ps, pstats, perr := ontology.LoadNTriplesWith(strings.NewReader(nt), workers, chunkBytes, nil)
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error divergence: serial=%v parallel=%v", serr, perr)
 	}
@@ -226,12 +227,10 @@ func TestParallelNTriplesDifferential(t *testing.T) {
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		nt := randomNTriples(rng, 40+rng.Intn(300))
-		opt := ontology.LoadOptions{
-			Workers:    workerCounts[seed%int64(len(workerCounts))],
-			ChunkBytes: chunkSizes[seed%int64(len(chunkSizes))],
-		}
-		t.Run(fmt.Sprintf("seed=%d/w=%d/chunk=%d", seed, opt.Workers, opt.ChunkBytes), func(t *testing.T) {
-			requireSameLoad(t, nt, opt)
+		workers := workerCounts[seed%int64(len(workerCounts))]
+		chunk := chunkSizes[seed%int64(len(chunkSizes))]
+		t.Run(fmt.Sprintf("seed=%d/w=%d/chunk=%d", seed, workers, chunk), func(t *testing.T) {
+			requireSameLoad(t, nt, workers, chunk)
 		})
 	}
 }
@@ -254,9 +253,9 @@ func TestParallelNTriplesErrorPositions(t *testing.T) {
 		pos := rng.Intn(len(lines) + 1)
 		lines = append(lines[:pos], append([]string{bad[rng.Intn(len(bad))]}, lines[pos:]...)...)
 		nt := strings.Join(lines, "\n") + "\n"
-		opt := ontology.LoadOptions{Workers: 1 + int(seed%4), ChunkBytes: 32 + int(seed%5)*97}
+		workers, chunk := 1+int(seed%4), 32+int(seed%5)*97
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			requireSameLoad(t, nt, opt)
+			requireSameLoad(t, nt, workers, chunk)
 		})
 	}
 }
@@ -282,7 +281,7 @@ func TestParallelNTriplesEdgeCases(t *testing.T) {
 	for name, nt := range cases {
 		for _, chunk := range []int{9, 4096} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", name, chunk), func(t *testing.T) {
-				requireSameLoad(t, nt, ontology.LoadOptions{Workers: 4, ChunkBytes: chunk})
+				requireSameLoad(t, nt, 4, chunk)
 			})
 		}
 	}
@@ -303,8 +302,7 @@ func TestParallelNTriplesConcurrentIngest(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pv, ps, pstats, err := ontology.LoadNTriples(strings.NewReader(nt),
-				ontology.LoadOptions{Workers: 8, ChunkBytes: 2048})
+			pv, ps, pstats, err := ontology.LoadNTriplesWith(strings.NewReader(nt), 8, 2048, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -338,7 +336,7 @@ func BenchmarkNTriplesLoad(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) {
 		b.SetBytes(int64(len(nt)))
 		for i := 0; i < b.N; i++ {
-			if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+			if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -351,8 +349,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	nt := randomNTriples(rng, 500)
 	o := obs.New()
-	_, _, stats, err := ontology.LoadNTriples(strings.NewReader(nt),
-		ontology.LoadOptions{Workers: 2, ChunkBytes: 512, Obs: o})
+	_, _, stats, err := ontology.LoadNTriplesWith(strings.NewReader(nt), 2, 512, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,15 +375,14 @@ func TestParallelNTriplesObs(t *testing.T) {
 		}
 	}
 	// Malformed input counts on the malformed counter.
-	if _, _, _, err := ontology.LoadNTriples(strings.NewReader("garbage\n"),
-		ontology.LoadOptions{Obs: o}); err == nil {
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader("garbage\n"), o); err == nil {
 		t.Fatal("expected parse error")
 	}
 	if im.Malformed.Value() != 1 {
 		t.Errorf("malformed counter = %d, want 1", im.Malformed.Value())
 	}
 	// Nil observer: everything above must be a no-op, not a panic.
-	if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{}); err != nil {
+	if _, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -20,7 +20,7 @@ _:blank1 <http://yago/inside> <http://yago/NYC> .
 `
 
 func TestLoadNTriples(t *testing.T) {
-	v, s, stats, err := ontology.LoadNTriples(strings.NewReader(sampleNT), ontology.LoadOptions{})
+	v, s, stats, err := ontology.LoadNTriples(strings.NewReader(sampleNT), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestLoadNTriples(t *testing.T) {
 
 func TestNTriplesLiteralEscapes(t *testing.T) {
 	nt := `<http://x/A> <http://www.w3.org/2000/01/rdf-schema#label> "line\nbreak \"q\" é" .` + "\n"
-	v, s, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{})
+	v, s, _, err := ontology.LoadNTriples(strings.NewReader(nt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestNTriplesLiteralEscapes(t *testing.T) {
 
 func TestNTriplesPercentDecoding(t *testing.T) {
 	nt := `<http://x/Maoz%20Veg.> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://x/Restaurant> .` + "\n"
-	v, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{})
+	v, _, _, err := ontology.LoadNTriples(strings.NewReader(nt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestNTriplesErrors(t *testing.T) {
 		"garbage object":      `<http://x/a> <http://x/p> garbage .`,
 	}
 	for name, line := range cases {
-		if _, _, _, err := ontology.LoadNTriples(strings.NewReader(line+"\n"), ontology.LoadOptions{}); err == nil {
+		if _, _, _, err := ontology.LoadNTriples(strings.NewReader(line+"\n"), nil); err == nil {
 			t.Errorf("%s: accepted %q", name, line)
 		}
 	}
@@ -99,7 +99,7 @@ func TestNTriplesToQueryPipeline(t *testing.T) {
 <http://yago/Biking> <http://www.w3.org/2000/01/rdf-schema#subClassOf> <http://yago/Activity> .
 <http://yago/doAt> <http://www.w3.org/2000/01/rdf-schema#subPropertyOf> <http://yago/relatedTo> .
 `
-	v, s, _, err := ontology.LoadNTriples(strings.NewReader(nt), ontology.LoadOptions{})
+	v, s, _, err := ontology.LoadNTriples(strings.NewReader(nt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

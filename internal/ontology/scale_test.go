@@ -2,6 +2,7 @@ package ontology_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"oassis/internal/ontology"
@@ -21,8 +22,8 @@ func TestScaleIngestSerialParallelAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	nt := buf.String()
-	requireSameLoad(t, nt, ontology.LoadOptions{})
-	v, _, stats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()), ontology.LoadOptions{})
+	requireSameLoad(t, nt, runtime.GOMAXPROCS(0), 1<<20)
+	v, _, stats, err := ontology.LoadNTriples(bytes.NewReader(buf.Bytes()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

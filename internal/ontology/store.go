@@ -338,26 +338,6 @@ func (s *Store) Has(f Fact) bool {
 	return ok
 }
 
-// ImpliesFact reports whether the ontology semantically implies f, i.e.
-// some stored fact g satisfies f ≤ g (Definition 2.5 applied to 𝒪).
-func (s *Store) ImpliesFact(f Fact) bool {
-	if s.Has(f) {
-		return true
-	}
-	// Any stored fact with predicate p' ≥ f.P may witness the implication.
-	for _, p := range s.Predicates() {
-		if !s.v.LeqR(f.P, p) {
-			continue
-		}
-		for _, g := range s.FactsWithPredicate(p) {
-			if s.v.LeqE(f.S, g.S) && s.v.LeqE(f.O, g.O) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Objects returns the objects o such that ⟨s, p, o⟩ is stored, sorted.
 // The returned slice is shared; callers must not modify it.
 func (s *Store) Objects(subj, pred vocab.TermID) []vocab.TermID {

@@ -54,26 +54,6 @@ func TestStoreLabels(t *testing.T) {
 	}
 }
 
-func TestStoreImpliesFact(t *testing.T) {
-	v, s := paperdata.Build()
-	// Exact fact.
-	if !s.ImpliesFact(paperdata.Fact(v, "Central Park", "inside", "NYC")) {
-		t.Error("exact fact not implied")
-	}
-	// Relation generalization: CP nearBy NYC ≤ CP inside NYC.
-	if !s.ImpliesFact(paperdata.Fact(v, "Central Park", "nearBy", "NYC")) {
-		t.Error("⟨CP, nearBy, NYC⟩ should be implied via nearBy ≤ inside")
-	}
-	// Element generalization: Park instanceOf Park via CP instanceOf Park.
-	if !s.ImpliesFact(paperdata.Fact(v, "Park", "instanceOf", "Park")) {
-		t.Error("⟨Park, instanceOf, Park⟩ should be implied semantically")
-	}
-	// Not implied at all.
-	if s.ImpliesFact(paperdata.Fact(v, "NYC", "inside", "Central Park")) {
-		t.Error("reversed containment must not be implied")
-	}
-}
-
 func TestStoreMutationAfterFreeze(t *testing.T) {
 	v, s := paperdata.Build() // Build freezes
 	f := paperdata.Fact(v, "Pine", "inside", "NYC")

@@ -204,7 +204,7 @@ func TestServerRunLifecycleErrors(t *testing.T) {
 // the answer deadline and the duplicate/stale posts rejected harmlessly.
 func TestServerSurvivesChaosClients(t *testing.T) {
 	srv, _, v := newPlatform(t,
-		server.Config{MinMembers: 3, AnswerTimeout: 60 * time.Millisecond, AnswerRetries: 1},
+		server.Config{MinMembers: 3, AnswerTimeout: 120 * time.Millisecond},
 		oassis.WithAggregator(oassis.NewMeanAggregator(2, 0.4)))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -42,14 +42,9 @@ type Config struct {
 	MinMembers int
 	// AnswerTimeout bounds how long the engine waits for one member's
 	// answer before treating them as departed (their session ends, as
-	// Section 4.2 allows).
+	// Section 4.2 allows) and releasing the question for the engine to
+	// reassign to the remaining crowd.
 	AnswerTimeout time.Duration
-	// AnswerRetries is how many extra AnswerTimeout windows a question
-	// stays posted after its first deadline passes, covering members that
-	// time out once and return. Only when every window expires is the
-	// member declared departed and the question released for the engine
-	// to reassign to the remaining crowd.
-	AnswerRetries int
 	// Clock is the platform's time source; nil uses the wall clock.
 	// Chaos tests inject a chaos.VirtualClock to drive the deadline
 	// machinery deterministically.
@@ -309,7 +304,7 @@ type pendingQ struct {
 type memberSlot struct {
 	id      string
 	pending *pendingQ
-	// gone marks a member who missed every answer window; their session
+	// gone marks a member who missed the answer window; their session
 	// ended and the run continues with the surviving crowd.
 	gone bool
 	// lastAnswered is the most recent question ID the member resolved,
@@ -320,7 +315,7 @@ type memberSlot struct {
 // Post implements oassis.Broker: it renders the kernel's Ask into a
 // pending question for the addressed member and returns immediately.
 // The reply is delivered later — by handleAnswer when the member
-// responds, or by the reaper when every answer window expires.
+// responds, or by the reaper when the answer window expires.
 func (s *Server) Post(ask *oassis.Ask, deliver func(oassis.Reply)) {
 	sess := s.attached()
 	q := question{}
@@ -337,7 +332,6 @@ func (s *Server) Post(ask *oassis.Ask, deliver func(oassis.Reply)) {
 		}
 	}
 	now := s.cfg.Clock.Now()
-	window := s.cfg.AnswerTimeout * time.Duration(1+s.cfg.AnswerRetries)
 
 	s.mu.Lock()
 	m := s.members[ask.Member]
@@ -353,7 +347,7 @@ func (s *Server) Post(ask *oassis.Ask, deliver func(oassis.Reply)) {
 		ask:      ask,
 		deliver:  deliver,
 		posted:   now,
-		deadline: now.Add(window),
+		deadline: now.Add(s.cfg.AnswerTimeout),
 	}
 	s.mu.Unlock()
 	s.sm.Posted.Inc()
@@ -539,7 +533,7 @@ func (s *Server) handleQuestion(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if gone {
-		// The member missed every answer window; their session ended.
+		// The member missed the answer window; their session ended.
 		http.Error(w, "member departed", http.StatusGone)
 		return
 	}

@@ -505,16 +505,6 @@ func (pl *Plan) termText(t Term, k vocab.Kind) string {
 // The slice is shared; do not modify.
 func (pl *Plan) Vars() []PlanVar { return pl.vars }
 
-// PatternOrder returns, per operator, the index of the BGP pattern it was
-// lowered from — the selectivity order the planner chose.
-func (pl *Plan) PatternOrder() []int {
-	out := make([]int, len(pl.ops))
-	for i, o := range pl.ops {
-		out[i] = o.src
-	}
-	return out
-}
-
 // Describe renders the plan for diagnostics: one line per operator in
 // execution order, with its selectivity estimate.
 func (pl *Plan) Describe() string {

@@ -433,16 +433,7 @@ func (v *Vocabulary) RelationsTopo() []TermID { return v.rels.topo }
 // callers may read it or append to it (it is capacity-capped, so append
 // reallocates) but must not write its elements in place.
 func (v *Vocabulary) ElementDescendants(id TermID) []TermID {
-	return descendants(v.elems, id)
-}
-
-// RelationDescendants returns id and every relation r with id ≤ℛ r, with
-// the same order and sharing rules as ElementDescendants.
-func (v *Vocabulary) RelationDescendants(id TermID) []TermID {
-	return descendants(v.rels, id)
-}
-
-func descendants(n *namespace, id TermID) []TermID {
+	n := v.elems
 	if !n.valid(id) {
 		return nil
 	}

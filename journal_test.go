@@ -35,11 +35,13 @@ func chaosJournalRun(t *testing.T, j *oassis.Journal, extra ...oassis.Option) (*
 	clock := oassis.NewVirtualClock()
 	opts := append([]oassis.Option{
 		oassis.WithClock(clock),
-		oassis.WithAnswerDeadline(time.Minute, 3),
+		oassis.WithAnswerDeadline(time.Minute),
 		oassis.WithTranscript(),
 	}, extra...)
 	if j != nil {
-		opts = append(opts, oassis.WithJournal(j))
+		o := oassis.NewObserver()
+		o.Journal = j
+		opts = append(opts, oassis.WithObserver(o))
 	}
 	sess, v := chaosSession(t, opts...)
 	res, err := sess.Run(u1Clones(t, v, clock, chaosJournalFaults()))
@@ -96,7 +98,7 @@ func TestJournalReplayChaos(t *testing.T) {
 	// no clock, no journal and no crowd: every answer comes from the
 	// recorded stream.
 	replaySess, _ := chaosSession(t,
-		oassis.WithAnswerDeadline(time.Minute, 3),
+		oassis.WithAnswerDeadline(time.Minute),
 		oassis.WithTranscript(),
 	)
 	replayed, err := replaySess.Replay(events)
@@ -128,7 +130,9 @@ func TestJournalReplayRefusesSingleMember(t *testing.T) {
 	j := oassis.NewJournal(0)
 	var sink bytes.Buffer
 	j.SetSink(&sink)
-	sess, err := oassis.NewSession(store, q, oassis.WithSeed(2), oassis.WithJournal(j))
+	o := oassis.NewObserver()
+	o.Journal = j
+	sess, err := oassis.NewSession(store, q, oassis.WithSeed(2), oassis.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +224,13 @@ func TestJournalCurveShape(t *testing.T) {
 	}
 }
 
-// TestScorecardsIntegration runs the chaos fleet WithScorecards and checks
-// the per-member profiles are consistent with the run's aggregate stats.
+// TestScorecardsIntegration runs the chaos fleet with an observer whose
+// scoreboard is enabled and checks the per-member profiles are consistent
+// with the run's aggregate stats.
 func TestScorecardsIntegration(t *testing.T) {
-	sess, res := chaosJournalRun(t, nil, oassis.WithScorecards())
+	o := oassis.NewObserver()
+	o.EnableScorecards()
+	sess, res := chaosJournalRun(t, nil, oassis.WithObserver(o))
 	cards := sess.Scorecards()
 	if len(cards) == 0 {
 		t.Fatal("Scorecards() empty after a run")

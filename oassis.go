@@ -114,8 +114,8 @@ type (
 	// record of crowd runs (run start, every ask / reply / timeout /
 	// departure with its raw payload, MSP confirmations, round barriers)
 	// and of timed program spans, kept in a bounded ring with an optional
-	// JSONL sink. Every Observer carries one; swap in another with
-	// WithJournal, and replay a recorded stream with Session.Replay.
+	// JSONL sink. Every Observer carries one; swap in another by setting
+	// Observer.Journal, and replay a recorded stream with Session.Replay.
 	Journal = obs.Journal
 	// JournalEvent is one recorded flight-recorder event.
 	JournalEvent = obs.Event
@@ -125,7 +125,8 @@ type (
 	CurvePoint = obs.CurvePoint
 	// MemberScorecard is one crowd member's quality/latency profile:
 	// latency quantiles, timeout/strike/departure counts and the
-	// agreement-vs-aggregate score (see WithScorecards).
+	// agreement-vs-aggregate score (see Observer.EnableScorecards and
+	// Session.Scorecards).
 	MemberScorecard = obs.MemberScorecard
 	// SpaceStats snapshots the assignment space's size and its interner /
 	// edge-cache hit counters (see Session.SpaceStats).
@@ -205,20 +206,11 @@ type NTriplesStats = ontology.NTriplesStats
 // like YAGO, which the paper's prototype used) into a fresh vocabulary and
 // store: rdf:type / rdfs:subClassOf / rdfs:subPropertyOf / rdfs:label map
 // onto the OASSIS model; other literal-valued triples are skipped. The
-// import runs on the parallel pipeline (chunked parse, sharded interning,
-// concurrent index builds) and produces output byte-identical to a serial
-// pass; see LoadNTriplesOptions for worker and observability control.
+// import runs on the parallel pipeline (chunked parse over GOMAXPROCS
+// workers, sharded interning, concurrent index builds) and produces output
+// byte-identical to a serial pass.
 func LoadNTriples(r io.Reader) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriples(r, ontology.LoadOptions{})
-}
-
-// NTriplesLoadOptions tunes LoadNTriplesOptions; the zero value means
-// GOMAXPROCS workers, default chunking, no observation.
-type NTriplesLoadOptions = ontology.LoadOptions
-
-// LoadNTriplesOptions is LoadNTriples with explicit pipeline options.
-func LoadNTriplesOptions(r io.Reader, opt NTriplesLoadOptions) (*Vocabulary, *Ontology, *NTriplesStats, error) {
-	return ontology.LoadNTriples(r, opt)
+	return ontology.LoadNTriples(r, nil)
 }
 
 // ParseFact parses one "subject predicate object" line against an existing
@@ -347,26 +339,8 @@ func NewJournal(capacity int) *Journal { return obs.NewJournal(capacity) }
 // journal's sink or (*Journal).WriteJSONL — the input to Session.Replay.
 func ReadJournal(r io.Reader) ([]JournalEvent, error) { return obs.ReadJournalJSONL(r) }
 
-// WithJournal records the session into j instead of its observer's own
-// journal: the space_build span, and for every run each ask, reply,
-// timeout, departure, MSP confirmation, round barrier and round span with
-// its raw payload; Result.Curve carries the run's answer-arrival curve.
-// The option implies an Observer (a fresh one is created when none was
-// configured) and swaps j into it, so it composes with or without
-// WithObserver. The journal may be shared across sessions; run IDs keep
-// their streams apart.
-func WithJournal(j *Journal) Option { return func(s *Session) { s.journal = j } }
-
-// WithScorecards maintains per-member quality/latency profiles across the
-// session's runs — latency histograms with quantiles, timeout/strike/
-// departure/ban counts, agreement-vs-aggregate scores — exported as
-// oassis_member_* metric families and readable via Scorecards(). Implies an
-// Observer, like WithJournal.
-func WithScorecards() Option { return func(s *Session) { s.scorecards = true } }
-
 // Scorecards snapshots the per-member profiles collected so far (nil unless
-// the session was built WithScorecards, or with an Observer whose
-// scoreboard was enabled).
+// the session's Observer had its scoreboard enabled with EnableScorecards).
 func (s *Session) Scorecards() []MemberScorecard { return s.obsv.BoardSet().Snapshot() }
 
 // Replay re-folds a recorded journal stream through a fresh kernel over
@@ -424,14 +398,11 @@ func WithPlatform(p *Platform) Option { return func(s *Session) { s.platform = p
 func WithClock(c Clock) Option { return func(s *Session) { s.clock = c } }
 
 // WithAnswerDeadline bounds how long one member answer may take on the
-// session's clock. Later answers are discarded and re-asked; after
-// maxTimeouts consecutive overruns (0 = the default of 3) the member is
-// treated as departed and the run degrades to the surviving crowd.
-func WithAnswerDeadline(d time.Duration, maxTimeouts int) Option {
-	return func(s *Session) {
-		s.answerDeadline = d
-		s.maxTimeouts = maxTimeouts
-	}
+// session's clock. Later answers are discarded and re-asked; after three
+// consecutive overruns the member is treated as departed and the run
+// degrades to the surviving crowd.
+func WithAnswerDeadline(d time.Duration) Option {
+	return func(s *Session) { s.answerDeadline = d }
 }
 
 // Session is one query evaluation: the WHERE clause has been evaluated, the
@@ -453,11 +424,8 @@ type Session struct {
 	onMSP          func(*Assignment)
 	clock          Clock
 	answerDeadline time.Duration
-	maxTimeouts    int
 	transcript     bool
 	obsv           *Observer
-	journal        *Journal
-	scorecards     bool
 	platform       *Platform
 
 	renderer *nlgen.Renderer
@@ -473,19 +441,6 @@ func NewSession(store *Ontology, q *Query, opts ...Option) (*Session, error) {
 	s := &Session{store: store, query: q, specRatio: 0.12}
 	for _, opt := range opts {
 		opt(s)
-	}
-	// The journal and scorecard options imply an Observer, so the flags
-	// compose without silent no-ops when WithObserver was not given.
-	if s.journal != nil || s.scorecards {
-		if s.obsv == nil {
-			s.obsv = NewObserver()
-		}
-		if s.journal != nil {
-			s.obsv.Journal = s.journal
-		}
-		if s.scorecards {
-			s.obsv.EnableScorecards()
-		}
 	}
 	space, plan, err := assign.BuildSpace(store, q, s.semantic, s.morePool, s.obsv)
 	if err != nil {
@@ -616,11 +571,11 @@ func (s *Session) engineConfig(n int) core.EngineConfig {
 			k = n
 		}
 		agg = crowd.NewMeanAggregator(k, s.Theta())
-	} else if r, ok := agg.(crowd.Resetter); ok {
+	} else {
 		// Each run is independent: a re-run Session (a long-lived server
 		// restarting the same query) must not start pre-decided by the
 		// previous run's accumulated answers.
-		r.Reset()
+		agg.Reset()
 	}
 	maxMSPs := 0
 	if s.query.Limit > 0 && !s.query.Diverse {
@@ -636,7 +591,6 @@ func (s *Session) engineConfig(n int) core.EngineConfig {
 		OnMSP:                 s.onMSP,
 		Seed:                  s.seed,
 		AnswerDeadline:        s.answerDeadline,
-		MaxAnswerTimeouts:     s.maxTimeouts,
 		Clock:                 s.clock,
 		RecordTranscript:      s.transcript,
 		Obs:                   s.obsv,
