@@ -95,13 +95,14 @@ type kernel struct {
 
 	// jr is the flight recorder: every ask, reply, timeout, departure and
 	// MSP confirmation is journaled with its raw payload — enough for
-	// journal.Replay to re-fold the run. jrRun is this run's journal run
-	// ID (assigned by RunWith at run start). sb feeds the per-member
-	// scorecards. Both nil (the default) cost one nil check per event;
-	// neither influences kernel state, so transcripts are unchanged.
+	// journal.Replay to re-fold the run — and every ban and settled
+	// question with the members it scores, which the journal's
+	// scoreboard (if any) folds into per-member scorecards. jrRun is
+	// this run's journal run ID (assigned by RunWith at run start). A nil
+	// jr (the default) costs one nil check per event; the journal never
+	// influences kernel state, so transcripts are unchanged.
 	jr    *obs.Journal
 	jrRun int64
-	sb    *obs.Scoreboard
 
 	nextAskID int64
 
@@ -127,8 +128,8 @@ type kernel struct {
 // support value per assignment; it gates the member's own descent
 // (modification 4 of Section 4.2). Selection asks only whether a node was
 // answered, and whether at or above Θ: answered and yes hold those two
-// facts as NodeID bitsets, and only cold paths (explain, the scoreboard)
-// read the float map. Note the Section 4.2 preamble: multi-user
+// facts as NodeID bitsets (so does the journal's settle event), and only
+// explain reads the float map. Note the Section 4.2 preamble: multi-user
 // inferences are drawn from the GLOBALLY collected knowledge — a member's
 // personal no blocks their own inner-loop dive, but they may still be
 // asked below it when the outer loop reaches there through globally
@@ -242,7 +243,6 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 		confirmed: make(map[assign.NodeID]bool),
 		km:        cfg.Obs.KernelSet().OrNop(),
 		jr:        cfg.Obs.JournalSet(),
-		sb:        cfg.Obs.BoardSet(),
 	}
 	// Presize every NodeID-indexed structure from the interned-node count:
 	// the space grows lazily during mining, but most of the lattice this
@@ -300,7 +300,7 @@ func (k *kernel) beginRound() []*crowd.Ask {
 		if len(asks) > k.stats.PeakInFlight {
 			k.stats.PeakInFlight = len(asks)
 		}
-		if k.jr != nil || k.sb != nil {
+		if k.jr != nil {
 			k.journalAsks(asks)
 		}
 	}
@@ -311,10 +311,6 @@ func (k *kernel) beginRound() []*crowd.Ask {
 func (k *kernel) journalAsks(asks []*crowd.Ask) {
 	round := k.stats.Rounds
 	for _, a := range asks {
-		k.sb.Asked(a.Member)
-		if k.jr == nil {
-			continue
-		}
 		qkind, key, probe := "concrete", "", false
 		if p := k.users[a.Index].pending; p != nil {
 			probe = p.probe
@@ -615,7 +611,6 @@ func (k *kernel) apply(r crowd.Reply) {
 			u.departed = true
 			k.stats.Departures++
 			k.km.Departures.Inc()
-			k.sb.Departure(u.id)
 		}
 		if k.single != nil {
 			// The only member left: the run ends with the MSPs
@@ -642,12 +637,10 @@ func (k *kernel) apply(r crowd.Reply) {
 			k.jr.TimeoutEvent(k.jrRun, k.stats.Rounds, r.Ask.ID, u.id, r.Outcome.String(),
 				r.Support, r.Choice, prunedInts(r.Pruned), int64(r.Elapsed), struck)
 		}
-		k.sb.Timeout(u.id, struck)
 		if struck {
 			u.departed = true
 			k.stats.Departures++
 			k.km.Departures.Inc()
-			k.sb.Departure(u.id)
 		}
 		return
 	}
@@ -659,7 +652,6 @@ func (k *kernel) apply(r crowd.Reply) {
 		k.jr.ReplyEvent(k.jrRun, k.stats.Rounds, r.Ask.ID, u.id, r.Outcome.String(),
 			r.Support, r.Choice, prunedInts(r.Pruned), int64(r.Elapsed), "")
 	}
-	k.sb.Reply(u.id, r.Support, r.Elapsed.Seconds())
 	var answered *assign.Assignment // the node whose support came back
 	switch p.ask.Kind {
 	case crowd.ConcreteAsk:
@@ -716,10 +708,27 @@ func (k *kernel) reviewBan(u *userState) {
 		return
 	}
 	u.banned = true
-	k.sb.Ban(u.id)
+	k.jr.BanEvent(k.jrRun, k.stats.Rounds, u.id)
 	if tw, ok := k.agg.(*crowd.TrustWeightedAggregator); ok {
 		tw.SetTrust(u.id, 0)
 	}
+}
+
+// journalSettle records the decision on a with the members who answered
+// it, split by whether their own verdict (support >= Θ) matched it.
+func (k *kernel) journalSettle(a *assign.Assignment, d crowd.Decision) {
+	id, sig := a.ID(), d == crowd.OverallSignificant
+	var agreed, disagreed []string
+	for _, u := range k.users {
+		switch {
+		case !u.answered.has(id):
+		case u.yes.has(id) == sig:
+			agreed = append(agreed, u.id)
+		default:
+			disagreed = append(disagreed, u.id)
+		}
+	}
+	k.jr.SettleEvent(k.jrRun, k.stats.Rounds, a.Key(), d.String(), agreed, disagreed)
 }
 
 // countInferred counts n answers obtained without a question.
@@ -769,15 +778,8 @@ func (k *kernel) recordAnswer(u *userState, a *assign.Assignment, support float6
 // case).
 func (k *kernel) settle(a *assign.Assignment, d crowd.Decision) {
 	k.decided[a.ID()] = d
-	if k.sb != nil {
-		// Score each member who answered this now-settled question on
-		// whether their own verdict matched the aggregate decision.
-		sig := d == crowd.OverallSignificant
-		for _, u := range k.users {
-			if s, ok := u.answers[a.ID()]; ok {
-				k.sb.Agree(u.id, (s >= k.cfg.Theta) == sig)
-			}
-		}
+	if k.jr != nil {
+		k.journalSettle(a, d)
 	}
 	if d == crowd.OverallSignificant {
 		if k.global.Status(a) != assign.Significant {

@@ -2,8 +2,9 @@ package obs
 
 // The journal is the engine's one event stream: an append-only,
 // sequence-numbered record of "what happened" (run start, every ask,
-// every reply/timeout/departure with its raw payload, MSP confirmations,
-// round barriers, store events) and of "how long" (span events:
+// every reply/timeout/departure with its raw payload, bans, settled
+// questions, MSP confirmations, round barriers, store events) and of "how
+// long" (span events:
 // a query's space build, an engine round, a figure's mining phase). One
 // mutex guards a ring that grows on demand up to its capacity and then
 // overwrites the oldest event, an optional JSONL sink sees every event,
@@ -13,14 +14,16 @@ package obs
 // counts and totals are kept per (phase, name) as they are recorded, so
 // Summary stays exact after the ring wraps. A nil *Journal is a no-op on
 // every method, preserving the package's disabled-costs-a-nil-check
-// contract.
+// contract. A journal may carry a scoreboard (Observer.EnableScorecards),
+// which folds each event as it is recorded.
 //
 // Because the mining kernel is a pure event fold, the recorded reply
 // payloads are sufficient to re-run it: internal/journal.Replay feeds the
 // stream back through the kernel and asserts the reconstruction is
 // byte-identical to the live run. Replay identity deliberately does not
 // depend on the At timestamps or on span events — they are observability,
-// not state.
+// not state. Replay reads only asks and replies, so it ignores the ban
+// and settle events, which exist for the scoreboard.
 
 import (
 	"bufio"
@@ -42,6 +45,8 @@ const (
 	EvReply        = "reply"
 	EvTimeout      = "timeout"
 	EvDeparture    = "departure"
+	EvBan          = "ban"
+	EvSettle       = "settle"
 	EvMSP          = "msp_confirmed"
 	EvRoundEnd     = "round_end"
 	EvRunEnd       = "run_end"
@@ -90,6 +95,12 @@ type Event struct {
 	Elapsed int64   `json:"elapsed_ns,omitempty"`
 	Disp    string  `json:"disp,omitempty"`   // "discarded" when folded after stop
 	Struck  bool    `json:"struck,omitempty"` // timeout that struck the member out
+
+	// settle: the node goes in Key; the members whose own answer agreed
+	// and disagreed with the decision, each in member order
+	Decision  string   `json:"decision,omitempty"` // "significant" | "insignificant"
+	Agreed    []string `json:"agreed,omitempty"`
+	Disagreed []string `json:"disagreed,omitempty"`
 
 	// round_end / run_end / msp_confirmed
 	Asks       int   `json:"asks,omitempty"`
@@ -172,6 +183,7 @@ type Journal struct {
 	phase     string
 	spanIdx   map[spanKey]int // (phase, name) -> index into spanSums
 	spanSums  []TraceEntry
+	board     *Scoreboard // folds every recorded event; nil without scorecards
 }
 
 type spanKey struct{ phase, name string }
@@ -268,6 +280,9 @@ func (j *Journal) recordLocked(e Event) {
 		j.next = 0
 	}
 	j.total++
+	if j.board != nil {
+		j.board.fold(&e)
+	}
 	if j.sink != nil && j.sinkErr == nil {
 		j.scratch = appendEventJSON(j.scratch[:0], &e)
 		j.scratch = append(j.scratch, '\n')
@@ -504,6 +519,27 @@ func (j *Journal) DepartureEvent(run int64, round int, ask int64, member, outcom
 	})
 }
 
+// BanEvent records the Section 4.2 spammer filter banning the member.
+func (j *Journal) BanEvent(run int64, round int, member string) {
+	if j == nil {
+		return
+	}
+	j.record(Event{Run: run, Kind: EvBan, Round: round, Member: member})
+}
+
+// SettleEvent records the aggregate decision on the node key, with the
+// members whose own answer agreed and disagreed with it. The lists are
+// stored as given, not copied.
+func (j *Journal) SettleEvent(run int64, round int, key, decision string, agreed, disagreed []string) {
+	if j == nil {
+		return
+	}
+	j.record(Event{
+		Run: run, Kind: EvSettle, Round: round, Key: key,
+		Decision: decision, Agreed: agreed, Disagreed: disagreed,
+	})
+}
+
 // MSPEvent records one confirmed maximal significant pattern and credits
 // the run's arrival curve. questions is the usable-answer count at
 // confirmation time — the x-axis of the arrival curve.
@@ -671,67 +707,22 @@ func appendEventJSON(b []byte, e *Event) []byte {
 	b = strconv.AppendInt(b, e.At, 10)
 	b = append(b, `,"kind":`...)
 	b = appendJSONString(b, e.Kind)
-	if len(e.Members) > 0 {
-		b = append(b, `,"members":[`...)
-		for i, m := range e.Members {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendJSONString(b, m)
-		}
-		b = append(b, ']')
-	}
-	if e.Seed != 0 {
-		b = append(b, `,"seed":`...)
-		b = strconv.AppendInt(b, e.Seed, 10)
-	}
-	if e.Theta != 0 {
-		b = append(b, `,"theta":`...)
-		b = strconv.AppendFloat(b, e.Theta, 'g', -1, 64)
-	}
-	if e.Strategy != "" {
-		b = append(b, `,"strategy":`...)
-		b = appendJSONString(b, e.Strategy)
-	}
-	if e.Round != 0 {
-		b = append(b, `,"round":`...)
-		b = strconv.AppendInt(b, int64(e.Round), 10)
-	}
-	if e.Ask != 0 {
-		b = append(b, `,"ask":`...)
-		b = strconv.AppendInt(b, e.Ask, 10)
-	}
-	if e.Member != "" {
-		b = append(b, `,"member":`...)
-		b = appendJSONString(b, e.Member)
-	}
-	if e.QKind != "" {
-		b = append(b, `,"qkind":`...)
-		b = appendJSONString(b, e.QKind)
-	}
-	if e.Key != "" {
-		b = append(b, `,"key":`...)
-		b = appendJSONString(b, e.Key)
-	}
+	b = appendStringsField(b, `,"members":[`, e.Members)
+	b = appendIntField(b, `,"seed":`, e.Seed)
+	b = appendFloatField(b, `,"theta":`, e.Theta)
+	b = appendStringField(b, `,"strategy":`, e.Strategy)
+	b = appendIntField(b, `,"round":`, int64(e.Round))
+	b = appendIntField(b, `,"ask":`, e.Ask)
+	b = appendStringField(b, `,"member":`, e.Member)
+	b = appendStringField(b, `,"qkind":`, e.QKind)
+	b = appendStringField(b, `,"key":`, e.Key)
 	if e.Probe {
 		b = append(b, `,"probe":true`...)
 	}
-	if e.Options != 0 {
-		b = append(b, `,"options":`...)
-		b = strconv.AppendInt(b, int64(e.Options), 10)
-	}
-	if e.Outcome != "" {
-		b = append(b, `,"outcome":`...)
-		b = appendJSONString(b, e.Outcome)
-	}
-	if e.Support != 0 {
-		b = append(b, `,"support":`...)
-		b = strconv.AppendFloat(b, e.Support, 'g', -1, 64)
-	}
-	if e.Choice != 0 {
-		b = append(b, `,"choice":`...)
-		b = strconv.AppendInt(b, int64(e.Choice), 10)
-	}
+	b = appendIntField(b, `,"options":`, int64(e.Options))
+	b = appendStringField(b, `,"outcome":`, e.Outcome)
+	b = appendFloatField(b, `,"support":`, e.Support)
+	b = appendIntField(b, `,"choice":`, int64(e.Choice))
 	if len(e.Pruned) > 0 {
 		b = append(b, `,"pruned":[`...)
 		for i, p := range e.Pruned {
@@ -742,49 +733,22 @@ func appendEventJSON(b []byte, e *Event) []byte {
 		}
 		b = append(b, ']')
 	}
-	if e.Elapsed != 0 {
-		b = append(b, `,"elapsed_ns":`...)
-		b = strconv.AppendInt(b, e.Elapsed, 10)
-	}
-	if e.Disp != "" {
-		b = append(b, `,"disp":`...)
-		b = appendJSONString(b, e.Disp)
-	}
+	b = appendIntField(b, `,"elapsed_ns":`, e.Elapsed)
+	b = appendStringField(b, `,"disp":`, e.Disp)
 	if e.Struck {
 		b = append(b, `,"struck":true`...)
 	}
-	if e.Asks != 0 {
-		b = append(b, `,"asks":`...)
-		b = strconv.AppendInt(b, int64(e.Asks), 10)
-	}
-	if e.Replies != 0 {
-		b = append(b, `,"replies":`...)
-		b = strconv.AppendInt(b, int64(e.Replies), 10)
-	}
-	if e.Border != 0 {
-		b = append(b, `,"border":`...)
-		b = strconv.AppendInt(b, int64(e.Border), 10)
-	}
-	if e.Questions != 0 {
-		b = append(b, `,"questions":`...)
-		b = strconv.AppendInt(b, e.Questions, 10)
-	}
-	if e.NewMSPs != 0 {
-		b = append(b, `,"new_msps":`...)
-		b = strconv.AppendInt(b, int64(e.NewMSPs), 10)
-	}
-	if e.NewAnswers != 0 {
-		b = append(b, `,"new_answers":`...)
-		b = strconv.AppendInt(b, int64(e.NewAnswers), 10)
-	}
-	if e.Rounds != 0 {
-		b = append(b, `,"rounds":`...)
-		b = strconv.AppendInt(b, int64(e.Rounds), 10)
-	}
-	if e.Phase != "" {
-		b = append(b, `,"phase":`...)
-		b = appendJSONString(b, e.Phase)
-	}
+	b = appendStringField(b, `,"decision":`, e.Decision)
+	b = appendStringsField(b, `,"agreed":[`, e.Agreed)
+	b = appendStringsField(b, `,"disagreed":[`, e.Disagreed)
+	b = appendIntField(b, `,"asks":`, int64(e.Asks))
+	b = appendIntField(b, `,"replies":`, int64(e.Replies))
+	b = appendIntField(b, `,"border":`, int64(e.Border))
+	b = appendIntField(b, `,"questions":`, e.Questions)
+	b = appendIntField(b, `,"new_msps":`, int64(e.NewMSPs))
+	b = appendIntField(b, `,"new_answers":`, int64(e.NewAnswers))
+	b = appendIntField(b, `,"rounds":`, int64(e.Rounds))
+	b = appendStringField(b, `,"phase":`, e.Phase)
 	if len(e.Attrs) > 0 {
 		b = append(b, `,"attrs":[`...)
 		for i, a := range e.Attrs {
@@ -800,6 +764,47 @@ func appendEventJSON(b []byte, e *Event) []byte {
 		b = append(b, ']')
 	}
 	return append(b, '}')
+}
+
+// appendIntField appends field (its key) and v, unless v is zero.
+func appendIntField(b []byte, field string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, field...), v, 10)
+}
+
+// appendFloatField appends field (its key) and v, unless v is zero.
+func appendFloatField(b []byte, field string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendFloat(append(b, field...), v, 'g', -1, 64)
+}
+
+// appendStringField appends field (its key) and s quoted, unless s is
+// empty.
+func appendStringField(b []byte, field, s string) []byte {
+	if s == "" {
+		return b
+	}
+	return appendJSONString(append(b, field...), s)
+}
+
+// appendStringsField appends field (its key and opening bracket), the
+// quoted strings and the closing bracket, unless ss is empty.
+func appendStringsField(b []byte, field string, ss []string) []byte {
+	if len(ss) == 0 {
+		return b
+	}
+	b = append(b, field...)
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendJSONString(b, s)
+	}
+	return append(b, ']')
 }
 
 // appendJSONString appends s as a JSON string literal: quotes,

@@ -29,8 +29,9 @@ func recordedJournal(t testing.TB) []byte {
 var journalLineErr = regexp.MustCompile(`^journal line (\d+): `)
 
 // checkJournalDecode is the robustness contract of ReadJournalJSONL: it
-// never panics, and either decodes one event per non-blank line or returns
-// an error naming a line of the input that does not decode on its own.
+// never panics, and either decodes one event per non-blank line, which
+// fold into a fresh scoreboard without panicking, or returns an error
+// naming a line of the input that does not decode on its own.
 func checkJournalDecode(t *testing.T, input []byte) {
 	t.Helper()
 	events, err := ReadJournalJSONL(bytes.NewReader(input))
@@ -45,6 +46,7 @@ func checkJournalDecode(t *testing.T, input []byte) {
 		if len(events) != n {
 			t.Fatalf("decoded %d events from %d non-blank lines", len(events), n)
 		}
+		FoldScoreboard(NewRegistry(), events).Snapshot()
 		return
 	}
 	m := journalLineErr.FindStringSubmatch(err.Error())
@@ -81,8 +83,10 @@ func TestReadJournalTruncated(t *testing.T) {
 	}
 }
 
-// FuzzReadJournalJSONL drives ReadJournalJSONL with arbitrary input seeded
-// from a recorded journal, whole, truncated and corrupted (run with
+// FuzzReadJournalJSONL drives ReadJournalJSONL, and the scoreboard fold of
+// what it decodes, with arbitrary input seeded from a recorded journal
+// (ban and settle events included), whole, truncated and corrupted, and
+// with hostile member events (run with
 // `go test -fuzz=FuzzReadJournalJSONL ./internal/obs`).
 func FuzzReadJournalJSONL(f *testing.F) {
 	rec := recordedJournal(f)
@@ -95,6 +99,13 @@ func FuzzReadJournalJSONL(f *testing.F) {
 	f.Add([]byte("\n\n{}\n"))
 	f.Add([]byte(`{"kind":"ask","pruned":[1,2`))
 	f.Add([]byte(`{"seq":0,"run":1,"at_ns":5,"kind":"span","key":"round","elapsed_ns":9,"phase":"5a","attrs":[{"k":"asks","v":4}]}` + "\n"))
+	f.Add([]byte(`{"kind":"ban","member":"m"}` + "\n" + `{"kind":"ask","member":"m"}` + "\n" +
+		`{"kind":"reply","member":"m","support":-1e308,"elapsed_ns":-5}` + "\n" +
+		`{"kind":"reply","member":"m","support":1e308,"elapsed_ns":-9223372036854775808}` + "\n" +
+		`{"kind":"reply","member":"m","support":1e308}` + "\n" +
+		`{"kind":"settle","agreed":["ghost",""],"disagreed":["m","ghost"]}` + "\n" +
+		`{"kind":"timeout","struck":true}` + "\n"))
+	f.Add([]byte(`{"kind":"reply","member":"m","support":NaN}`))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		checkJournalDecode(t, input)
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -27,6 +28,9 @@ func journalFixtureEvents() []Event {
 		{Kind: EvTimeout, Run: 1, Round: 2, Ask: 43, Member: "u1", Outcome: "answered",
 			Elapsed: 9e9, Struck: true},
 		{Kind: EvDeparture, Run: 1, Round: 2, Ask: 44, Member: "u1", Outcome: "departed"},
+		{Kind: EvBan, Run: 1, Round: 2, Member: `u"2\n`},
+		{Kind: EvSettle, Run: 1, Round: 3, Key: "s=1;p=2;", Decision: "significant",
+			Agreed: []string{"u1"}, Disagreed: []string{`u"2\n`, "u3"}},
 		{Kind: EvMSP, Run: 1, Round: 3, Key: "s=1;p=2;", Questions: 17},
 		{Kind: EvRoundEnd, Run: 1, Round: 3, Asks: 5, Replies: 5, Border: 2,
 			Questions: 17, NewMSPs: 1, NewAnswers: 4},
@@ -501,25 +505,28 @@ func TestJournalSpanConcurrent(t *testing.T) {
 	}
 }
 
-// TestScoreboardSnapshot feeds a board by hand and checks the derived
-// rates, quantiles and Prometheus families.
+// TestScoreboardSnapshot folds a hand-written event stream and checks the
+// derived rates, quantiles and Prometheus families.
 func TestScoreboardSnapshot(t *testing.T) {
 	r := NewRegistry()
-	b := NewScoreboard(r)
+	var evs []Event
 	for i := 0; i < 4; i++ {
-		b.Asked("u1")
+		evs = append(evs, Event{Kind: EvAsk, Member: "u1"})
 	}
-	b.Reply("u1", 0.8, 0.010)
-	b.Reply("u1", 0.4, 0.030)
-	b.Timeout("u1", false)
-	b.Timeout("u1", true)
-	b.Departure("u1")
-	b.Agree("u1", true)
-	b.Agree("u1", true)
-	b.Agree("u1", false)
-	b.Asked("u2")
-	b.Ban("u2")
-	b.Ban("u2") // second ban must not double-count the metric
+	evs = append(evs,
+		Event{Kind: EvReply, Member: "u1", Support: 0.8, Elapsed: int64(10 * time.Millisecond)},
+		Event{Kind: EvReply, Member: "u1", Support: 0.4, Elapsed: int64(30 * time.Millisecond)},
+		Event{Kind: EvReply, Member: "u1", Support: 1, Disp: "discarded"}, // not tallied
+		Event{Kind: EvTimeout, Member: "u1"},
+		Event{Kind: EvTimeout, Member: "u1", Struck: true}, // also the departure
+		Event{Kind: EvSettle, Agreed: []string{"u1"}},
+		Event{Kind: EvSettle, Agreed: []string{"u1"}},
+		Event{Kind: EvSettle, Disagreed: []string{"u1"}},
+		Event{Kind: EvAsk, Member: "u2"},
+		Event{Kind: EvBan, Member: "u2"},
+		Event{Kind: EvBan, Member: "u2"}, // second ban must not double-count the metric
+	)
+	b := FoldScoreboard(r, evs)
 
 	cards := b.Snapshot()
 	if len(cards) != 2 || cards[0].Member != "u1" || cards[1].Member != "u2" {
@@ -552,6 +559,7 @@ func TestScoreboardSnapshot(t *testing.T) {
 	for _, want := range []string{
 		`oassis_member_replies_total{member="u1",outcome="answered"} 2`,
 		`oassis_member_replies_total{member="u1",outcome="timedout"} 2`,
+		`oassis_member_replies_total{member="u1",outcome="departed"} 1`,
 		`oassis_member_strikes_total{member="u1"} 1`,
 		`oassis_member_bans_total{member="u2"} 1`,
 		`oassis_member_agreement_total{member="u1",verdict="agreed"} 2`,
@@ -563,14 +571,73 @@ func TestScoreboardSnapshot(t *testing.T) {
 	}
 
 	var nilBoard *Scoreboard
-	nilBoard.Asked("x")
-	nilBoard.Reply("x", 1, 1)
-	nilBoard.Timeout("x", true)
-	nilBoard.Departure("x")
-	nilBoard.Ban("x")
-	nilBoard.Agree("x", true)
 	if nilBoard.Snapshot() != nil {
 		t.Fatal("nil scoreboard returned cards")
+	}
+}
+
+// TestScoreboardConcurrentFold records member events from several
+// goroutines into a journal that carries a board while another goroutine
+// snapshots it, and requires every event tallied once.
+func TestScoreboardConcurrentFold(t *testing.T) {
+	o := New()
+	b := o.EnableScorecards()
+	const workers, per = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(m string) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				o.Journal.AskEvent(1, 1, int64(i), m, "concrete", "k", false, 0)
+				o.Journal.ReplyEvent(1, 1, int64(i), m, "answered", 0.5, 0, nil, 1000, "")
+			}
+		}(fmt.Sprintf("m%d", w%2))
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			o.BoardSet().Snapshot()
+		}
+	}()
+	wg.Wait()
+	<-done
+	cards := b.Snapshot()
+	if len(cards) != 2 {
+		t.Fatalf("snapshot = %+v", cards)
+	}
+	for _, c := range cards {
+		if c.Asked != 2*per || c.Answered != 2*per {
+			t.Fatalf("%s: asked %d answered %d, want %d each", c.Member, c.Asked, c.Answered, 2*per)
+		}
+	}
+}
+
+// TestScoreboardFoldHostile folds member events no kernel records —
+// NaN, infinite and negative supports and latencies, a ban before any
+// ask, settle lists naming members never asked — and requires a snapshot
+// that tallies each as the fold rules say, without panicking.
+func TestScoreboardFoldHostile(t *testing.T) {
+	b := FoldScoreboard(NewRegistry(), []Event{
+		{Kind: EvBan, Member: "m"},
+		{Kind: EvReply, Member: "m", Support: math.NaN(), Elapsed: -5},
+		{Kind: EvReply, Member: "m", Support: math.Inf(-1), Elapsed: math.MinInt64},
+		{Kind: EvSettle, Agreed: []string{"ghost", ""}, Disagreed: []string{"ghost"}},
+		{Kind: EvTimeout, Struck: true},
+	})
+	cards := b.Snapshot()
+	if len(cards) != 3 || cards[0].Member != "" || cards[1].Member != "ghost" || cards[2].Member != "m" {
+		t.Fatalf("snapshot = %+v", cards)
+	}
+	if anon := cards[0]; anon.Strikes != 1 || !anon.Departed || anon.Agreement != 1 {
+		t.Fatalf("unnamed member = %+v", anon)
+	}
+	if ghost := cards[1]; ghost.Asked != 0 || ghost.Agreement != 0.5 {
+		t.Fatalf("ghost = %+v", ghost)
+	}
+	if m := cards[2]; !m.Banned || m.Asked != 0 || m.Answered != 2 || !math.IsNaN(m.MeanSupport) {
+		t.Fatalf("m = %+v", m)
 	}
 }
 

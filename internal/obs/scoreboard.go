@@ -2,30 +2,31 @@ package obs
 
 // The scoreboard maintains per-member quality and latency profiles — the
 // inputs OASSIS-style question routing needs at production scale: who
-// answers fast, who times out, who departs mid-run, who contradicts the
-// aggregate. It is fed from the kernel's journal emit points (and costs
-// nothing when disabled: a nil *Scoreboard is a no-op), keeps a latency
-// histogram per member for quantile estimates, and exposes both a JSON
-// snapshot (the server's GET /members) and oassis_member_* Prometheus
-// families when built over a Registry.
+// answers fast, who times out, who departs mid-run, who is banned, who
+// contradicts the aggregate. It is a pure fold of the journal: a board
+// attached to a journal (Observer.EnableScorecards) folds every event as
+// it is recorded, and FoldScoreboard folds a recorded stream, so the two
+// read the same numbers. Each member's tallies live in its oassis_member_*
+// Prometheus children, which the board fetches once per member and reads
+// back for the JSON snapshot (the server's GET /members).
 
 import (
 	"sort"
 	"sync"
+	"time"
 )
 
-// memberCard is the mutable per-member accumulator.
+// memberCard is one member's accumulator. Each child counter and the
+// latency histogram are fetched from their family the first time the
+// member needs them, so a series a member never reaches is not exported.
 type memberCard struct {
-	asked     int64
-	answered  int64
-	timeouts  int64
-	strikes   int64
-	departed  bool
-	banned    bool
-	agreed    int64
-	disagreed int64
-	supSum    float64
-	latency   *Histogram // seconds
+	asked  int64
+	supSum float64
+
+	answered, timedout, departed *Counter // oassis_member_replies_total
+	agreed, disagreed            *Counter // oassis_member_agreement_total
+	strikes, bans                *Counter
+	latency                      *Histogram // seconds
 }
 
 // MemberScorecard is one member's profile snapshot.
@@ -49,14 +50,12 @@ type MemberScorecard struct {
 	P99Latency  float64 `json:"p99_latency_s"`
 }
 
-// Scoreboard tracks per-member scorecards. Construct with NewScoreboard
-// (pass a Registry to also export oassis_member_* metric families, or nil
-// for a standalone board). A nil *Scoreboard is a no-op on every method.
+// Scoreboard tracks per-member scorecards. A nil *Scoreboard snapshots to
+// nil.
 type Scoreboard struct {
 	mu      sync.Mutex
 	members map[string]*memberCard
 
-	// Prometheus families; nil when the board is standalone.
 	latencyVec *HistogramVec // label: member
 	repliesVec *CounterVec   // labels: member, outcome
 	agreeVec   *CounterVec   // labels: member, verdict
@@ -64,123 +63,98 @@ type Scoreboard struct {
 	bansVec    *CounterVec   // label: member
 }
 
-// NewScoreboard returns a scoreboard; r may be nil for a board without
-// Prometheus export.
-func NewScoreboard(r *Registry) *Scoreboard {
-	b := &Scoreboard{members: make(map[string]*memberCard)}
-	if r != nil {
-		b.latencyVec = r.HistogramVec("oassis_member_round_trip_seconds",
-			"Per-member question round-trip latency.", DefaultLatencyBuckets, "member")
-		b.repliesVec = r.CounterVec("oassis_member_replies_total",
-			"Per-member reply outcomes folded by the kernel.", "member", "outcome")
-		b.agreeVec = r.CounterVec("oassis_member_agreement_total",
-			"Per-member settled-question verdicts vs the aggregate decision.", "member", "verdict")
-		b.strikesVec = r.CounterVec("oassis_member_strikes_total",
-			"Per-member timeout strikes.", "member")
-		b.bansVec = r.CounterVec("oassis_member_bans_total",
-			"Members banned for contradictory answer patterns.", "member")
+// newScoreboard returns an empty board exporting its families on r.
+func newScoreboard(r *Registry) *Scoreboard {
+	return &Scoreboard{
+		members: make(map[string]*memberCard),
+		latencyVec: r.HistogramVec("oassis_member_round_trip_seconds",
+			"Per-member question round-trip latency.", DefaultLatencyBuckets, "member"),
+		repliesVec: r.CounterVec("oassis_member_replies_total",
+			"Per-member reply outcomes folded by the kernel.", "member", "outcome"),
+		agreeVec: r.CounterVec("oassis_member_agreement_total",
+			"Per-member settled-question verdicts vs the aggregate decision.", "member", "verdict"),
+		strikesVec: r.CounterVec("oassis_member_strikes_total",
+			"Per-member timeout strikes.", "member"),
+		bansVec: r.CounterVec("oassis_member_bans_total",
+			"Members banned for contradictory answer patterns.", "member"),
+	}
+}
+
+// FoldScoreboard folds a recorded journal stream (ReadJournalJSONL) into a
+// fresh board exporting its families on r: the board a journal attached
+// to it would have built live.
+func FoldScoreboard(r *Registry, events []Event) *Scoreboard {
+	b := newScoreboard(r)
+	for i := range events {
+		b.fold(&events[i])
 	}
 	return b
 }
 
-// card returns the member's accumulator, creating it on first use.
+// child returns *p, fetching it from vec on first use.
+func child(p **Counter, vec *CounterVec, values ...string) *Counter {
+	if *p == nil {
+		*p = vec.With(values...)
+	}
+	return *p
+}
+
+// fold tallies one journal event. Only member events count: ask, a
+// folded reply (disp ""), timeout, departure, ban and settle.
+func (b *Scoreboard) fold(e *Event) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	m := e.Member
+	switch e.Kind {
+	case EvAsk:
+		b.card(m).asked++
+	case EvReply:
+		if e.Disp != "" {
+			return
+		}
+		c := b.card(m)
+		c.supSum += e.Support
+		child(&c.answered, b.repliesVec, m, "answered").Inc()
+		if c.latency == nil {
+			c.latency = b.latencyVec.With(m)
+		}
+		c.latency.Observe(time.Duration(e.Elapsed).Seconds())
+	case EvTimeout:
+		c := b.card(m)
+		child(&c.timedout, b.repliesVec, m, "timedout").Inc()
+		if e.Struck {
+			child(&c.strikes, b.strikesVec, m).Inc()
+			child(&c.departed, b.repliesVec, m, "departed").Inc()
+		}
+	case EvDeparture:
+		c := b.card(m)
+		child(&c.departed, b.repliesVec, m, "departed").Inc()
+	case EvBan:
+		if c := b.card(m); c.bans == nil {
+			c.bans = b.bansVec.With(m)
+			c.bans.Inc()
+		}
+	case EvSettle:
+		for _, m := range e.Agreed {
+			c := b.card(m)
+			child(&c.agreed, b.agreeVec, m, "agreed").Inc()
+		}
+		for _, m := range e.Disagreed {
+			c := b.card(m)
+			child(&c.disagreed, b.agreeVec, m, "disagreed").Inc()
+		}
+	}
+}
+
+// card returns the member's accumulator, creating it on first sight.
 // Caller holds b.mu.
 func (b *Scoreboard) card(member string) *memberCard {
 	c := b.members[member]
 	if c == nil {
-		c = &memberCard{latency: NewHistogram(DefaultLatencyBuckets)}
+		c = &memberCard{}
 		b.members[member] = c
 	}
 	return c
-}
-
-// Asked records one question issued to the member.
-func (b *Scoreboard) Asked(member string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.card(member).asked++
-	b.mu.Unlock()
-}
-
-// Reply records one usable answer: its support and round-trip seconds.
-func (b *Scoreboard) Reply(member string, support, seconds float64) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	c := b.card(member)
-	c.answered++
-	c.supSum += support
-	c.latency.Observe(seconds)
-	b.mu.Unlock()
-	b.latencyVec.With(member).Observe(seconds)
-	b.repliesVec.With(member, "answered").Inc()
-}
-
-// Timeout records one timed-out question; struck reports whether it
-// struck the member out of the run.
-func (b *Scoreboard) Timeout(member string, struck bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	c := b.card(member)
-	c.timeouts++
-	if struck {
-		c.strikes++
-	}
-	b.mu.Unlock()
-	b.repliesVec.With(member, "timedout").Inc()
-	if struck {
-		b.strikesVec.With(member).Inc()
-	}
-}
-
-// Departure marks the member as departed.
-func (b *Scoreboard) Departure(member string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.card(member).departed = true
-	b.mu.Unlock()
-	b.repliesVec.With(member, "departed").Inc()
-}
-
-// Ban marks the member as banned for contradictory answers.
-func (b *Scoreboard) Ban(member string) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	c := b.card(member)
-	first := !c.banned
-	c.banned = true
-	b.mu.Unlock()
-	if first {
-		b.bansVec.With(member).Inc()
-	}
-}
-
-// Agree records whether the member's verdict on a settled question
-// matched the aggregate decision.
-func (b *Scoreboard) Agree(member string, agree bool) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	c := b.card(member)
-	verdict := "disagreed"
-	if agree {
-		c.agreed++
-		verdict = "agreed"
-	} else {
-		c.disagreed++
-	}
-	b.mu.Unlock()
-	b.agreeVec.With(member, verdict).Inc()
 }
 
 // Snapshot returns every member's scorecard, sorted by member name.
@@ -195,21 +169,22 @@ func (b *Scoreboard) Snapshot() []MemberScorecard {
 		sc := MemberScorecard{
 			Member:    name,
 			Asked:     c.asked,
-			Answered:  c.answered,
-			Timeouts:  c.timeouts,
-			Strikes:   c.strikes,
-			Departed:  c.departed,
-			Banned:    c.banned,
+			Answered:  c.answered.Value(),
+			Timeouts:  c.timedout.Value(),
+			Strikes:   c.strikes.Value(),
+			Departed:  c.departed.Value() > 0,
+			Banned:    c.bans.Value() > 0,
 			Agreement: -1,
 		}
 		if c.asked > 0 {
-			sc.TimeoutRate = float64(c.timeouts) / float64(c.asked)
+			sc.TimeoutRate = float64(sc.Timeouts) / float64(c.asked)
 		}
-		if c.answered > 0 {
-			sc.MeanSupport = c.supSum / float64(c.answered)
+		if sc.Answered > 0 {
+			sc.MeanSupport = c.supSum / float64(sc.Answered)
 		}
-		if settled := c.agreed + c.disagreed; settled > 0 {
-			sc.Agreement = float64(c.agreed) / float64(settled)
+		agreed := c.agreed.Value()
+		if settled := agreed + c.disagreed.Value(); settled > 0 {
+			sc.Agreement = float64(agreed) / float64(settled)
 		}
 		if n := c.latency.Count(); n > 0 {
 			sc.MeanLatency = c.latency.Sum() / float64(n)

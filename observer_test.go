@@ -1,11 +1,16 @@
 package oassis_test
 
 import (
+	"bufio"
+	"bytes"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"oassis"
 	"oassis/internal/paperdata"
+	"oassis/internal/server"
 )
 
 // TestSessionObserver drives the paper's running example with an Observer
@@ -108,5 +113,47 @@ func TestSessionUnobserved(t *testing.T) {
 	}
 	if res.Trace != nil {
 		t.Fatal("unobserved run grew a trace summary")
+	}
+}
+
+// docMetricName matches a metric name spelled out in full in backticks;
+// family patterns such as `oassis_kernel_*` do not match.
+var docMetricName = regexp.MustCompile("`(oassis_[a-z0-9_]+)`")
+
+// TestDocumentedMetricNamesRegistered checks that every metric name
+// DESIGN.md and README.md spell out in full is registered by an observer
+// that has run a session with scorecards on and backed a server and a
+// platform, so the documented names and the exported ones agree.
+func TestDocumentedMetricNamesRegistered(t *testing.T) {
+	o := oassis.NewObserver()
+	o.EnableScorecards()
+	runScorecardScenario(t, 0, o)
+	server.New(server.Config{Obs: o})
+	oassis.NewPlatform(oassis.PlatformConfig{Obs: o})
+
+	var prom bytes.Buffer
+	o.Registry.WritePrometheus(&prom)
+	registered := map[string]bool{}
+	sc := bufio.NewScanner(&prom)
+	for sc.Scan() {
+		if f := strings.Fields(sc.Text()); len(f) >= 3 && f[0] == "#" && f[1] == "TYPE" {
+			registered[f[2]] = true
+		}
+	}
+	checked := 0
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docMetricName.FindAllStringSubmatch(string(text), -1) {
+			checked++
+			if !registered[m[1]] {
+				t.Errorf("%s names %s, which no observer registers", doc, m[1])
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no metric names in DESIGN.md or README.md")
 	}
 }
