@@ -21,22 +21,22 @@ func TestQuickAllJournalTimestamps(t *testing.T) {
 	}
 	o := obs.New()
 	var sink bytes.Buffer
-	o.Journal.SetSink(&sink)
+	o.JournalSet().SetSink(&sink)
 	exp.SetObserver(o)
 	defer exp.SetObserver(nil)
 	got := captureStdout(t, func() error { return run("all", newConfig(true, 1), o, false) })
 	if !bytes.Equal(got, want) {
 		t.Errorf("journaled -quick -fig all output differs from testdata/quick_all.golden\n%s", firstDiff(got, want))
 	}
-	if err := o.Journal.Flush(); err != nil {
+	if err := o.JournalSet().Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events, err := obs.ReadJournalJSONL(&sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(events)) != o.Journal.Total() {
-		t.Fatalf("sink holds %d events, journal recorded %d", len(events), o.Journal.Total())
+	if int64(len(events)) != o.JournalSet().Total() {
+		t.Fatalf("sink holds %d events, journal recorded %d", len(events), o.JournalSet().Total())
 	}
 	last := map[int64]obs.Event{}
 	for _, e := range events {

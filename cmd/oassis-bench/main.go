@@ -82,7 +82,7 @@ func main() {
 			os.Exit(1)
 		}
 		journalFile = f
-		o.Journal.SetSink(f)
+		o.JournalSet().SetSink(f)
 	}
 	if err := run(*fig, cfg, o, *explain); err != nil {
 		fmt.Fprintln(os.Stderr, "oassis-bench:", err)

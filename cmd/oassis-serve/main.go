@@ -112,7 +112,7 @@ func run(ontologyPath string, queryPaths []string, addr string, cfg serveConfig)
 		// The journal flushes its sink at every run end, so the JSONL file
 		// is replayable after each completed run even though the process
 		// normally exits via signal.
-		o.Journal.SetSink(f)
+		o.JournalSet().SetSink(f)
 	}
 	if cfg.scorecards {
 		o.EnableScorecards()

@@ -88,21 +88,18 @@ type kernel struct {
 	epoch    uint32
 	queueBuf []*assign.Assignment
 
-	// km mirrors the Stats counters into the configured Observer as
-	// events happen, so a live /metrics scrape sees mid-run state. Nil
-	// (the default) costs one nil check per event.
-	km *obs.KernelMetrics
-
 	// jr is the flight recorder: every ask, reply, timeout, departure and
 	// MSP confirmation is journaled with its raw payload — enough for
 	// journal.Replay to re-fold the run — and every ban and settled
 	// question with the members it scores, which the journal's
-	// scoreboard (if any) folds into per-member scorecards. jrRun is
-	// this run's journal run ID (assigned by RunWith at run start). A nil
-	// jr (the default) costs one nil check per event; the journal never
+	// scoreboard (if any) and kernel counters fold. jrRun is this run's
+	// journal run ID (assigned by RunWith at run start) and jrAnswers its
+	// distinct answered questions, for the arrival curve. A nil jr (the
+	// default) costs one nil check per event; the journal never
 	// influences kernel state, so transcripts are unchanged.
-	jr    *obs.Journal
-	jrRun int64
+	jr        *obs.Journal
+	jrRun     int64
+	jrAnswers int
 
 	nextAskID int64
 
@@ -241,7 +238,6 @@ func newKernel(sp *assign.Space, ids []string, cfg EngineConfig) *kernel {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		decided:   make(map[assign.NodeID]crowd.Decision),
 		confirmed: make(map[assign.NodeID]bool),
-		km:        cfg.Obs.KernelSet().OrNop(),
 		jr:        cfg.Obs.JournalSet(),
 	}
 	// Presize every NodeID-indexed structure from the interned-node count:
@@ -595,7 +591,6 @@ func (k *kernel) apply(r crowd.Reply) {
 		// A top-k run ended while this question was in flight; the
 		// answer arrived for nothing.
 		k.stats.Discarded++
-		k.km.Discarded.Inc()
 		if k.jr != nil {
 			k.jr.ReplyEvent(k.jrRun, k.stats.Rounds, r.Ask.ID, u.id, r.Outcome.String(),
 				r.Support, r.Choice, prunedInts(r.Pruned), int64(r.Elapsed), "discarded")
@@ -610,7 +605,6 @@ func (k *kernel) apply(r crowd.Reply) {
 		if !u.departed {
 			u.departed = true
 			k.stats.Departures++
-			k.km.Departures.Inc()
 		}
 		if k.single != nil {
 			// The only member left: the run ends with the MSPs
@@ -626,8 +620,6 @@ func (k *kernel) apply(r crowd.Reply) {
 		// re-poses the assignment on the member's next turn.
 		k.stats.TimedOut++
 		k.stats.Discarded++
-		k.km.Timeouts.Inc()
-		k.km.Discarded.Inc()
 		u.timeouts++
 		struck := u.timeouts >= maxAnswerTimeouts
 		if k.jr != nil {
@@ -640,14 +632,12 @@ func (k *kernel) apply(r crowd.Reply) {
 		if struck {
 			u.departed = true
 			k.stats.Departures++
-			k.km.Departures.Inc()
 		}
 		return
 	}
 	u.timeouts = 0
 	u.asked++
 	k.stats.Questions++
-	k.km.Questions.Inc()
 	if k.jr != nil {
 		k.jr.ReplyEvent(k.jrRun, k.stats.Rounds, r.Ask.ID, u.id, r.Outcome.String(),
 			r.Support, r.Choice, prunedInts(r.Pruned), int64(r.Elapsed), "")
@@ -673,7 +663,7 @@ func (k *kernel) apply(r crowd.Reply) {
 			// "None of these" settles every option at the cost of one
 			// question: the other len(open)-1 answers are free.
 			k.stats.NoneOfThese++
-			k.countInferred(len(p.open) - 1)
+			k.stats.AutoAnswers += len(p.open) - 1
 			if k.cfg.RecordTranscript {
 				k.transcribe(u, "specialize "+p.base.Key()+" -> none")
 			}
@@ -731,16 +721,10 @@ func (k *kernel) journalSettle(a *assign.Assignment, d crowd.Decision) {
 	k.jr.SettleEvent(k.jrRun, k.stats.Rounds, a.Key(), d.String(), agreed, disagreed)
 }
 
-// countInferred counts n answers obtained without a question.
-func (k *kernel) countInferred(n int) {
-	k.stats.AutoAnswers += n
-	k.km.Inferred.Add(int64(n))
-}
-
 // inferPruned auto-answers 0 for an assignment the member's pruning clicks
 // cover.
 func (k *kernel) inferPruned(u *userState, a *assign.Assignment) {
-	k.countInferred(1)
+	k.stats.AutoAnswers++
 	k.recordAnswer(u, a, 0, true)
 }
 
@@ -764,7 +748,7 @@ func (k *kernel) recordAnswer(u *userState, a *assign.Assignment, support float6
 	}
 	k.agg.Add(a.ID(), u.id, support)
 	if k.jr != nil && k.agg.Answers(a.ID()) == 1 {
-		k.jr.NoteNewAnswer(k.jrRun)
+		k.jrAnswers++
 	}
 	if d := k.agg.Decide(a.ID()); d != crowd.Undecided {
 		k.settle(a, d)
@@ -942,7 +926,6 @@ func (k *kernel) witnessConfirm(b *assign.Assignment) {
 	}
 	k.confirmed[id] = true
 	k.tracker.onMSP(b)
-	k.km.MSPs.Inc()
 	if k.jr != nil {
 		k.jr.MSPEvent(k.jrRun, k.stats.Rounds, b.Key(), int64(k.stats.Questions))
 	}

@@ -130,13 +130,12 @@ func (e *Engine) Run() *Result { return e.RunWith(e.MemberBroker()) }
 //
 // When the config carries an Observer, each round journals two span
 // events under the run's ID — "selection", then "round" with
-// ask/reply/border attributes — timed on the engine clock: chaos runs
-// with a virtual clock therefore record virtual durations, the same ones
-// their deadlines are judged by.
+// ask/reply/border attributes — and a round_end barrier, timed on the
+// engine clock: chaos runs with a virtual clock therefore record virtual
+// durations, the same ones their deadlines are judged by.
 func (e *Engine) RunWith(b crowd.Broker) *Result {
-	observed := e.k.cfg.Obs != nil
-	km := e.k.km // non-nil; all fields no-ops when unobserved
 	jr := e.k.jr
+	auto := 0 // Stats.AutoAnswers at the last journaled barrier
 	if jr != nil {
 		// The run is journaled on the engine clock, so a chaos
 		// VirtualClock run records deterministic timestamps. The run scope
@@ -161,7 +160,6 @@ func (e *Engine) RunWith(b crowd.Broker) *Result {
 			jr.Span(e.k.jrRun, "selection", e.clock.Now().Sub(roundStart),
 				obs.Attr{Key: "asks", Val: int64(len(asks))})
 		}
-		km.InFlight.Set(int64(len(asks)))
 		ch := make(chan crowd.Reply, len(asks))
 		deliver := func(r crowd.Reply) { ch <- r }
 		for _, a := range asks {
@@ -176,25 +174,24 @@ func (e *Engine) RunWith(b crowd.Broker) *Result {
 		})
 		for _, r := range replies {
 			e.k.apply(r)
-			km.InFlight.Add(-1)
 		}
-		km.Replies.Add(int64(len(replies)))
-		km.InFlight.Set(0)
-		if observed {
+		if jr != nil {
 			border := e.k.global.SignificantBorderSize()
 			dur := e.clock.Now().Sub(roundStart)
-			km.RoundComplete(len(asks), border, dur)
 			jr.Span(e.k.jrRun, "round", dur,
 				obs.Attr{Key: "asks", Val: int64(len(asks))},
 				obs.Attr{Key: "replies", Val: int64(len(replies))},
 				obs.Attr{Key: "border", Val: int64(border)})
-			jr.RoundEnd(e.k.jrRun, e.k.stats.Rounds, len(asks), len(replies),
-				border, int64(e.k.stats.Questions))
+			jr.RoundEnd(e.k.jrRun, e.k.stats.Rounds, len(asks), len(replies), border,
+				int64(e.k.stats.Questions), dur, len(e.k.confirmed), e.k.jrAnswers, e.k.stats.AutoAnswers-auto)
+			auto = e.k.stats.AutoAnswers
 		}
 	}
 	e.k.finalize()
-	// finalize-time settles land in the curve's final bucket.
-	jr.EndRun(e.k.jrRun, e.k.stats.Rounds, int64(e.k.stats.Questions))
+	// finalize-time settles land in the curve's final bucket, and the
+	// last selection's inferences on run_end.
+	jr.EndRun(e.k.jrRun, e.k.stats.Rounds, int64(e.k.stats.Questions),
+		len(e.k.confirmed), e.k.jrAnswers, e.k.stats.AutoAnswers-auto)
 	return e.k.result()
 }
 

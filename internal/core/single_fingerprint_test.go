@@ -55,7 +55,7 @@ func (m *departingMember) AskSpecialize(base ontology.FactSet, cands []ontology.
 // renderSingle is the canonical rendering of a single-member run. Rounds,
 // Asked and PeakInFlight are left out: they describe the driver, not the
 // mining.
-func renderSingle(res *core.Result, onMSP []string, k *obs.KernelMetrics) string {
+func renderSingle(res *core.Result, onMSP []string, o *obs.Observer) string {
 	var b strings.Builder
 	keys := func(name string, as []*assign.Assignment) {
 		fmt.Fprintf(&b, "%s %d\n", name, len(as))
@@ -84,6 +84,7 @@ func renderSingle(res *core.Result, onMSP []string, k *obs.KernelMetrics) string
 	for _, key := range onMSP {
 		fmt.Fprintf(&b, "  %q\n", key)
 	}
+	k := o.Kernel
 	fmt.Fprintf(&b, "kernel questions=%d inferred=%d msps=%d\n",
 		k.Questions.Value(), k.Inferred.Value(), k.MSPs.Value())
 	return b.String()
@@ -186,7 +187,7 @@ func singleFingerprintLines(t *testing.T) []string {
 			t.Errorf("%s: Rounds=%d Asked=%d PeakInFlight=%d, want Rounds == Asked and PeakInFlight <= 1",
 				c.name, res.Stats.Rounds, res.Stats.Asked, res.Stats.PeakInFlight)
 		}
-		sum := sha256.Sum256([]byte(renderSingle(res, streamed, o.Kernel)))
+		sum := sha256.Sum256([]byte(renderSingle(res, streamed, o)))
 		lines = append(lines, fmt.Sprintf("%s %x", c.name, sum))
 	}
 	return lines

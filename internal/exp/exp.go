@@ -28,7 +28,7 @@ import (
 var obsv *obs.Observer
 
 // SetObserver attaches o to all subsequent experiment runs (nil detaches).
-// The caller owns phase labelling: call o.Journal.SetPhase(figureID)
+// The caller owns phase labelling: call o.JournalSet().SetPhase(figureID)
 // before each figure so its spans group under the figure in the journal
 // and its summaries.
 func SetObserver(o *obs.Observer) { obsv = o }

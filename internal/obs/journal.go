@@ -14,8 +14,10 @@ package obs
 // counts and totals are kept per (phase, name) as they are recorded, so
 // Summary stays exact after the ring wraps. A nil *Journal is a no-op on
 // every method, preserving the package's disabled-costs-a-nil-check
-// contract. A journal may carry a scoreboard (Observer.EnableScorecards),
-// which folds each event as it is recorded.
+// contract. An observer's journal folds each event as it is recorded into
+// the observer's kernel and platform counters, and into its scoreboard
+// (Observer.EnableScorecards) when it has one: a counter of journaled
+// events is a fold of the journal, never a second write.
 //
 // Because the mining kernel is a pure event fold, the recorded reply
 // payloads are sufficient to re-run it: internal/journal.Replay feeds the
@@ -102,7 +104,9 @@ type Event struct {
 	Agreed    []string `json:"agreed,omitempty"`
 	Disagreed []string `json:"disagreed,omitempty"`
 
-	// round_end / run_end / msp_confirmed
+	// round_end / run_end / msp_confirmed; a round_end's duration goes in
+	// Elapsed, and Inferred counts the answers inferred since the
+	// previous barrier
 	Asks       int   `json:"asks,omitempty"`
 	Replies    int   `json:"replies,omitempty"`
 	Border     int   `json:"border,omitempty"`
@@ -110,6 +114,7 @@ type Event struct {
 	NewMSPs    int   `json:"new_msps,omitempty"`
 	NewAnswers int   `json:"new_answers,omitempty"`
 	Rounds     int   `json:"rounds,omitempty"`
+	Inferred   int64 `json:"inferred,omitempty"`
 
 	// span: the name goes in Key and the duration in Elapsed
 	Phase string `json:"phase,omitempty"`
@@ -138,20 +143,16 @@ type CurvePoint struct {
 }
 
 // runRec is the journal's record of one run: the clock its events are
-// stamped on, and its arrival curve accumulated between round barriers.
+// stamped on, and its arrival curve, one point per barrier.
 type runRec struct {
-	now        func() time.Time
-	origin     time.Time // now() at StartRun
-	points     []CurvePoint
-	newMSPs    int
-	newAnswers int
-	msps       int
-	answers    int
+	now    func() time.Time
+	origin time.Time // now() at StartRun
+	points []CurvePoint
 }
 
-// DefaultJournalCapacity is the ring capacity used when NewJournal gets
-// n <= 0. The ring grows on demand up to it, so a journal that records
-// little costs little.
+// DefaultJournalCapacity is the ring capacity of an observer's journal.
+// The ring grows on demand up to it, so a journal that records little
+// costs little.
 const DefaultJournalCapacity = 65536
 
 // minJournalRing is the ring's first allocation.
@@ -162,8 +163,8 @@ const minJournalRing = 64
 // past the bound.
 const maxJournalCurves = 64
 
-// Journal records events. Construct with NewJournal (every Observer
-// carries one) and optionally attach a JSONL sink with SetSink. All
+// Journal records events. Every Observer carries one, built with it by
+// New (Observer.JournalSet); attach a JSONL sink with SetSink. All
 // methods are safe for concurrent use and are no-ops on a nil receiver.
 type Journal struct {
 	mu        sync.Mutex
@@ -183,17 +184,16 @@ type Journal struct {
 	phase     string
 	spanIdx   map[spanKey]int // (phase, name) -> index into spanSums
 	spanSums  []TraceEntry
-	board     *Scoreboard // folds every recorded event; nil without scorecards
+	// the folds of every recorded event; board is nil without scorecards
+	kernel   *KernelMetrics
+	platform *PlatformMetrics
+	board    *Scoreboard
 }
 
 type spanKey struct{ phase, name string }
 
-// NewJournal returns a journal with the given ring capacity
-// (DefaultJournalCapacity if n <= 0).
-func NewJournal(n int) *Journal {
-	if n <= 0 {
-		n = DefaultJournalCapacity
-	}
+// newJournal returns a journal with ring capacity n.
+func newJournal(n int) *Journal {
 	return &Journal{
 		limit:   n,
 		runs:    make(map[int64]*runRec),
@@ -280,6 +280,8 @@ func (j *Journal) recordLocked(e Event) {
 		j.next = 0
 	}
 	j.total++
+	j.kernel.fold(&e)
+	j.platform.fold(&e)
 	if j.board != nil {
 		j.board.fold(&e)
 	}
@@ -434,36 +436,39 @@ func (j *Journal) StartRun(now func() time.Time, members []string, seed int64, t
 	return run
 }
 
-// EndRun closes a run scope: any arrival-curve deltas not yet flushed by a
-// round barrier (finalize-time settles) land in one final bucket, the
-// run_end event is recorded, and the JSONL sink is flushed.
-func (j *Journal) EndRun(run int64, rounds int, questions int64) {
+// EndRun closes a run scope and flushes the JSONL sink. msps and answers
+// are the run's cumulative counts: what they grew since the last round
+// barrier (finalize-time settles) lands in one final curve bucket, which
+// run_end carries too, with the answers inferred since that barrier.
+func (j *Journal) EndRun(run int64, rounds int, questions int64, msps, answers, inferred int) {
 	if j == nil || run == 0 {
 		return
 	}
 	j.mu.Lock()
-	if c := j.runs[run]; c != nil && (c.newMSPs > 0 || c.newAnswers > 0) {
-		j.flushCurveLocked(c, rounds, questions)
-	}
+	j.barrierLocked(Event{Run: run, Kind: EvRunEnd, Rounds: rounds, Questions: questions,
+		Inferred: int64(inferred)}, rounds, msps, answers)
 	j.mu.Unlock()
-	j.record(Event{Run: run, Kind: EvRunEnd, Rounds: rounds, Questions: questions})
 	j.Flush()
 }
 
-// flushCurveLocked folds the accumulated deltas into a CurvePoint. Caller
+// barrierLocked records e, the round_end or run_end event of a barrier
+// after round, given the run's cumulative MSP and distinct-answer counts:
+// it appends the run's curve point (a run_end's only when the curve grew
+// since the last point) and e carries the point's increments. Caller
 // holds j.mu.
-func (j *Journal) flushCurveLocked(c *runRec, round int, questions int64) {
-	c.msps += c.newMSPs
-	c.answers += c.newAnswers
-	c.points = append(c.points, CurvePoint{
-		Round:      round,
-		Questions:  questions,
-		NewMSPs:    c.newMSPs,
-		NewAnswers: c.newAnswers,
-		MSPs:       c.msps,
-		Answers:    c.answers,
-	})
-	c.newMSPs, c.newAnswers = 0, 0
+func (j *Journal) barrierLocked(e Event, round, msps, answers int) {
+	if c := j.runs[e.Run]; c != nil {
+		var last CurvePoint
+		if n := len(c.points); n > 0 {
+			last = c.points[n-1]
+		}
+		e.NewMSPs, e.NewAnswers = msps-last.MSPs, answers-last.Answers
+		if e.Kind == EvRoundEnd || e.NewMSPs > 0 || e.NewAnswers > 0 {
+			c.points = append(c.points, CurvePoint{Round: round, Questions: e.Questions,
+				NewMSPs: e.NewMSPs, NewAnswers: e.NewAnswers, MSPs: msps, Answers: answers})
+		}
+	}
+	j.recordLocked(e)
 }
 
 // AskEvent records one question issued by the kernel.
@@ -479,7 +484,8 @@ func (j *Journal) AskEvent(run int64, round int, ask int64, member, qkind, key s
 
 // ReplyEvent records one usable (or post-stop discarded) reply with its
 // raw broker payload. disp is "" for a folded reply, "discarded" for a
-// reply consumed after the kernel stopped.
+// reply consumed after the kernel stopped. The journal takes ownership of
+// pruned: the caller must not modify it afterwards.
 func (j *Journal) ReplyEvent(run int64, round int, ask int64, member, outcome string, support float64, choice int, pruned []int32, elapsed int64, disp string) {
 	if j == nil {
 		return
@@ -487,7 +493,7 @@ func (j *Journal) ReplyEvent(run int64, round int, ask int64, member, outcome st
 	j.record(Event{
 		Run: run, Kind: EvReply, Round: round, Ask: ask, Member: member,
 		Outcome: outcome, Support: support, Choice: choice,
-		Pruned: append([]int32(nil), pruned...), Elapsed: elapsed, Disp: disp,
+		Pruned: pruned, Elapsed: elapsed, Disp: disp,
 	})
 }
 
@@ -495,7 +501,7 @@ func (j *Journal) ReplyEvent(run int64, round int, ask int64, member, outcome st
 // broker-reported timeout or an answered reply that overran the configured
 // deadline (the raw outcome is preserved so replay re-derives the same
 // classification). struck reports whether this timeout struck the member
-// out of the run.
+// out of the run. The journal takes ownership of pruned.
 func (j *Journal) TimeoutEvent(run int64, round int, ask int64, member, outcome string, support float64, choice int, pruned []int32, elapsed int64, struck bool) {
 	if j == nil {
 		return
@@ -503,11 +509,12 @@ func (j *Journal) TimeoutEvent(run int64, round int, ask int64, member, outcome 
 	j.record(Event{
 		Run: run, Kind: EvTimeout, Round: round, Ask: ask, Member: member,
 		Outcome: outcome, Support: support, Choice: choice,
-		Pruned: append([]int32(nil), pruned...), Elapsed: elapsed, Struck: struck,
+		Pruned: pruned, Elapsed: elapsed, Struck: struck,
 	})
 }
 
-// DepartureEvent records a reply reporting member departure.
+// DepartureEvent records a reply reporting member departure. The journal
+// takes ownership of pruned.
 func (j *Journal) DepartureEvent(run int64, round int, ask int64, member, outcome string, support float64, choice int, pruned []int32, elapsed int64) {
 	if j == nil {
 		return
@@ -515,7 +522,7 @@ func (j *Journal) DepartureEvent(run int64, round int, ask int64, member, outcom
 	j.record(Event{
 		Run: run, Kind: EvDeparture, Round: round, Ask: ask, Member: member,
 		Outcome: outcome, Support: support, Choice: choice,
-		Pruned: append([]int32(nil), pruned...), Elapsed: elapsed,
+		Pruned: pruned, Elapsed: elapsed,
 	})
 }
 
@@ -540,53 +547,33 @@ func (j *Journal) SettleEvent(run int64, round int, key, decision string, agreed
 	})
 }
 
-// MSPEvent records one confirmed maximal significant pattern and credits
-// the run's arrival curve. questions is the usable-answer count at
-// confirmation time — the x-axis of the arrival curve.
+// MSPEvent records one confirmed maximal significant pattern. questions
+// is the usable-answer count at confirmation time — the x-axis of the
+// arrival curve.
 func (j *Journal) MSPEvent(run int64, round int, key string, questions int64) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	if c := j.runs[run]; c != nil {
-		c.newMSPs++
-	}
-	j.mu.Unlock()
 	j.record(Event{Run: run, Kind: EvMSP, Round: round, Key: key, Questions: questions})
 }
 
-// NoteNewAnswer credits one newly-discovered distinct answer (the first
-// usable answer for a question) to the run's arrival curve. It records no
-// event — the reply event already carries the answer.
-func (j *Journal) NoteNewAnswer(run int64) {
+// RoundEnd records a round barrier and appends the run's arrival-curve
+// point. questions, msps and answers are the run's cumulative usable
+// answers, confirmed MSPs and distinct answered questions after the
+// round; the point and the round_end event carry the MSP and answer
+// increments over the previous point. dur is the round's duration on the
+// run's clock and inferred the answers inferred since the previous
+// barrier.
+func (j *Journal) RoundEnd(run int64, round, asks, replies, border int, questions int64, dur time.Duration, msps, answers, inferred int) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
-	if c := j.runs[run]; c != nil {
-		c.newAnswers++
-	}
-	j.mu.Unlock()
-}
-
-// RoundEnd records a round barrier and flushes the round's arrival-curve
-// deltas into a CurvePoint. questions is the cumulative usable-answer
-// count after the round.
-func (j *Journal) RoundEnd(run int64, round, asks, replies, border int, questions int64) {
-	if j == nil {
-		return
-	}
-	var newMSPs, newAnswers int
-	j.mu.Lock()
-	if c := j.runs[run]; c != nil {
-		newMSPs, newAnswers = c.newMSPs, c.newAnswers
-		j.flushCurveLocked(c, round, questions)
-	}
-	j.mu.Unlock()
-	j.record(Event{
+	j.barrierLocked(Event{
 		Run: run, Kind: EvRoundEnd, Round: round, Asks: asks, Replies: replies,
-		Border: border, Questions: questions, NewMSPs: newMSPs, NewAnswers: newAnswers,
-	})
+		Border: border, Questions: questions, Elapsed: dur.Nanoseconds(), Inferred: int64(inferred),
+	}, round, msps, answers)
+	j.mu.Unlock()
 }
 
 // StoreEvent records one shared-answer-platform store interaction
@@ -748,6 +735,7 @@ func appendEventJSON(b []byte, e *Event) []byte {
 	b = appendIntField(b, `,"new_msps":`, int64(e.NewMSPs))
 	b = appendIntField(b, `,"new_answers":`, int64(e.NewAnswers))
 	b = appendIntField(b, `,"rounds":`, int64(e.Rounds))
+	b = appendIntField(b, `,"inferred":`, e.Inferred)
 	b = appendStringField(b, `,"phase":`, e.Phase)
 	if len(e.Attrs) > 0 {
 		b = append(b, `,"attrs":[`...)

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"regexp"
 	"strconv"
 	"strings"
@@ -14,7 +15,7 @@ import (
 // recordedJournal is the JSONL stream TestJournalJSONLDeterminism records:
 // every fixture event through the journal's sink.
 func recordedJournal(t testing.TB) []byte {
-	j := NewJournal(64)
+	j := newJournal(64)
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 	for _, e := range journalFixtureEvents() {
@@ -30,8 +31,9 @@ var journalLineErr = regexp.MustCompile(`^journal line (\d+): `)
 
 // checkJournalDecode is the robustness contract of ReadJournalJSONL: it
 // never panics, and either decodes one event per non-blank line, which
-// fold into a fresh scoreboard without panicking, or returns an error
-// naming a line of the input that does not decode on its own.
+// fold into a fresh scoreboard and fresh kernel and platform sets without
+// panicking, or returns an error naming a line of the input that does not
+// decode on its own.
 func checkJournalDecode(t *testing.T, input []byte) {
 	t.Helper()
 	events, err := ReadJournalJSONL(bytes.NewReader(input))
@@ -46,7 +48,10 @@ func checkJournalDecode(t *testing.T, input []byte) {
 		if len(events) != n {
 			t.Fatalf("decoded %d events from %d non-blank lines", len(events), n)
 		}
-		FoldScoreboard(NewRegistry(), events).Snapshot()
+		r := NewRegistry()
+		FoldScoreboard(r, events).Snapshot()
+		FoldMetrics(r, events)
+		r.WritePrometheus(io.Discard)
 		return
 	}
 	m := journalLineErr.FindStringSubmatch(err.Error())
@@ -83,11 +88,11 @@ func TestReadJournalTruncated(t *testing.T) {
 	}
 }
 
-// FuzzReadJournalJSONL drives ReadJournalJSONL, and the scoreboard fold of
-// what it decodes, with arbitrary input seeded from a recorded journal
-// (ban and settle events included), whole, truncated and corrupted, and
-// with hostile member events (run with
-// `go test -fuzz=FuzzReadJournalJSONL ./internal/obs`).
+// FuzzReadJournalJSONL drives ReadJournalJSONL, and the scoreboard and
+// counter folds of what it decodes, with arbitrary input seeded from a
+// recorded journal (ban and settle events included), whole, truncated and
+// corrupted, with hostile member events and with hostile barriers (run
+// with `go test -fuzz=FuzzReadJournalJSONL ./internal/obs`).
 func FuzzReadJournalJSONL(f *testing.F) {
 	rec := recordedJournal(f)
 	f.Add(rec)
@@ -106,6 +111,11 @@ func FuzzReadJournalJSONL(f *testing.F) {
 		`{"kind":"settle","agreed":["ghost",""],"disagreed":["m","ghost"]}` + "\n" +
 		`{"kind":"timeout","struck":true}` + "\n"))
 	f.Add([]byte(`{"kind":"reply","member":"m","support":NaN}`))
+	f.Add([]byte(`{"kind":"round_end","asks":-5,"replies":-1,"border":-9223372036854775808,"inferred":9223372036854775807,"elapsed_ns":-9223372036854775808}` + "\n" +
+		`{"kind":"round_end","asks":9223372036854775807,"inferred":9223372036854775807}` + "\n" +
+		`{"kind":"run_end","inferred":-9223372036854775808,"new_msps":-3}` + "\n" +
+		`{"kind":"reply","disp":"bogus"}` + "\n" + `{"kind":"departure"}` + "\n" +
+		`{"kind":"store_expired"}` + "\n" + `{"kind":"store_join","member":""}` + "\n"))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		checkJournalDecode(t, input)
 	})

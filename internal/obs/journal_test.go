@@ -33,8 +33,8 @@ func journalFixtureEvents() []Event {
 			Agreed: []string{"u1"}, Disagreed: []string{`u"2\n`, "u3"}},
 		{Kind: EvMSP, Run: 1, Round: 3, Key: "s=1;p=2;", Questions: 17},
 		{Kind: EvRoundEnd, Run: 1, Round: 3, Asks: 5, Replies: 5, Border: 2,
-			Questions: 17, NewMSPs: 1, NewAnswers: 4},
-		{Kind: EvRunEnd, Run: 1, Rounds: 3, Questions: 17},
+			Questions: 17, NewMSPs: 1, NewAnswers: 4, Elapsed: 2e9, Inferred: 6},
+		{Kind: EvRunEnd, Run: 1, Rounds: 3, Questions: 17, NewAnswers: 2, Inferred: 1},
 		{Kind: EvStoreHit, Member: "u1", Key: "q\tkey"},
 		{Kind: EvSpan, Run: 2, Key: `ro"und`, Elapsed: 250000, Phase: "fig5a",
 			Attrs: []Attr{{Key: "asks", Val: 4}, {Key: "b\nx", Val: -1}}},
@@ -65,7 +65,7 @@ func TestJournalEventJSONRoundTrip(t *testing.T) {
 // the stream back to the recorded events.
 func TestJournalJSONLDeterminism(t *testing.T) {
 	write := func() (string, []Event) {
-		j := NewJournal(64)
+		j := newJournal(64)
 		var sink bytes.Buffer
 		j.SetSink(&sink)
 		for _, e := range journalFixtureEvents() {
@@ -89,7 +89,7 @@ func TestJournalJSONLDeterminism(t *testing.T) {
 		t.Fatalf("sink decode diverged from ring:\nring: %+v\ndecoded: %+v", evs, decoded)
 	}
 	var buf bytes.Buffer
-	j := NewJournal(64)
+	j := newJournal(64)
 	for _, e := range journalFixtureEvents() {
 		j.record(e)
 	}
@@ -104,7 +104,7 @@ func TestJournalJSONLDeterminism(t *testing.T) {
 // TestJournalRingOverwrite checks wraparound accounting: a ring of n keeps
 // the newest n events in order, counts drops, while a sink still sees all.
 func TestJournalRingOverwrite(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 	for i := 0; i < 10; i++ {
@@ -142,7 +142,7 @@ func TestJournalRingOverwrite(t *testing.T) {
 // point they lie, and that Tail(256) allocates about 256 events, not the
 // whole ring (GET /journal serves Tail(256) under the journal lock).
 func TestJournalTailCopiesOnlyTail(t *testing.T) {
-	j := NewJournal(DefaultJournalCapacity)
+	j := newJournal(DefaultJournalCapacity)
 	const wrap = 1000
 	for i := 0; i < DefaultJournalCapacity+wrap; i++ {
 		j.record(Event{Kind: EvAsk})
@@ -181,7 +181,7 @@ func TestJournalTailCopiesOnlyTail(t *testing.T) {
 // run lifecycle on an explicit clock and checks the arrival curve buckets.
 func TestJournalClockAndCurve(t *testing.T) {
 	now := time.Unix(100, 0)
-	j := NewJournal(0)
+	j := newJournal(DefaultJournalCapacity)
 
 	run := j.StartRun(func() time.Time { return now }, []string{"u1", "u2"}, 9, 0.3, "")
 	if run != 1 {
@@ -191,12 +191,9 @@ func TestJournalClockAndCurve(t *testing.T) {
 		t.Fatalf("LastRun = %d", j.LastRun())
 	}
 	now = now.Add(5 * time.Millisecond)
-	j.NoteNewAnswer(run)
-	j.NoteNewAnswer(run)
 	j.MSPEvent(run, 1, "k1", 2)
-	j.RoundEnd(run, 1, 2, 2, 1, 2)
-	j.NoteNewAnswer(run)
-	j.EndRun(run, 2, 3)
+	j.RoundEnd(run, 1, 2, 2, 1, 2, time.Millisecond, 1, 2, 0)
+	j.EndRun(run, 2, 3, 1, 3, 0)
 
 	curve := j.Curve(run)
 	want := []CurvePoint{
@@ -215,6 +212,15 @@ func TestJournalClockAndCurve(t *testing.T) {
 	if last.Kind != EvRunEnd || last.At != int64(5*time.Millisecond) {
 		t.Fatalf("run_end = %+v", last)
 	}
+	// The barriers carry the curve increments, so the stream holds the
+	// whole curve.
+	if end := evs[len(evs)-2]; end.Kind != EvRoundEnd || end.NewMSPs != 1 || end.NewAnswers != 2 {
+		t.Fatalf("round_end = %+v", end)
+	}
+	if last.NewMSPs != 0 || last.NewAnswers != 1 {
+		t.Fatalf("run_end carries %d new MSPs and %d new answers, want the tail bucket's 0 and 1",
+			last.NewMSPs, last.NewAnswers)
+	}
 }
 
 // TestJournalRunClocks pins the time base of a journal shared by runs on
@@ -223,7 +229,7 @@ func TestJournalClockAndCurve(t *testing.T) {
 // clock run stamps neither negative; run-0 events carry 0 until the first
 // StartRun and wall-clock offsets from it afterwards.
 func TestJournalRunClocks(t *testing.T) {
-	j := NewJournal(0)
+	j := newJournal(DefaultJournalCapacity)
 	j.Span(0, "before", time.Millisecond)
 	virt := time.Unix(7, 0)
 	vrun := j.StartRun(func() time.Time { return virt }, []string{"v"}, 1, 0.5, "")
@@ -233,8 +239,8 @@ func TestJournalRunClocks(t *testing.T) {
 	j.AskEvent(wrun, 1, 1, "w", "concrete", "k", false, 0)
 	j.Span(0, "after", time.Millisecond)
 	virt = virt.Add(time.Second)
-	j.EndRun(vrun, 1, 1)
-	j.EndRun(wrun, 1, 1)
+	j.EndRun(vrun, 1, 1, 0, 0, 0)
+	j.EndRun(wrun, 1, 1, 0, 0, 0)
 
 	evs := j.Events()
 	if evs[0].Key != "before" || evs[0].At != 0 {
@@ -276,12 +282,11 @@ func TestReadJournalQueryExecLine(t *testing.T) {
 // TestJournalCurveEviction checks the per-run curve bound: curves past
 // maxJournalCurves are evicted oldest-first, newest runs stay queryable.
 func TestJournalCurveEviction(t *testing.T) {
-	j := NewJournal(0)
+	j := newJournal(DefaultJournalCapacity)
 	var last int64
 	for i := 0; i < maxJournalCurves+5; i++ {
 		last = j.StartRun(time.Now, []string{"u"}, 1, 0.5, "")
-		j.NoteNewAnswer(last)
-		j.RoundEnd(last, 1, 1, 1, 0, 1)
+		j.RoundEnd(last, 1, 1, 1, 0, 1, 0, 0, 1, 0)
 	}
 	if j.Curve(1) != nil {
 		t.Fatal("oldest curve survived past the bound")
@@ -301,8 +306,7 @@ func TestJournalNilSafety(t *testing.T) {
 	j.TimeoutEvent(run, 1, 1, "u", "answered", 0, -1, nil, 0, false)
 	j.DepartureEvent(run, 1, 1, "u", "departed", 0, -1, nil, 0)
 	j.MSPEvent(run, 1, "k", 1)
-	j.NoteNewAnswer(run)
-	j.RoundEnd(run, 1, 1, 1, 0, 1)
+	j.RoundEnd(run, 1, 1, 1, 0, 1, time.Millisecond, 1, 1, 0)
 	j.StoreEvent(EvStoreHit, "u", "k")
 	j.SetPhase("p")
 	j.Span(run, "round", time.Millisecond, Attr{Key: "asks", Val: 1})
@@ -311,7 +315,7 @@ func TestJournalNilSafety(t *testing.T) {
 		t.Fatal("nil journal read the clock in Begin")
 	}
 	j.End("space_build", start)
-	j.EndRun(run, 1, 1)
+	j.EndRun(run, 1, 1, 1, 1, 0)
 	if j.Events() != nil || j.Curve(run) != nil || j.Total() != 0 || j.LastRun() != 0 ||
 		j.Summary() != nil {
 		t.Fatal("nil journal retained state")
@@ -321,11 +325,39 @@ func TestJournalNilSafety(t *testing.T) {
 	}
 }
 
-// TestJournalConcurrentRecord hammers the ring and the sink from many
-// goroutines; run under -race this pins the locking discipline, and the
-// sequence numbers must come out dense and unique.
+// TestJournalOwnsPruned: a reply, timeout or departure event keeps the
+// pruned list it is given instead of copying it, so journaling one with
+// three pruned terms allocates no more than journaling one without.
+func TestJournalOwnsPruned(t *testing.T) {
+	j := newJournal(4)
+	pruned := []int32{3, 5, 8}
+	for name, record := range map[string]func(p []int32){
+		"reply":     func(p []int32) { j.ReplyEvent(1, 1, 1, "u", "answered", 0.5, -1, p, 10, "") },
+		"timeout":   func(p []int32) { j.TimeoutEvent(1, 1, 1, "u", "answered", 0.5, -1, p, 10, false) },
+		"departure": func(p []int32) { j.DepartureEvent(1, 1, 1, "u", "departed", 0, -1, p, 10) },
+	} {
+		for i := 0; i < 4; i++ {
+			record(nil) // fill the ring, so later events overwrite in place
+		}
+		without := testing.AllocsPerRun(100, func() { record(nil) })
+		with := testing.AllocsPerRun(100, func() { record(pruned) })
+		if with != without {
+			t.Errorf("%s: %v allocations with three pruned terms, %v without", name, with, without)
+		}
+		if evs := j.Tail(1); &evs[0].Pruned[0] != &pruned[0] {
+			t.Errorf("%s: the journal copied the pruned list", name)
+		}
+	}
+}
+
+// TestJournalConcurrentRecord hammers the ring, the sink, the curves and
+// the kernel fold from many goroutines; run under -race this pins the
+// locking discipline, the sequence numbers must come out dense and unique,
+// and every run's curve and the folded counters must count every event.
 func TestJournalConcurrentRecord(t *testing.T) {
-	j := NewJournal(128)
+	j := newJournal(128)
+	k := NewKernelMetrics(NewRegistry())
+	j.kernel = k
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 	const workers, per = 8, 200
@@ -337,13 +369,22 @@ func TestJournalConcurrentRecord(t *testing.T) {
 			run := j.StartRun(time.Now, []string{fmt.Sprintf("w%d", w)}, int64(w), 0.5, "")
 			for i := 0; i < per; i++ {
 				j.AskEvent(run, 1, int64(i), "m", "concrete", "k", false, 0)
-				j.NoteNewAnswer(run)
 			}
-			j.RoundEnd(run, 1, per, per, 0, per)
-			j.EndRun(run, 1, per)
+			j.RoundEnd(run, 1, per, 0, 0, 0, time.Millisecond, 0, per, 1)
+			j.EndRun(run, 1, 0, 0, per, 1)
 		}(w)
 	}
 	wg.Wait()
+	for run := int64(1); run <= workers; run++ {
+		if c := j.Curve(run); len(c) != 1 || c[0].NewAnswers != per {
+			t.Fatalf("run %d curve = %+v, want one point of %d new answers", run, c, per)
+		}
+	}
+	if k.InFlight.Value() != workers*per || k.Asks.Value() != workers*per ||
+		k.Rounds.Value() != workers || k.Inferred.Value() != 2*workers || k.RoundDur.Count() != workers {
+		t.Fatalf("folded in-flight %d, asks %d, rounds %d, inferred %d, durations %d",
+			k.InFlight.Value(), k.Asks.Value(), k.Rounds.Value(), k.Inferred.Value(), k.RoundDur.Count())
+	}
 	const wantTotal = workers * (per + 3) // run_start + asks + round_end + run_end
 	if j.Total() != wantTotal {
 		t.Fatalf("Total = %d, want %d", j.Total(), wantTotal)
@@ -371,7 +412,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 // its name in key, its duration in elapsed_ns, the phase and the attrs,
 // and ReadJournalJSONL decodes it back to an equal Event.
 func TestJournalSpanJSONL(t *testing.T) {
-	j := NewJournal(16)
+	j := newJournal(16)
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 	j.SetPhase("fig5a")
@@ -401,7 +442,7 @@ func TestJournalSpanJSONL(t *testing.T) {
 // TestJournalSpanSummaryAfterWrap: the summary counts every span ever
 // recorded, not the ring's survivors.
 func TestJournalSpanSummaryAfterWrap(t *testing.T) {
-	j := NewJournal(4)
+	j := newJournal(4)
 	j.SetPhase("mine")
 	for i := 0; i < 10; i++ {
 		j.Span(1, "round", time.Millisecond, Attr{Key: "asks", Val: int64(i)})
@@ -431,7 +472,7 @@ func TestJournalSpanSummaryAfterWrap(t *testing.T) {
 // byte-identical JSONL.
 func TestJournalSpanSummaryOrder(t *testing.T) {
 	build := func() *Journal {
-		j := NewJournal(16)
+		j := newJournal(16)
 		j.SetPhase("zeta")
 		j.Span(0, "late", time.Millisecond)
 		j.Span(0, "early", 2*time.Millisecond, Attr{Key: "k", Val: 1})
@@ -467,7 +508,7 @@ func TestJournalSpanSummaryOrder(t *testing.T) {
 // tiny ring while phases change and summaries are read; -race pins the
 // locking discipline, and the summary and drop accounting must balance.
 func TestJournalSpanConcurrent(t *testing.T) {
-	j := NewJournal(8)
+	j := newJournal(8)
 	const workers, per = 8, 100
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -589,8 +630,8 @@ func TestScoreboardConcurrentFold(t *testing.T) {
 		go func(m string) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				o.Journal.AskEvent(1, 1, int64(i), m, "concrete", "k", false, 0)
-				o.Journal.ReplyEvent(1, 1, int64(i), m, "answered", 0.5, 0, nil, 1000, "")
+				o.JournalSet().AskEvent(1, 1, int64(i), m, "concrete", "k", false, 0)
+				o.JournalSet().ReplyEvent(1, 1, int64(i), m, "answered", 0.5, 0, nil, 1000, "")
 			}
 		}(fmt.Sprintf("m%d", w%2))
 	}

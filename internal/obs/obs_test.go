@@ -29,7 +29,9 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil histogram")
 	}
 	var km *KernelMetrics
-	km.RoundComplete(3, 2, time.Millisecond)
+	km.fold(&Event{Kind: EvRoundEnd, Asks: 3, Border: 2, Elapsed: int64(time.Millisecond)})
+	var plm *PlatformMetrics
+	plm.fold(&Event{Kind: EvStoreHit})
 	var bm *BrokerMetrics
 	bm.Reply(2, time.Second)
 	var pm *PlanMetrics
@@ -38,7 +40,7 @@ func TestNilSafety(t *testing.T) {
 	var sm *ServerMetrics
 	sm.Request("/answer", "200", time.Millisecond)
 	var o *Observer
-	if o.KernelSet() != nil || o.BrokerSet() != nil || o.PlanSet() != nil ||
+	if o.BrokerSet() != nil || o.PlanSet() != nil ||
 		o.ServerSet() != nil || o.JournalSet() != nil || o.Reg() != nil {
 		t.Fatal("nil observer accessors must return nil")
 	}
@@ -163,7 +165,7 @@ func TestConcurrentUse(t *testing.T) {
 			default:
 				var buf bytes.Buffer
 				o.Registry.WritePrometheus(&buf)
-				o.Journal.Summary()
+				o.JournalSet().Summary()
 			}
 		}
 	}()
@@ -172,10 +174,10 @@ func TestConcurrentUse(t *testing.T) {
 		go func(i int) {
 			defer writers.Done()
 			for j := 0; j < 500; j++ {
-				o.Kernel.RoundComplete(j%7, j%3, time.Duration(j)*time.Microsecond)
+				o.JournalSet().RoundEnd(0, j, j%7, j%7, j%3, 0, time.Duration(j)*time.Microsecond, 0, 0, 0)
 				o.Broker.Reply(j%3, time.Duration(j)*time.Microsecond)
 				o.Server.Request("/answer", "200", time.Microsecond)
-				o.Journal.Span(0, "round", time.Microsecond, Attr{Key: "i", Val: int64(i)})
+				o.JournalSet().Span(0, "round", time.Microsecond, Attr{Key: "i", Val: int64(i)})
 			}
 		}(i)
 	}

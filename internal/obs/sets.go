@@ -4,7 +4,9 @@ import "time"
 
 // KernelMetrics instruments the mining kernel: per-round spans, question
 // outcome counters, the in-flight gauge and the significant-border size.
-// A nil *KernelMetrics is a no-op on every method.
+// Every field is a fold of the journal: the kernel writes none of them,
+// and the observer's journal folds each event it records (fold), so a
+// recorded stream folds to the same numbers (FoldMetrics).
 type KernelMetrics struct {
 	Rounds     *Counter
 	Asks       *Counter
@@ -42,31 +44,46 @@ func NewKernelMetrics(r *Registry) *KernelMetrics {
 	}
 }
 
-// nopKernelMetrics backs OrNop: all fields nil, every method a no-op.
-var nopKernelMetrics = &KernelMetrics{}
-
-// OrNop returns m, or — when m is nil — a shared set whose counter and
-// gauge fields are all nil (and therefore no-ops). Instrumentation call
-// sites can then write m.Field.Inc() directly without a per-site guard;
-// the nil check lives inside the counter method.
-func (m *KernelMetrics) OrNop() *KernelMetrics {
-	if m == nil {
-		return nopKernelMetrics
-	}
-	return m
-}
-
-// RoundComplete records one finished round: its question count, the border
-// size after settling, and its duration on the driving clock.
-func (m *KernelMetrics) RoundComplete(asks, border int, dur time.Duration) {
+// fold counts one journal event: an ask puts a question in flight and its
+// reply, timeout or departure takes it out, and the barriers carry the
+// round totals and inferred answers. A nil set folds nothing.
+func (m *KernelMetrics) fold(e *Event) {
 	if m == nil {
 		return
 	}
-	m.Rounds.Inc()
-	m.Asks.Add(int64(asks))
-	m.RoundAsks.Observe(float64(asks))
-	m.Border.Set(int64(border))
-	m.RoundDur.Observe(dur.Seconds())
+	switch e.Kind {
+	case EvAsk:
+		m.InFlight.Add(1)
+	case EvReply:
+		m.InFlight.Add(-1)
+		if e.Disp == "" {
+			m.Questions.Inc()
+		} else {
+			m.Discarded.Inc()
+		}
+	case EvTimeout:
+		m.InFlight.Add(-1)
+		m.Timeouts.Inc()
+		m.Discarded.Inc()
+		if e.Struck {
+			m.Departures.Inc()
+		}
+	case EvDeparture:
+		m.InFlight.Add(-1)
+		m.Departures.Inc()
+	case EvMSP:
+		m.MSPs.Inc()
+	case EvRoundEnd:
+		m.Rounds.Inc()
+		m.Asks.Add(int64(e.Asks))
+		m.Replies.Add(int64(e.Replies))
+		m.RoundAsks.Observe(float64(e.Asks))
+		m.Border.Set(int64(e.Border))
+		m.RoundDur.Observe(time.Duration(e.Elapsed).Seconds())
+		m.Inferred.Add(e.Inferred)
+	case EvRunEnd:
+		m.Inferred.Add(e.Inferred)
+	}
 }
 
 // BrokerMetrics instruments crowd brokers: round-trip latency and reply
@@ -227,8 +244,10 @@ func (m *ServerMetrics) Request(path, code string, dur time.Duration) {
 
 // PlatformMetrics instruments the cross-query answer platform: store
 // lookups by outcome (hit / miss / in-flight join), freshness expirations,
-// LRU evictions and the store / attached-session gauges. A nil
-// *PlatformMetrics is a no-op on every method.
+// LRU evictions and the store / attached-session gauges. Hits, Misses,
+// Joins and Expired are folds of the journal's store events; the platform
+// writes the rest, state no event carries. A nil *PlatformMetrics is a
+// no-op on every method.
 type PlatformMetrics struct {
 	Hits     *Counter
 	Misses   *Counter
@@ -262,6 +281,35 @@ func (m *PlatformMetrics) OrNop() *PlatformMetrics {
 		return nopPlatformMetrics
 	}
 	return m
+}
+
+// fold counts one journal store event.
+func (m *PlatformMetrics) fold(e *Event) {
+	if m == nil {
+		return
+	}
+	switch e.Kind {
+	case EvStoreHit:
+		m.Hits.Inc()
+	case EvStoreMiss:
+		m.Misses.Inc()
+	case EvStoreJoin:
+		m.Joins.Inc()
+	case EvStoreExpired:
+		m.Expired.Inc()
+	}
+}
+
+// FoldMetrics folds a recorded journal stream (ReadJournalJSONL) into
+// fresh kernel and platform sets registered on r: the counters an
+// observer whose journal recorded the stream would read.
+func FoldMetrics(r *Registry, events []Event) (*KernelMetrics, *PlatformMetrics) {
+	km, pm := NewKernelMetrics(r), NewPlatformMetrics(r)
+	for i := range events {
+		km.fold(&events[i])
+		pm.fold(&events[i])
+	}
+	return km, pm
 }
 
 // IngestMetrics instruments N-Triples ingestion: parsed-triple and derived
@@ -328,10 +376,10 @@ func (m *IngestMetrics) LoadFailed() {
 // methods are no-ops.
 type Observer struct {
 	Registry *Registry
-	// Journal is the one event stream: program spans and crowd-run
-	// events. New always creates it; swap in another journal, or attach
-	// a JSONL sink to this one, to keep what it records.
-	Journal *Journal
+	// journal is the one event stream: program spans and crowd-run
+	// events. New creates it with the Kernel and Platform folds wired in;
+	// attach a JSONL sink (JournalSet().SetSink) to keep what it records.
+	journal *Journal
 
 	Kernel   *KernelMetrics
 	Broker   *BrokerMetrics
@@ -342,12 +390,13 @@ type Observer struct {
 }
 
 // New returns an Observer with a fresh registry, a default-capacity
-// journal, and every subsystem metric family registered.
+// journal, and every subsystem metric family registered. The journal
+// folds each event it records into the Kernel and Platform sets.
 func New() *Observer {
 	r := NewRegistry()
-	return &Observer{
+	o := &Observer{
 		Registry: r,
-		Journal:  NewJournal(0),
+		journal:  newJournal(DefaultJournalCapacity),
 		Kernel:   NewKernelMetrics(r),
 		Broker:   NewBrokerMetrics(r),
 		Plan:     NewPlanMetrics(r),
@@ -355,14 +404,8 @@ func New() *Observer {
 		Platform: NewPlatformMetrics(r),
 		Ingest:   NewIngestMetrics(r),
 	}
-}
-
-// KernelSet returns the kernel metrics (nil for a nil observer).
-func (o *Observer) KernelSet() *KernelMetrics {
-	if o == nil {
-		return nil
-	}
-	return o.Kernel
+	o.journal.kernel, o.journal.platform = o.Kernel, o.Platform
+	return o
 }
 
 // BrokerSet returns the broker metrics (nil for a nil observer).
@@ -407,19 +450,17 @@ func (o *Observer) IngestSet() *IngestMetrics {
 
 // EnableScorecards attaches a per-member scoreboard to the observer's
 // journal, registering its oassis_member_* families, and returns it. The
-// board folds every event the journal records from then on, so swap in
-// another Journal before enabling, not after: a second board on the same
-// registry would share the first one's series. Calling it again returns
-// the existing board. Scorecards are opt-in, but cheap: on
+// board folds every event the journal records from then on. Calling it
+// again returns the existing board. Scorecards are opt-in, but cheap: on
 // BenchmarkEngineThroughput (2 CPUs, a noisy host) an observer costs 25.5
 // allocations per question with scorecards and without (24.4 with no
 // observer), since the board adds no event of its own and tallies into
 // series it fetches once per member.
 func (o *Observer) EnableScorecards() *Scoreboard {
-	if o == nil || o.Journal == nil {
+	j := o.JournalSet()
+	if j == nil {
 		return nil
 	}
-	j := o.Journal
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.board == nil {
@@ -433,7 +474,7 @@ func (o *Observer) JournalSet() *Journal {
 	if o == nil {
 		return nil
 	}
-	return o.Journal
+	return o.journal
 }
 
 // BoardSet returns the journal's scoreboard (nil when disabled or for a

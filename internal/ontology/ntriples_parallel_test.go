@@ -364,7 +364,7 @@ func TestParallelNTriplesObs(t *testing.T) {
 		t.Errorf("ingest duration observations = %d, want 1", im.Duration.Count())
 	}
 	spans := map[string]bool{}
-	for _, e := range o.Journal.Events() {
+	for _, e := range o.JournalSet().Events() {
 		if e.Kind == obs.EvSpan {
 			spans[e.Key] = true
 		}

@@ -135,7 +135,7 @@ type flight struct {
 type Platform struct {
 	cfg   Config
 	clock chaos.Clock
-	pm    *obs.PlatformMetrics // non-nil; all fields no-ops when unobserved
+	pm    *obs.PlatformMetrics // non-nil; writes only Evicted and the gauges
 	jr    *obs.Journal         // the observer's journal; nil when unobserved
 
 	mu       sync.Mutex
@@ -291,34 +291,28 @@ func (c *Conn) Post(ask *crowd.Ask, deliver func(crowd.Reply)) {
 			p.recency.MoveToFront(e.lru)
 			r := e.replyFor(ask, perm, 0)
 			p.mu.Unlock()
-			p.pm.Hits.Inc()
 			p.jr.StoreEvent(obs.EvStoreHit, ask.Member, q)
 			deliver(r)
 			return
 		}
 	}
-	if f, ok := p.flights[k]; ok {
+	f, joined := p.flights[k]
+	if joined {
 		f.waiters = append(f.waiters, waiter{ask: ask, perm: perm, deliver: deliver})
 		p.stats.Joins++
-		p.mu.Unlock()
-		if expired {
-			p.pm.Expired.Inc()
-			p.pm.Entries.Add(-1)
-			p.jr.StoreEvent(obs.EvStoreExpired, ask.Member, q)
-		}
-		p.pm.Joins.Inc()
-		p.jr.StoreEvent(obs.EvStoreJoin, ask.Member, q)
-		return
+	} else {
+		p.flights[k] = &flight{}
+		p.stats.Misses++
 	}
-	p.flights[k] = &flight{}
-	p.stats.Misses++
 	p.mu.Unlock()
 	if expired {
-		p.pm.Expired.Inc()
 		p.pm.Entries.Add(-1)
 		p.jr.StoreEvent(obs.EvStoreExpired, ask.Member, q)
 	}
-	p.pm.Misses.Inc()
+	if joined {
+		p.jr.StoreEvent(obs.EvStoreJoin, ask.Member, q)
+		return
+	}
 	p.jr.StoreEvent(obs.EvStoreMiss, ask.Member, q)
 
 	c.next.Post(ask, func(r crowd.Reply) {

@@ -465,7 +465,7 @@ func TestPlatformStatsString(t *testing.T) {
 // the canonical question key.
 func TestPlatformStoreJournalEvents(t *testing.T) {
 	o := obs.New()
-	j := o.Journal
+	j := o.JournalSet()
 	b := &scriptBroker{support: 0.8, choice: -1, hold: true}
 	p := platform.New(platform.Config{Obs: o})
 	c := p.Attach(b)

@@ -138,7 +138,7 @@ func FuzzJournalTail(f *testing.F) {
 				t.Fatalf("line %d is not JSON: %q", lines, sc.Text())
 			}
 		}
-		if total := fx.obsv.Journal.Total(); int64(lines) > total || lines == 0 {
+		if total := fx.obsv.JournalSet().Total(); int64(lines) > total || lines == 0 {
 			t.Fatalf("served %d events, journal holds %d", lines, total)
 		}
 	})

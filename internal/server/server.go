@@ -656,7 +656,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if o := s.cfg.Obs; o != nil {
-		if km := o.KernelSet(); km != nil {
+		if km := o.Kernel; km != nil {
 			resp["kernel"] = map[string]any{
 				"rounds":     km.Rounds.Value(),
 				"asks":       km.Asks.Value(),

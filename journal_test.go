@@ -27,10 +27,11 @@ func chaosJournalFaults() []oassis.Faults {
 	return faults
 }
 
-// chaosJournalRun drives one sequential chaos run with a journal attached:
-// virtual clock, a 1-minute answer deadline under 2-minute worst-case
-// latencies (so some answers must overrun it) and two scheduled departures.
-func chaosJournalRun(t *testing.T, j *oassis.Journal, extra ...oassis.Option) (*oassis.Session, *oassis.Result) {
+// chaosJournalRun drives one sequential chaos run with o attached (none
+// when nil): virtual clock, a 1-minute answer deadline under 2-minute
+// worst-case latencies (so some answers must overrun it) and two scheduled
+// departures.
+func chaosJournalRun(t *testing.T, o *oassis.Observer, extra ...oassis.Option) (*oassis.Session, *oassis.Result) {
 	t.Helper()
 	clock := oassis.NewVirtualClock()
 	opts := append([]oassis.Option{
@@ -38,9 +39,7 @@ func chaosJournalRun(t *testing.T, j *oassis.Journal, extra ...oassis.Option) (*
 		oassis.WithAnswerDeadline(time.Minute),
 		oassis.WithTranscript(),
 	}, extra...)
-	if j != nil {
-		o := oassis.NewObserver()
-		o.Journal = j
+	if o != nil {
 		opts = append(opts, oassis.WithObserver(o))
 	}
 	sess, v := chaosSession(t, opts...)
@@ -58,11 +57,12 @@ func chaosJournalRun(t *testing.T, j *oassis.Journal, extra ...oassis.Option) (*
 // kernel state. When JOURNAL_ARTIFACT is set, the recorded stream is also
 // written there so CI can upload it.
 func TestJournalReplayChaos(t *testing.T) {
-	j := oassis.NewJournal(0)
+	o := oassis.NewObserver()
+	j := o.JournalSet()
 	var sink bytes.Buffer
 	j.SetSink(&sink)
 
-	live, liveRes := chaosJournalRun(t, j)
+	live, liveRes := chaosJournalRun(t, o)
 	if liveRes.Stats.Departures == 0 {
 		t.Fatal("chaos run produced no departures; scenario too tame to exercise the journal")
 	}
@@ -127,11 +127,10 @@ func TestJournalReplayRefusesSingleMember(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j := oassis.NewJournal(0)
+	o := oassis.NewObserver()
+	j := o.JournalSet()
 	var sink bytes.Buffer
 	j.SetSink(&sink)
-	o := oassis.NewObserver()
-	o.Journal = j
 	sess, err := oassis.NewSession(store, q, oassis.WithSeed(2), oassis.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +162,7 @@ func TestJournalReplayRefusesSingleMember(t *testing.T) {
 // timeline, identical transcripts, stats and answers with and without it.
 func TestJournalZeroBehaviorChange(t *testing.T) {
 	bareSess, bareRes := chaosJournalRun(t, nil)
-	jSess, jRes := chaosJournalRun(t, oassis.NewJournal(0))
+	jSess, jRes := chaosJournalRun(t, oassis.NewObserver())
 
 	if !reflect.DeepEqual(bareRes.Stats, jRes.Stats) {
 		t.Fatalf("journal changed Stats:\n%+v\nvs\n%+v", jRes.Stats, bareRes.Stats)
@@ -191,7 +190,7 @@ func TestJournalZeroBehaviorChange(t *testing.T) {
 // cumulative totals consistent with the per-round increments, and the
 // final totals agreeing with the run's stats.
 func TestJournalCurveShape(t *testing.T) {
-	_, res := chaosJournalRun(t, oassis.NewJournal(0))
+	_, res := chaosJournalRun(t, oassis.NewObserver())
 	curve := res.Curve
 	if len(curve) == 0 {
 		t.Fatal("no curve recorded")
@@ -230,7 +229,7 @@ func TestJournalCurveShape(t *testing.T) {
 func TestScorecardsIntegration(t *testing.T) {
 	o := oassis.NewObserver()
 	o.EnableScorecards()
-	sess, res := chaosJournalRun(t, nil, oassis.WithObserver(o))
+	sess, res := chaosJournalRun(t, o)
 	cards := sess.Scorecards()
 	if len(cards) == 0 {
 		t.Fatal("Scorecards() empty after a run")

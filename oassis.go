@@ -114,8 +114,8 @@ type (
 	// record of crowd runs (run start, every ask / reply / timeout /
 	// departure with its raw payload, MSP confirmations, round barriers)
 	// and of timed program spans, kept in a bounded ring with an optional
-	// JSONL sink. Every Observer carries one; swap in another by setting
-	// Observer.Journal, and replay a recorded stream with Session.Replay.
+	// JSONL sink. Every Observer carries one, fixed when it is built
+	// (Observer.JournalSet); replay a recorded stream with Session.Replay.
 	Journal = obs.Journal
 	// JournalEvent is one recorded flight-recorder event.
 	JournalEvent = obs.Event
@@ -329,11 +329,6 @@ func WithTranscript() Option { return func(s *Session) { s.transcript = true } }
 // NewObserver returns an Observer with a fresh registry, a default-capacity
 // journal and every subsystem metric family registered.
 func NewObserver() *Observer { return obs.New() }
-
-// NewJournal returns a flight-recorder journal with the given event-ring
-// capacity (the default of 65536 when capacity <= 0). Attach a JSONL sink
-// with (*Journal).SetSink to keep runs longer than the ring replayable.
-func NewJournal(capacity int) *Journal { return obs.NewJournal(capacity) }
 
 // ReadJournal decodes a JSONL journal stream previously written by the
 // journal's sink or (*Journal).WriteJSONL — the input to Session.Replay.

@@ -25,7 +25,7 @@ func TestSessionObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := oassis.NewObserver()
-	o.Journal.SetPhase("paper-example")
+	o.JournalSet().SetPhase("paper-example")
 	session, err := oassis.NewSession(store, q, oassis.WithSeed(1), oassis.WithObserver(o))
 	if err != nil {
 		t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,10 +129,10 @@ func TestScorecardsFoldRecordedStream(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			o := oassis.NewObserver()
 			var sink bytes.Buffer
-			o.Journal.SetSink(&sink)
+			o.JournalSet().SetSink(&sink)
 			live := o.EnableScorecards()
 			_, liveRes := runScorecardScenario(t, i, o)
-			if err := o.Journal.Flush(); err != nil {
+			if err := o.JournalSet().Flush(); err != nil {
 				t.Fatal(err)
 			}
 			events, err := oassis.ReadJournal(&sink)
@@ -163,6 +164,36 @@ func TestScorecardsFoldRecordedStream(t *testing.T) {
 				t.Fatalf("replay diverged from live run: %v", err)
 			}
 		})
+	}
+}
+
+// TestScorecardsEnableTwice enables scorecards twice before the chaos
+// fleet runs and requires one board throughout, whose answered replies
+// sum to the kernel's usable-answer counter: two folds of one stream.
+func TestScorecardsEnableTwice(t *testing.T) {
+	o := oassis.NewObserver()
+	board := o.EnableScorecards()
+	if again := o.EnableScorecards(); again != board {
+		t.Fatal("a second EnableScorecards built a second board")
+	}
+	chaosJournalRun(t, o)
+	if o.EnableScorecards() != board || o.BoardSet() != board {
+		t.Fatal("the observer's board changed during the run")
+	}
+	var answered int64
+	sc := bufio.NewScanner(bytes.NewReader(memberMetricLines(o.Registry)))
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "oassis_member_replies_total{") && strings.Contains(line, `outcome="answered"`) {
+			n, err := strconv.ParseInt(line[strings.LastIndexByte(line, ' ')+1:], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			answered += n
+		}
+	}
+	if questions := o.Kernel.Questions.Value(); answered == 0 || answered != questions {
+		t.Fatalf("members answered %d replies, kernel counted %d usable answers", answered, questions)
 	}
 }
 
